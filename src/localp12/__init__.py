@@ -6,7 +6,7 @@ t1, t2, and potentials are truncated multivariate power series with a
 declared cap per variable.
 
 The package builds the equivariant genus-0 potential of the total space of
-O(-1) + O(-1/2) over the weighted projective line P(1,2) in closed form,
+O(-3) over the weighted projective line P(1,2) in closed form,
 re-derives its localization building blocks (edge, vertex and node factors
 in an auxiliary torus weight), and verifies the change-of-variable
 identities tying the potential to the neighbouring geometries of its

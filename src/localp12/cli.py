@@ -18,11 +18,21 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .localization import assembly_suite, degree0_suite, resummation_suite
-from .pcrc import bracket_suite, corollary_suite, residual_suite
+from . import localization, pcrc
 from .potentials import degree0_triple, extended_potential, gw_invariant, potential
 
-SUITE_NAMES = ("degree0", "resummation", "assembly", "bracket", "residual", "corollary")
+#: suite name -> runner; each looks its suite up in its module at call time,
+#: so a function patched into that module (a tracer, say) is the one run
+_SUITES = {
+    "degree0": lambda cfg: localization.degree0_suite(),
+    "resummation": lambda cfg: localization.resummation_suite(),
+    "assembly": lambda cfg: localization.assembly_suite(),
+    "bracket": lambda cfg: pcrc.verify_bracket_identity(cfg.qmax, cfg.zorder),
+    "residual": lambda cfg: pcrc.verify_residual_thirdderiv(cfg.zorder),
+    "corollary": lambda cfg: pcrc.corollary_suite(),
+}
+
+SUITE_NAMES = tuple(_SUITES)
 
 #: per-command cap defaults (qmax, zorder, uorder)
 _DEFAULT_CAPS = {
@@ -46,6 +56,10 @@ class RunConfig:
     format: str
     at: dict
     out: str
+    d: int
+    n1: int
+    n2: int
+    classes: str
 
 
 class UsageError(Exception):
@@ -123,12 +137,18 @@ def _merge(args):
             return cfg[name]
         return fallback
 
-    caps = _DEFAULT_CAPS[args.command]
-    qmax = int(pick("qmax", caps[0]))
-    zorder = int(pick("zorder", caps[1]))
-    uorder = int(pick("uorder", caps[2]))
-    if min(qmax, zorder, uorder) < 0:
-        raise UsageError("caps must be nonnegative")
+    def pick_nat(name, fallback=None):
+        value = pick(name, fallback)
+        # bool is an int subclass, but true is no cap
+        if value is not None and (type(value) is not int or value < 0):
+            raise UsageError("%s must be a nonnegative integer, got %r" % (name, value))
+        return value
+
+    def pick_typed(name, kind, what, fallback=None):
+        value = pick(name, fallback)
+        if value is not None and not isinstance(value, kind):
+            raise UsageError("%s must be %s, got %r" % (name, what, value))
+        return value
 
     suite = pick("suite", "all") if args.command == "verify" else "all"
     if args.command == "verify":
@@ -148,17 +168,21 @@ def _merge(args):
     if fmt == "csv" and args.command != "potential":
         raise UsageError("csv output is only defined for the potential table")
 
-    at = _parse_at(pick("at"))
+    caps = _DEFAULT_CAPS[args.command]
     return RunConfig(
         command=args.command,
-        qmax=qmax,
-        zorder=zorder,
-        uorder=uorder,
-        extended=bool(pick("extended", False)),
+        qmax=pick_nat("qmax", caps[0]),
+        zorder=pick_nat("zorder", caps[1]),
+        uorder=pick_nat("uorder", caps[2]),
+        extended=pick_typed("extended", bool, "true or false", False),
         suites=suites,
         format=fmt,
-        at=at,
-        out=pick("out"),
+        at=_parse_at(pick("at")),
+        out=pick_typed("out", str, "a path"),
+        d=pick_nat("d", 0),
+        n1=pick_nat("n1", 0),
+        n2=pick_nat("n2"),
+        classes=pick_typed("classes", str, "a comma-separated string"),
     )
 
 
@@ -207,12 +231,12 @@ def cmd_potential(cfg):
     return _dump(series.to_json()), 0
 
 
-def cmd_invariants(cfg, args):
-    d = args.d if args.d is not None else 0
+def cmd_invariants(cfg):
+    d = cfg.d
     if d == 0:
-        if not args.classes:
+        if not cfg.classes:
             raise UsageError("degree 0 needs --classes, e.g. --classes 1,H,H")
-        classes = tuple(c.strip() for c in args.classes.split(","))
+        classes = tuple(c.strip() for c in cfg.classes.split(","))
         try:
             value = degree0_triple(classes)
         except ValueError as err:
@@ -220,36 +244,21 @@ def cmd_invariants(cfg, args):
         record = {"d": 0, "classes": list(classes), "value": value.to_json(),
                   "pretty": str(value)}
         return _dump(record), 0
-    if args.classes is not None:
+    if cfg.classes is not None:
         raise UsageError("--classes is only for degree 0")
-    if args.n2 is None:
+    if cfg.n2 is None:
         raise UsageError("positive degree needs --n2 (twisted insertion count)")
-    n1 = args.n1 if args.n1 is not None else 0
     try:
-        value = gw_invariant(n1, args.n2, d)
+        value = gw_invariant(cfg.n1, cfg.n2, d)
     except ValueError as err:
         raise UsageError(str(err))
-    record = {"d": d, "n1": n1, "n2": args.n2, "value": value.to_json(),
+    record = {"d": d, "n1": cfg.n1, "n2": cfg.n2, "value": value.to_json(),
               "pretty": str(value)}
     return _dump(record), 0
 
 
-def _run_suite(name, cfg):
-    if name == "degree0":
-        return degree0_suite()
-    if name == "resummation":
-        return resummation_suite()
-    if name == "assembly":
-        return assembly_suite()
-    if name == "bracket":
-        return bracket_suite(cfg.qmax, cfg.zorder)
-    if name == "residual":
-        return residual_suite(cfg.zorder)
-    return corollary_suite()
-
-
 def cmd_verify(cfg):
-    reports = [_run_suite(name, cfg) for name in cfg.suites]
+    reports = [_SUITES[name](cfg) for name in cfg.suites]
     ok = all(r.passed for r in reports)
     if len(reports) == 1:
         payload = reports[0].to_json()
@@ -267,6 +276,8 @@ def cmd_eval(cfg):
     for key in cfg.at:
         if key not in ("t1", "t2") + _EVAL_VARS:
             raise UsageError("unknown variable %r in --at" % (key,))
+    if "u" in cfg.at and not cfg.extended:
+        raise UsageError("--at sets u, which only the --extended potential has")
     if "t1" not in cfg.at or "t2" not in cfg.at:
         raise UsageError("--at must set t1 and t2")
     t1, t2 = cfg.at["t1"], cfg.at["t2"]
@@ -298,31 +309,34 @@ def _dump(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+_COMMANDS = {
+    "potential": cmd_potential,
+    "invariants": cmd_invariants,
+    "verify": cmd_verify,
+    "eval": cmd_eval,
+}
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _merge(args)
-        if cfg.command == "potential":
-            text, code = cmd_potential(cfg)
-        elif cfg.command == "invariants":
-            text, code = cmd_invariants(cfg, args)
-        elif cfg.command == "verify":
-            text, code = cmd_verify(cfg)
+        text, code = _COMMANDS[cfg.command](cfg)
+        if cfg.out:
+            try:
+                with open(cfg.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as err:
+                raise UsageError("cannot write %s: %s" % (cfg.out, err.strerror or err))
         else:
-            text, code = cmd_eval(cfg)
+            sys.stdout.write(text)
     except UsageError as err:
         print("error: %s" % (err,), file=sys.stderr)
         return 2
     except ZeroDivisionError as err:
         print("error: %s" % (err,), file=sys.stderr)
         return 1
-
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -114,14 +114,7 @@ class Cyclo:
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        out = Cyclo(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return repeated_squaring(self, n, ONE)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -130,7 +123,9 @@ class Cyclo:
         return self._c == other._c
 
     def __hash__(self):
-        return hash(self._c)
+        # a rational element equals its Fraction, so it hashes like one
+        c = self._c
+        return hash(c) if c[1] or c[2] or c[3] else hash(c[0])
 
     def __bool__(self):
         return any(self._c)
@@ -230,6 +225,18 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return Cyclo(x)
     return NotImplemented
+
+
+def repeated_squaring(base, n, one):
+    """base ** n for an integer n >= 0, starting from the unit one."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def zeta_pow(k):

@@ -74,10 +74,6 @@ class SMonomial:
 S_ONE = SMonomial(Fraction(1), Fraction(0))
 
 
-def _smon(coeff, s_exp=0):
-    return SMonomial(Fraction(coeff), Fraction(s_exp))
-
-
 # --------------------------------------------------------------------------
 # lifting weights of the three line bundles on the cover
 
@@ -324,6 +320,13 @@ def local_invariant(d, n):
     return sign * Fraction(2, d**3) * Fraction(d, 2) ** n
 
 
+def quantum_sign(d):
+    """Sign of the degree-d closed-form term: period four in d."""
+    if d % 2:
+        return (-1) ** ((d - 1) // 2)
+    return (-1) ** (d // 2)
+
+
 def resummed_odd(d, order):
     """Generating function of the odd-degree invariants: the coefficient of
     z2^(2g+1) times (2g+1)! is the (d, 2g+1) invariant."""
@@ -331,8 +334,7 @@ def resummed_odd(d, order):
         raise ValueError("degree must be odd and positive, got %r" % (d,))
     vs = VarSet(("z2",), (order,))
     arg = Series.variable(vs, "z2").scale(Fraction(d, 2))
-    sign = (-1) ** ((d - 1) // 2)
-    return sin(arg).scale(Fraction(2 * sign, d**3))
+    return sin(arg).scale(Fraction(2 * quantum_sign(d), d**3))
 
 
 def resummed_even(d, order):
@@ -341,8 +343,7 @@ def resummed_even(d, order):
         raise ValueError("degree must be even and positive, got %r" % (d,))
     vs = VarSet(("z2",), (order,))
     arg = Series.variable(vs, "z2").scale(Fraction(d, 2))
-    sign = (-1) ** (d // 2)
-    return cos(arg).scale(Fraction(2 * sign, d**3))
+    return cos(arg).scale(Fraction(2 * quantum_sign(d), d**3))
 
 
 def assemble_even(d, g):

@@ -15,7 +15,7 @@ raise it, which keeps the exactness guarantee honest in both directions.
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclo
+from .cyclotomic import repeated_squaring
 from .ratfun import RF_ONE, RF_ZERO, RatFun, rf
 
 
@@ -164,14 +164,7 @@ class Series:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("series power wants a non-negative integer")
-        out = Series.constant(self.vs, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return repeated_squaring(self, n, Series.constant(self.vs, 1))
 
     # -- calculus -----------------------------------------------------------
 
@@ -220,23 +213,30 @@ class Series:
                 if s.constant_term():
                     raise ValueError("image of %s has a nonzero constant term" % name)
             imgs.append(s)
+        return self.expand(imgs, target)
+
+    def expand(self, images, target):
+        """Sum of c * images[0]^e0 * images[1]^e1 * ... over the terms.
+
+        images lists one series on target per variable, in variable order,
+        and is not checked: this is the image of the polynomial self
+        retains, whatever the constant terms of the images are.
+        """
         one = Series.constant(target, 1)
-        cache = {}
+        powers = [[one, s] for s in images]
 
         def power(i, e):
-            key = (i, e)
-            got = cache.get(key)
-            if got is None:
-                got = one if e == 0 else power(i, e - 1) * imgs[i]
-                cache[key] = got
-            return got
+            seq = powers[i]
+            while len(seq) <= e:
+                seq.append(seq[-1] * seq[1])
+            return seq[e]
 
         acc = {}
         for exp, c in self._t.items():
             prod = one
             for i, e in enumerate(exp):
                 if e:
-                    prod = prod * power(i, e)
+                    prod = power(i, e) if prod is one else prod * power(i, e)
             for pe, pc in prod._t.items():
                 v = c * pc
                 got = acc.get(pe)
@@ -279,13 +279,6 @@ class Series:
         if any(e > cap or e < 0 for e, cap in zip(exp, self.vs.caps)):
             raise ValueError("exponent %r outside caps %r" % (exp, self.vs.caps))
         return self._t.get(exp, RF_ZERO)
-
-    def coeff_of(self, **exps):
-        """coeff by name, unnamed variables at exponent zero."""
-        exp = [0] * len(self.vs.names)
-        for name, e in exps.items():
-            exp[self.vs.index(name)] = e
-        return self.coeff(exp)
 
     def constant_term(self):
         return self._t.get((0,) * len(self.vs.names), RF_ZERO)
@@ -358,43 +351,38 @@ def _require_no_constant(f, what):
         raise ValueError("%s of a series with a nonzero constant term" % what)
 
 
-def exp(f):
-    _require_no_constant(f, "exp")
-    out = Series.constant(f.vs, 1)
-    term = out
+def _taylor(out, term, step, ratio=None):
+    """out + term * step + term * step^2 + ..., until the caps kill a term.
+
+    With a ratio, the k-th added term is also scaled by ratio(k) on top of
+    the scalings of the terms before it.
+    """
     k = 0
     while True:
         k += 1
-        term = (term * f).scale(Fraction(1, k))
+        term = term * step
         if not term:
             return out
+        if ratio is not None:
+            term = term.scale(ratio(k))
         out = out + term
+
+
+def exp(f):
+    _require_no_constant(f, "exp")
+    one = Series.constant(f.vs, 1)
+    return _taylor(one, one, f, lambda k: Fraction(1, k))
 
 
 def sin(f):
     _require_no_constant(f, "sin")
-    f2 = f * f
-    out = term = f
-    k = 1
-    while True:
-        term = (term * f2).scale(Fraction(-1, (k + 1) * (k + 2)))
-        k += 2
-        if not term:
-            return out
-        out = out + term
+    return _taylor(f, f, f * f, lambda k: Fraction(-1, 2 * k * (2 * k + 1)))
 
 
 def cos(f):
     _require_no_constant(f, "cos")
-    f2 = f * f
-    out = term = Series.constant(f.vs, 1)
-    k = 0
-    while True:
-        term = (term * f2).scale(Fraction(-1, (k + 1) * (k + 2)))
-        k += 2
-        if not term:
-            return out
-        out = out + term
+    one = Series.constant(f.vs, 1)
+    return _taylor(one, one, f * f, lambda k: Fraction(-1, (2 * k - 1) * 2 * k))
 
 
 _TAN = {1: Fraction(1)}
@@ -414,15 +402,7 @@ def _tan_coeff(m):
 
 def tan(f):
     _require_no_constant(f, "tan")
-    f2 = f * f
-    out = fm = f
-    m = 1
-    while True:
-        fm = fm * f2
-        m += 2
-        if not fm:
-            return out
-        out = out + fm.scale(_tan_coeff(m))
+    return _taylor(f, f, f * f, lambda k: _tan_coeff(2 * k + 1) / _tan_coeff(2 * k - 1))
 
 
 def inverse(f):
@@ -432,10 +412,4 @@ def inverse(f):
         raise ZeroDivisionError("series with zero constant term has no inverse")
     ci = c.inv()
     one = Series.constant(f.vs, 1)
-    h = one - f.scale(ci)
-    out = hk = one
-    while True:
-        hk = hk * h
-        if not hk:
-            return out.scale(ci)
-        out = out + hk
+    return _taylor(one, one, one - f.scale(ci)).scale(ci)

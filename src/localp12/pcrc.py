@@ -20,13 +20,12 @@ suite checks that inverting the first map and composing with the second
 reproduces the third, entry by entry in the coefficient field.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, ZERO, zeta_pow
+from .localization import quantum_sign
 from .mpseries import Series, VarSet, cos, exp, inverse, sin, tan
-from .potentials import quantum_sign
 from .ratfun import rf
 from .reports import CaseResult, SuiteReport
 
@@ -418,37 +417,22 @@ def _push(ln, b):
 
 
 def apply(m, f, target):
-    """Transform a series through the map, exact to the target caps.
+    """Transform the polynomial f retains through the map, to the target caps.
 
-    Every variable of f must have a line in m.  Exponential lines expand
-    with the phase handled multiplicatively, so the constant term of the
-    substituted form stays zero; logarithm and angle lines carry
+    Every variable of f must have a line in m.  An exponential line's image
+    is phase * e^(form), whose constant term is the phase, so the result is
+    the image of f's retained polynomial, not a truncation of the image of
+    the series f stands for.  Logarithm and angle lines carry
     transcendental constants and are rejected.
     """
-    images = {}
+    images = []
     for name in f.vs.names:
         try:
             ln = m.line(name)
         except KeyError:
             raise ValueError("variable %r not covered by the map" % (name,))
-        images[name] = _line_series(ln, target)
-    powers = {n: [Series.constant(target, 1), s] for n, s in images.items()}
-
-    def power(name, e):
-        seq = powers[name]
-        while len(seq) <= e:
-            seq.append(seq[-1] * seq[1])
-        return seq[e]
-
-    out = Series.zero(target)
-    zero_exp = (0,) * len(target.names)
-    for e, c in f.terms():
-        term = Series(target, {zero_exp: c})
-        for name, ev in zip(f.vs.names, e):
-            if ev:
-                term = term * power(name, ev)
-        out = out + term
-    return out
+        images.append(_line_series(ln, target))
+    return f.expand(images, target)
 
 
 def _line_series(ln, target):
@@ -563,14 +547,6 @@ def verify_corollary_remark():
             )
         )
     return SuiteReport("corollary-remark", cases)
-
-
-def bracket_suite(qmax=8, order=10):
-    return verify_bracket_identity(qmax, order)
-
-
-def residual_suite(order=16):
-    return verify_residual_thirdderiv(order)
 
 
 def corollary_suite():

@@ -21,9 +21,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from .localization import degree0_fixed_point_sum, local_invariant
-from .mpseries import Series, VarSet, cos, exp, sin, tan
-from .ratfun import RF_T1, RF_T2, RF_ZERO, rf
+from .localization import (
+    degree0_fixed_point_sum,
+    local_invariant,
+    resummed_even,
+    resummed_odd,
+)
+from .mpseries import Series, VarSet, exp, tan
+from .ratfun import RF_T1, RF_T2, RF_ZERO
 
 _CLASS_NAMES = ("1", "H", "S")
 
@@ -72,20 +77,6 @@ def stacky_part(order):
     return g_series(order).scale(-(RF_T1 + RF_T2))
 
 
-def quantum_sign(d):
-    """Sign of the degree-d closed-form term: period four in d."""
-    if d % 2:
-        return (-1) ** ((d - 1) // 2)
-    return (-1) ** (d // 2)
-
-
-def _trig(vs, d, zorder):
-    # 2/d^3 times sin or cos of (d z2 / 2) by the parity of d, with sign
-    arg = Series.variable(vs, "z2").scale(Fraction(d, 2))
-    wave = sin(arg) if d % 2 else cos(arg)
-    return wave.scale(Fraction(2 * quantum_sign(d), d**3))
-
-
 def quantum_part(qmax, zorder):
     """All positive-degree terms up to q^qmax, z-variables capped at zorder."""
     vs = VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax))
@@ -93,9 +84,8 @@ def quantum_part(qmax, zorder):
     if qmax < 1:
         return out
     level = RF_T1 + RF_T2
-    zvs = VarSet(("z2",), (zorder,))
     for d in range(1, qmax + 1):
-        term = _trig(zvs, d, zorder).into(vs)
+        term = (resummed_odd if d % 2 else resummed_even)(d, zorder).into(vs)
         term = term * exp(Series.variable(vs, "z1").scale(d))
         term = term * Series(vs, {(0, 0, 0, d): level})
         out = out + term

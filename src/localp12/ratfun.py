@@ -14,7 +14,7 @@ K[t2] are the ordinary monic Euclid.
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclo, ONE as C_ONE
+from .cyclotomic import Cyclo, ONE as C_ONE, ZERO as C_ZERO, repeated_squaring
 
 _GRLEX = lambda e: (e[0] + e[1], e[0])
 
@@ -391,6 +391,10 @@ class RatFun:
         return self._n == other._n and self._d == other._d
 
     def __hash__(self):
+        # a constant equals its Cyclo, so it hashes like one
+        t = self._n._t
+        if self._d.is_one() and t.keys() <= {(0, 0)}:
+            return hash(t.get((0, 0), C_ZERO))
         return hash((self._n, self._d))
 
     def __add__(self, other):
@@ -447,14 +451,7 @@ class RatFun:
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        out = RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return repeated_squaring(self, n, RF_ONE)
 
     def inv(self):
         return RatFun(self._d, self._n)
@@ -484,10 +481,7 @@ class RatFun:
 
     @classmethod
     def from_json(cls, obj):
-        r = cls.__new__(cls)
-        r._n = _poly_from_json(obj["num"])
-        r._d = _poly_from_json(obj["den"])
-        return r
+        return cls(_poly_from_json(obj["num"]), _poly_from_json(obj["den"]))
 
     def __repr__(self):
         return "RatFun(%s)" % (self,)

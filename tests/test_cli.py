@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from localp12.cli import main
 
 
@@ -64,12 +66,16 @@ def test_csv_is_potential_only(capsys):
     assert "csv" in err
 
 
-def test_verify_single_suite_report(capsys):
-    code, out, _ = _run(capsys, "verify", "--suite", "degree0")
+@pytest.mark.parametrize("name, cases", [
+    ("degree0", 6), ("resummation", 49), ("assembly", 49),
+    ("bracket", 8), ("residual", 1), ("corollary", 18),
+])
+def test_verify_single_suite_report(capsys, name, cases):
+    code, out, _ = _run(capsys, "verify", "--suite", name)
     assert code == 0
     doc = json.loads(out)
-    assert doc["suite"] == "degree0"
-    assert len(doc["cases"]) == 6
+    assert doc["suite"] == name
+    assert len(doc["cases"]) == cases
     assert all(c["pass"] for c in doc["cases"])
     assert all(c["first_mismatch"] is None for c in doc["cases"])
 
@@ -169,6 +175,13 @@ def test_eval_rejects_unknown_variable(capsys):
     assert code == 2
 
 
+def test_eval_rejects_u_without_extended(capsys):
+    code, out, err = _run(capsys, "eval", "--at", "t1=1,t2=2,z2=1/3,u=5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--extended" in err
+
+
 def test_bad_at_spec_is_usage_error(capsys):
     code, _, _ = _run(capsys, "eval", "--at", "t1")
     assert code == 2
@@ -217,3 +230,49 @@ def test_repeat_runs_are_byte_identical(capsys):
     first = _run(capsys, "verify", "--suite", "corollary")
     second = _run(capsys, "verify", "--suite", "corollary")
     assert first == second
+
+
+@pytest.mark.parametrize("values", [
+    {"extended": "false"}, {"extended": 0}, {"qmax": "x"}, {"qmax": "3"},
+    {"zorder": -1}, {"uorder": 1.5}, {"qmax": True}, {"out": 5},
+])
+def test_bad_config_values_are_usage_errors(tmp_path, capsys, values):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = _run(capsys, "potential", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and next(iter(values)) in err
+
+
+def test_config_extended_false_is_plain(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"qmax": 1, "zorder": 1, "extended": False}))
+    code, from_cfg, _ = _run(capsys, "potential", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(from_cfg)["vars"] == ["z0", "z1", "z2", "q"]
+
+
+@pytest.mark.parametrize("values, flags", [
+    ({"d": 3, "n2": 3}, ["--d", "3", "--n2", "3"]),
+    ({"d": 2, "n1": 1, "n2": 2}, ["--d", "2", "--n1", "1", "--n2", "2"]),
+    ({"classes": "1,H,H"}, ["--classes", "1,H,H"]),
+])
+def test_config_supplies_invariant_arguments(tmp_path, capsys, values, flags):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    code, from_cfg, _ = _run(capsys, "invariants", "--config", str(cfg))
+    assert code == 0
+    code, from_flags, _ = _run(capsys, "invariants", *flags)
+    assert code == 0
+    assert from_cfg == from_flags
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.json"
+    code, out, err = _run(
+        capsys, "potential", "--qmax", "1", "--zorder", "1", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and str(target) in err

@@ -7,6 +7,7 @@ import pytest
 
 from localp12 import cyclotomic as cy
 from localp12.cyclotomic import Cyclo, zeta_pow
+from localp12.ratfun import rf
 
 
 def rand_cyclo(rng, nonzero=False):
@@ -130,3 +131,13 @@ def test_hash_consistency():
     assert hash(zeta_pow(4)) == hash(cy.OMEGA)
     d = {cy.OMEGA: "w"}
     assert d[zeta_pow(4)] == "w"
+    # equal values of int, Fraction, Cyclo and RatFun hash alike
+    for x in (0, 3, -1, Fraction(-2, 3), Fraction(5, 7)):
+        forms = [x, Fraction(x), Cyclo(x), rf(x), rf(Cyclo(x))]
+        for a in forms:
+            for b in forms:
+                assert a == b and hash(a) == hash(b)
+        assert len(set(forms)) == 1
+    for c in (Cyclo(0, 1), cy.OMEGA, cy.SQRT3 * Fraction(1, 2)):
+        assert rf(c) == c and hash(rf(c)) == hash(c)
+        assert len({rf(c), c}) == 1

@@ -16,7 +16,6 @@ from localp12.pcrc import (
     LogLine,
     ScalarLine,
     apply,
-    bracket_suite,
     build_corollary,
     build_cov,
     build_covbgp,
@@ -25,7 +24,6 @@ from localp12.pcrc import (
     invert,
     phase_exponent,
     principal_angle,
-    residual_suite,
     verify_bracket_identity,
     verify_corollary_composition,
     verify_corollary_remark,
@@ -210,7 +208,7 @@ def test_bracket_identity_passes():
     report = verify_bracket_identity(5, 8)
     assert report.passed
     assert [c.key for c in report.cases] == ["d=%d" % d for d in range(1, 6)]
-    assert bracket_suite(3, 6).suite == "bracket"
+    assert report.suite == "bracket"
 
 
 def test_bracket_sides_d1_coefficients():
@@ -280,7 +278,7 @@ def test_half_shifted_specialization_matches_extended_tail():
 def test_residual_identity():
     report = verify_residual_thirdderiv(12)
     assert report.passed
-    assert residual_suite(8).suite == "residual"
+    assert report.suite == "residual"
 
 
 def test_residual_sides_low_coefficients():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from localp12.localization import local_invariant
+from localp12.localization import local_invariant, quantum_sign
 from localp12.potentials import (
     classical_part,
     degree0_triple,
@@ -14,7 +14,6 @@ from localp12.potentials import (
     gw_invariant,
     potential,
     quantum_part,
-    quantum_sign,
     stacky_part,
 )
 from localp12.ratfun import RF_T1, RF_T2, RF_ZERO, RatFun, rf

@@ -145,6 +145,9 @@ def test_cyclo_coefficients_survive():
 def test_pow_and_json_roundtrip():
     r = (RF_T1 + RF_T2) ** 3 / (RF_T1 * 18)
     assert RatFun.from_json(r.to_json()) == r
+    # a non-canonical blob loads in canonical form
+    blob = {"num": [[1, 0, ["2", "0", "0", "0"]]], "den": [[1, 0, ["2", "0", "0", "0"]]]}
+    assert RatFun.from_json(blob) == RF_ONE
     assert r**0 == RF_ONE
     assert r**-2 == (r * r).inv()
 
