@@ -34,12 +34,12 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-#: per-command cap defaults (qmax, zorder, uorder)
+#: per-command cap defaults; a command without a cap does not read it
 _DEFAULT_CAPS = {
-    "potential": (3, 6, 3),
-    "eval": (3, 6, 3),
-    "verify": (8, 10, 10),
-    "invariants": (0, 0, 0),
+    "potential": {"qmax": 3, "zorder": 6, "uorder": 3},
+    "eval": {"qmax": 3, "zorder": 6, "uorder": 3},
+    "verify": {"qmax": 8, "zorder": 10},
+    "invariants": {},
 }
 
 _EVAL_VARS = ("z0", "z1", "z2", "q", "u")
@@ -66,40 +66,6 @@ class UsageError(Exception):
     pass
 
 
-def _build_parser():
-    top = argparse.ArgumentParser(
-        prog="localp12",
-        description="Exact genus-0 potential and verification suites for local P(1,2).",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("potential", "print the truncated potential as a coefficient table"),
-        ("invariants", "print one invariant value"),
-        ("verify", "run verification suites"),
-        ("eval", "numerically evaluate the truncated potential"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--qmax", type=_nat, default=None, help="curve-degree cap")
-        p.add_argument("--zorder", type=_nat, default=None, help="cap on each z variable")
-        p.add_argument("--uorder", type=_nat, default=None, help="cap on the angle variable")
-        p.add_argument("--extended", action="store_true", default=None,
-                       help="use the u-extended potential")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--config", default=None, help="JSON file with the same keys as the flags")
-        p.add_argument("--at", default=None, help="comma-separated k=v rational assignments")
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-        if name == "verify":
-            p.add_argument("--suite", default=None,
-                           help="one of %s, or 'all'" % (", ".join(SUITE_NAMES),))
-        if name == "invariants":
-            p.add_argument("--d", type=_nat, default=None, help="curve degree")
-            p.add_argument("--n1", type=_nat, default=None, help="divisor insertions")
-            p.add_argument("--n2", type=_nat, default=None, help="twisted insertions")
-            p.add_argument("--classes", default=None,
-                           help="three comma-separated classes for d=0, e.g. 1,H,H")
-    return top
-
-
 def _nat(text):
     value = int(text)
     if value < 0:
@@ -107,11 +73,49 @@ def _nat(text):
     return value
 
 
-_CONFIG_KEYS = ("qmax", "zorder", "uorder", "extended", "format", "at", "out",
-                "suite", "d", "n1", "n2", "classes")
+#: flag -> its argparse keywords
+_FLAG_SPECS = {
+    "qmax": dict(type=_nat, help="curve-degree cap"),
+    "zorder": dict(type=_nat, help="cap on each z variable"),
+    "uorder": dict(type=_nat, help="cap on the angle variable"),
+    "extended": dict(action="store_true", help="use the u-extended potential"),
+    "format": dict(choices=("json", "csv")),
+    "at": dict(help="comma-separated k=v rational assignments"),
+    "suite": dict(help="one of %s, or 'all'" % (", ".join(SUITE_NAMES),)),
+    "d": dict(type=_nat, help="curve degree"),
+    "n1": dict(type=_nat, help="divisor insertions"),
+    "n2": dict(type=_nat, help="twisted insertions"),
+    "classes": dict(help="three comma-separated classes for d=0, e.g. 1,H,H"),
+}
 
 
-def _load_config(path):
+#: command -> (help, the flags it reads besides --config and --out)
+_COMMAND_FLAGS = {
+    "potential": ("print the truncated potential as a coefficient table",
+                  ("qmax", "zorder", "uorder", "extended", "format")),
+    "invariants": ("print one invariant value", ("d", "n1", "n2", "classes")),
+    "verify": ("run verification suites", ("qmax", "zorder", "suite")),
+    "eval": ("numerically evaluate the truncated potential",
+             ("qmax", "zorder", "uorder", "extended", "at")),
+}
+
+
+def _build_parser():
+    top = argparse.ArgumentParser(
+        prog="localp12",
+        description="Exact genus-0 potential and verification suites for local P(1,2).",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags) in _COMMAND_FLAGS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument("--" + flag, default=None, **_FLAG_SPECS[flag])
+        p.add_argument("--config", default=None, help="JSON file with the same keys as the flags")
+        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    return top
+
+
+def _load_config(path, command):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -119,15 +123,16 @@ def _load_config(path):
         raise UsageError("cannot read config %s: %s" % (path, err))
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
+    keys = _COMMAND_FLAGS[command][1] + ("out",)
     for key in data:
-        if key not in _CONFIG_KEYS:
-            raise UsageError("unknown config key %r" % (key,))
+        if key not in keys:
+            raise UsageError("config key %r is not read by %s" % (key, command))
     return data
 
 
 def _merge(args):
     """Flags override config-file values; defaults fill the rest."""
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = _load_config(args.config, args.command) if args.config else {}
 
     def pick(name, fallback=None):
         flag = getattr(args, name, None)
@@ -150,30 +155,23 @@ def _merge(args):
             raise UsageError("%s must be %s, got %r" % (name, what, value))
         return value
 
-    suite = pick("suite", "all") if args.command == "verify" else "all"
-    if args.command == "verify":
-        if suite == "all":
-            suites = SUITE_NAMES
-        elif suite in SUITE_NAMES:
-            suites = (suite,)
-        else:
-            raise UsageError("unknown suite %r; choose from %s or 'all'"
-                             % (suite, ", ".join(SUITE_NAMES)))
-    else:
-        suites = ()
+    # only verify reads a suite; the others keep the default, unused
+    suite = pick("suite", "all")
+    if suite != "all" and suite not in SUITE_NAMES:
+        raise UsageError("unknown suite %r; choose from %s or 'all'"
+                         % (suite, ", ".join(SUITE_NAMES)))
+    suites = SUITE_NAMES if suite == "all" else (suite,)
 
     fmt = pick("format", "json")
     if fmt not in ("json", "csv"):
         raise UsageError("format must be json or csv")
-    if fmt == "csv" and args.command != "potential":
-        raise UsageError("csv output is only defined for the potential table")
 
     caps = _DEFAULT_CAPS[args.command]
     return RunConfig(
         command=args.command,
-        qmax=pick_nat("qmax", caps[0]),
-        zorder=pick_nat("zorder", caps[1]),
-        uorder=pick_nat("uorder", caps[2]),
+        qmax=pick_nat("qmax", caps.get("qmax")),
+        zorder=pick_nat("zorder", caps.get("zorder")),
+        uorder=pick_nat("uorder", caps.get("uorder")),
         extended=pick_typed("extended", bool, "true or false", False),
         suites=suites,
         format=fmt,
@@ -318,8 +316,10 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as stop:  # argparse has printed the usage error
+        return stop.code
     try:
         cfg = _merge(args)
         text, code = _COMMANDS[cfg.command](cfg)

@@ -1,4 +1,10 @@
-"""Truncated multivariate power series over RatFun with per-variable caps.
+"""Truncated multivariate power series with per-variable caps.
+
+Coefficients are stored as given, in whatever field the caller works in:
+int or Fraction for the rational series, Cyclo for the identity checks
+in Q(zeta12), RatFun where the torus weights t1, t2 appear.  Arithmetic
+combines them only with each other and with rationals, so a series stays
+in the field its inputs live in.  A missing coefficient reads as 0.
 
 A VarSet fixes an ordered tuple of variable names and one truncation cap
 per variable. A Series stores only exponents within the caps; arithmetic
@@ -16,7 +22,7 @@ raise it, which keeps the exactness guarantee honest in both directions.
 from fractions import Fraction
 
 from .cyclotomic import repeated_squaring
-from .ratfun import RF_ONE, RF_ZERO, RatFun, rf
+from .ratfun import RatFun
 
 
 class VarSet:
@@ -77,8 +83,6 @@ class Series:
                     raise ValueError("negative exponent %r" % (exp,))
                 if any(e > cap for e, cap in zip(exp, caps)):
                     continue
-                if not isinstance(c, RatFun):
-                    c = rf(c)
                 acc = t.get(exp)
                 c = c if acc is None else acc + c
                 if c:
@@ -95,13 +99,13 @@ class Series:
 
     @classmethod
     def constant(cls, vs, c):
-        return cls(vs, {(0,) * len(vs.names): rf(c)})
+        return cls(vs, {(0,) * len(vs.names): c})
 
     @classmethod
     def variable(cls, vs, name):
         exp = [0] * len(vs.names)
         exp[vs.index(name)] = 1
-        return cls(vs, {tuple(exp): RF_ONE})
+        return cls(vs, {tuple(exp): 1})
 
     # -- ring structure ---------------------------------------------------
 
@@ -156,7 +160,6 @@ class Series:
         return self._wrap(out)
 
     def scale(self, c):
-        c = rf(c)
         if not c:
             return Series(self.vs)
         return self._wrap({e: v * c for e, v in self._t.items()})
@@ -278,10 +281,10 @@ class Series:
             raise ValueError("exponent arity mismatch")
         if any(e > cap or e < 0 for e, cap in zip(exp, self.vs.caps)):
             raise ValueError("exponent %r outside caps %r" % (exp, self.vs.caps))
-        return self._t.get(exp, RF_ZERO)
+        return self._t.get(exp, 0)
 
     def constant_term(self):
-        return self._t.get((0,) * len(self.vs.names), RF_ZERO)
+        return self._t.get((0,) * len(self.vs.names), 0)
 
     def terms(self):
         return self._t.items()
@@ -410,6 +413,6 @@ def inverse(f):
     c = f.constant_term()
     if not c:
         raise ZeroDivisionError("series with zero constant term has no inverse")
-    ci = c.inv()
+    ci = Fraction(1) / c
     one = Series.constant(f.vs, 1)
     return _taylor(one, one, one - f.scale(ci)).scale(ci)

@@ -26,7 +26,6 @@ from fractions import Fraction
 from .cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, ZERO, zeta_pow
 from .localization import quantum_sign
 from .mpseries import Series, VarSet, cos, exp, inverse, sin, tan
-from .ratfun import rf
 from .reports import CaseResult, SuiteReport
 
 #: i / sqrt(3) = (2 zeta^2 - 1) / 3
@@ -96,7 +95,7 @@ class LinearForm:
     def to_series(self, target):
         out = Series.zero(target)
         for n, c in self.terms:
-            out = out + Series.variable(target, n).scale(rf(c))
+            out = out + Series.variable(target, n).scale(c)
         return out
 
 
@@ -439,9 +438,9 @@ def _line_series(ln, target):
     if isinstance(ln, LinearForm):
         return ln.to_series(target)
     if isinstance(ln, ScalarLine):
-        return Series.variable(target, ln.var).scale(rf(ln.scalar))
+        return Series.variable(target, ln.var).scale(ln.scalar)
     if isinstance(ln, ExpLine):
-        return exp(ln.form.to_series(target)).scale(rf(ln.phase))
+        return exp(ln.form.to_series(target)).scale(ln.phase)
     raise ValueError(
         "line %r has a transcendental constant and is no series substitution"
         % (ln,)
@@ -468,7 +467,7 @@ def verify_bracket_identity(qmax=8, order=10):
     cases = []
     for d in range(1, qmax + 1):
         carrier = exp(z1.scale(d)) * Series(
-            vs, {(0, 0, d, 0): rf(Fraction(1, d**3))}
+            vs, {(0, 0, d, 0): Fraction(1, d**3)}
         )
         theta = theta0.scale(Fraction(d, 2))
         bracket = (

@@ -1,16 +1,20 @@
 """The genus-zero potential of local P(1,2) in closed form.
 
-The potential splits by curve degree into three layers, all exact over the
-coefficient field:
+The potential splits by curve degree into three layers:
 
   * classical: the degree-zero cubic, with one coefficient per three-point
-    invariant of the classes 1, H, S;
+    invariant of the classes 1, H, S, each a rational function of the
+    torus weights t1, t2;
   * stacky: the degree-zero tail in the twisted variable alone, the triple
     antiderivative of half the tangent of z2/2, weighted by -(t1+t2);
   * quantum: one closed-form term per positive degree d, a sine or cosine
-    of d z2/2 according to the parity of d, carried by e^(d z1) q^d.
+    of d z2/2 according to the parity of d, carried by e^(d z1) q^d and
+    weighted by (t1+t2).
 
-`potential` assembles the three layers under shared per-variable caps, and
+Outside the classical cubic every coefficient is (t1+t2) times a rational
+number, so the stacky and quantum layers are built as series over Q and
+(t1+t2) is attached once, after all series arithmetic.  `potential`
+assembles the three layers under shared per-variable caps, and
 `extended_potential` shifts z2 by a formal angle u at a working precision
 high enough that the truncated result is exact.  `gw_invariant` exposes the
 underlying numbers directly, with the divisor class H accounted for by
@@ -31,6 +35,9 @@ from .mpseries import Series, VarSet, exp, tan
 from .ratfun import RF_T1, RF_T2, RF_ZERO
 
 _CLASS_NAMES = ("1", "H", "S")
+
+#: the weight (t1+t2) carried by every term outside the classical cubic
+_LEVEL = RF_T1 + RF_T2
 
 
 def degree0_triple(classes):
@@ -74,48 +81,51 @@ def g_series(order):
 
 def stacky_part(order):
     """Degree-zero tail in z2: -(t1+t2) times `g_series`."""
-    return g_series(order).scale(-(RF_T1 + RF_T2))
+    return g_series(order).scale(-_LEVEL)
+
+
+def _rational_tail(qmax, zorder):
+    """The potential minus its classical cubic, divided by (t1+t2): over Q."""
+    vs = VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax))
+    out = -g_series(zorder).into(vs)
+    for d in range(1, qmax + 1):
+        term = (resummed_odd if d % 2 else resummed_even)(d, zorder).into(vs)
+        term = term * exp(Series.variable(vs, "z1").scale(d))
+        out = out + term * Series(vs, {(0, 0, 0, d): 1})
+    return out
 
 
 def quantum_part(qmax, zorder):
     """All positive-degree terms up to q^qmax, z-variables capped at zorder."""
-    vs = VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax))
-    out = Series.zero(vs)
-    if qmax < 1:
-        return out
-    level = RF_T1 + RF_T2
-    for d in range(1, qmax + 1):
-        term = (resummed_odd if d % 2 else resummed_even)(d, zorder).into(vs)
-        term = term * exp(Series.variable(vs, "z1").scale(d))
-        term = term * Series(vs, {(0, 0, 0, d): level})
-        out = out + term
-    return out
+    tail = _rational_tail(qmax, zorder)
+    # the terms of positive q-degree; those of q-degree 0 are -G
+    return Series(tail.vs, {e: c * _LEVEL for e, c in tail.terms() if e[3]})
 
 
 def potential(qmax, zorder):
     """Full potential as a series in (z0, z1, z2, q) with per-variable caps."""
     if qmax < 0 or zorder < 0:
         raise ValueError("caps must be nonnegative")
-    vs = VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax))
-    out = classical_part().into(vs)
-    out = out + stacky_part(zorder).into(vs)
-    return out + quantum_part(qmax, zorder)
+    tail = _rational_tail(qmax, zorder)
+    return classical_part().into(tail.vs) + tail.scale(_LEVEL)
 
 
 def extended_potential(qmax, zorder, uorder):
     """Potential with z2 shifted by the formal angle u.
 
-    Computed at working z2-cap zorder + uorder before the shift, which is
-    exactly enough for every retained coefficient of z2^a u^b to be exact.
+    The rational tail is built at working z2-cap zorder + uorder before the
+    shift, which is exactly enough for every retained coefficient of
+    z2^a u^b to be exact; the classical cubic is a polynomial and needs no
+    margin.
     """
-    if uorder < 0:
+    if qmax < 0 or zorder < 0 or uorder < 0:
         raise ValueError("caps must be nonnegative")
-    base = potential(qmax, zorder + uorder)
     target = VarSet(
         ("z0", "z1", "z2", "q", "u"), (zorder, zorder, zorder, qmax, uorder)
     )
-    shift = Series.variable(target, "z2") + Series.variable(target, "u")
-    return base.substitute({"z2": shift}, target)
+    shift = {"z2": Series.variable(target, "z2") + Series.variable(target, "u")}
+    tail = _rational_tail(qmax, zorder + uorder).substitute(shift, target)
+    return classical_part().substitute(shift, target) + tail.scale(_LEVEL)
 
 
 def gw_invariant(n1, n2, d):
@@ -130,4 +140,4 @@ def gw_invariant(n1, n2, d):
     if n1 < 0 or n2 < 0:
         raise ValueError("insertion counts must be nonnegative")
     base = local_invariant(d, n2)
-    return (RF_T1 + RF_T2) * (Fraction(d) ** n1 * base)
+    return _LEVEL * (Fraction(d) ** n1 * base)

@@ -465,17 +465,6 @@ class RatFun:
             )
         return self._n.eval(a1, a2) * d.inv()
 
-    def rational(self):
-        """The value as a Fraction; raises unless this is a rational constant."""
-        if not self._d.is_one():
-            raise ValueError("not a polynomial: %s" % (self,))
-        if self._n.is_zero():
-            return Fraction(0)
-        items = list(self._n.terms())
-        if len(items) != 1 or items[0][0] != (0, 0):
-            raise ValueError("not a constant: %s" % (self,))
-        return items[0][1].rational()
-
     def to_json(self):
         return {"num": _poly_json(self._n), "den": _poly_json(self._d)}
 

@@ -73,7 +73,7 @@ def _agree(got, want):
 
 def _embed(ratfun_const):
     # constants carry no t-dependence, any evaluation point works
-    return ratfun_const.eval(1, 1).embed()
+    return rf(ratfun_const).eval(1, 1).embed()
 
 
 def _inv_float(d, n):
@@ -149,7 +149,7 @@ def test_criterion_3_odd_assembly_matches_resummation():
                 a = odd_assembly(d, g)
                 assert a.total.is_constant
                 n = 2 * g + 1
-                target = resummed_odd(d, n).coeff((n,)).rational()
+                target = resummed_odd(d, n).coeff((n,))
                 assert a.value == math.factorial(n) * target
 
 
@@ -236,7 +236,7 @@ def test_criterion_9_numeric_cross_check():
         for m in range(4, 21, 2):
             n = m - 3
             fi = zz[n] / (2.0 * math.factorial(n) * 2.0**n)
-            _agree(float(g.coeff((m,)).rational()), fi / (m * (m - 1) * (m - 2)))
+            _agree(float(g.coeff((m,))), fi / (m * (m - 1) * (m - 2)))
 
         # odd and even invariants against the float closed form
         for d in (1, 3, 5, 7, 9):
@@ -275,7 +275,7 @@ def test_criterion_9_numeric_cross_check():
                 for k in e:
                     weight /= math.factorial(k)
                 triple = _PAIRINGS.get(tuple(sorted(m)), lambda *_: 0.0)(x, y)
-                _agree(c.coeff(e).eval(t1q, t2q).embed(), triple * weight)
+                _agree(rf(c.coeff(e)).eval(t1q, t2q).embed(), triple * weight)
             for d in range(1, 9):
                 for n1 in (0, 1, 2):
                     for n2 in (d % 2, d % 2 + 2):

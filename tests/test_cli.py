@@ -83,7 +83,7 @@ def test_verify_single_suite_report(capsys, name, cases):
 def test_verify_all_runs_every_suite(capsys):
     code, out, _ = _run(
         capsys, "verify", "--suite", "all",
-        "--qmax", "3", "--zorder", "6", "--uorder", "6",
+        "--qmax", "3", "--zorder", "6",
     )
     assert code == 0
     docs = json.loads(out)
@@ -213,6 +213,30 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     code, _, err = _run(capsys, "potential", "--config", str(cfg))
     assert code == 2
     assert "qqmax" in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("verify", "uorder", 6), ("verify", "extended", True),
+    ("verify", "at", "t1=1,t2=2"), ("verify", "format", "json"),
+    ("invariants", "qmax", 1), ("invariants", "zorder", 2),
+    ("invariants", "uorder", 1), ("invariants", "extended", True),
+    ("invariants", "at", "t1=1,t2=2"), ("invariants", "suite", "all"),
+    ("potential", "at", "t1=1,t2=2"), ("potential", "d", 3),
+    ("eval", "format", "json"), ("eval", "suite", "all"),
+])
+def test_keys_a_command_does_not_read_are_rejected(tmp_path, capsys, command, key, value):
+    base = {"invariants": ["--d", "3", "--n2", "3"], "eval": ["--at", "t1=1,t2=2"]}
+    argv = [command] + base.get(command, [])
+    flag = ["--" + key] if value is True else ["--" + key, str(value)]
+    code, out, err = _run(capsys, *argv, *flag)
+    assert code == 2
+    assert out == "" and key in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = _run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and key in err
 
 
 def test_out_writes_the_same_bytes(tmp_path, capsys):

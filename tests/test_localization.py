@@ -151,7 +151,7 @@ def test_odd_assembly_matches_resummation():
         g = rng.randrange(0, 5)
         n = 2 * g + 1
         series = resummed_odd(d, n)
-        extracted = math.factorial(n) * series.coeff((n,)).rational()
+        extracted = math.factorial(n) * series.coeff((n,))
         assert assemble_odd(d, g) == extracted
 
 
@@ -191,13 +191,13 @@ def test_local_invariant_magnitude_and_sign():
 def test_resummed_odd_series():
     s = resummed_odd(1, 7)
     # 2 sin(z/2) = z - z^3/24 + z^5/1920 - ...
-    assert s.coeff((1,)).rational() == 1
-    assert s.coeff((3,)).rational() == Fraction(-1, 24)
-    assert s.coeff((5,)).rational() == Fraction(1, 1920)
-    assert s.coeff((2,)).rational() == 0
+    assert s.coeff((1,)) == 1
+    assert s.coeff((3,)) == Fraction(-1, 24)
+    assert s.coeff((5,)) == Fraction(1, 1920)
+    assert s.coeff((2,)) == 0
     s3 = resummed_odd(3, 3)
-    assert s3.coeff((1,)).rational() == Fraction(-1, 9)
-    assert math.factorial(3) * s3.coeff((3,)).rational() == local_invariant(3, 3)
+    assert s3.coeff((1,)) == Fraction(-1, 9)
+    assert math.factorial(3) * s3.coeff((3,)) == local_invariant(3, 3)
     with pytest.raises(ValueError):
         resummed_odd(2, 4)
 
@@ -205,10 +205,10 @@ def test_resummed_odd_series():
 def test_resummed_even_series():
     s = resummed_even(2, 6)
     # -cos(z)/4 resummed: constant -1/4, then +z^2/8, ...
-    assert s.coeff((0,)).rational() == Fraction(-1, 4)
-    assert math.factorial(2) * s.coeff((2,)).rational() == local_invariant(2, 2)
-    assert math.factorial(4) * s.coeff((4,)).rational() == local_invariant(2, 4)
-    assert s.coeff((1,)).rational() == 0
+    assert s.coeff((0,)) == Fraction(-1, 4)
+    assert math.factorial(2) * s.coeff((2,)) == local_invariant(2, 2)
+    assert math.factorial(4) * s.coeff((4,)) == local_invariant(2, 4)
+    assert s.coeff((1,)) == 0
     with pytest.raises(ValueError):
         resummed_even(3, 4)
 
@@ -264,3 +264,38 @@ def test_suites_pass():
         assert blob["suite"] == report.suite
         assert all(c["pass"] for c in blob["cases"])
     assert len(degree0_suite().cases) == 6
+
+
+@pytest.mark.parametrize("run", [resummation_suite, assembly_suite])
+def test_failing_case_names_both_sides(monkeypatch, run):
+    import localp12.localization as loc
+
+    true_value = loc.local_invariant
+
+    def shifted(d, n):
+        value = true_value(d, n)
+        return value + 1 if (d, n) == (3, 3) else value
+
+    monkeypatch.setattr(loc, "local_invariant", shifted)
+    report = run()
+    failed = [c for c in report.cases if not c.passed]
+    assert [c.key for c in failed] == ["odd d=3 g=1"]
+    record = failed[0].to_json()
+    assert record["first_mismatch"] == [3]
+    assert record["info"]["got"] == str(true_value(3, 3)) == "1/4"
+    assert record["info"]["want"] == str(true_value(3, 3) + 1) == "5/4"
+    passing = [c.to_json() for c in report.cases if c.passed]
+    assert all("got" not in c["info"] and c["first_mismatch"] is None for c in passing)
+
+
+def test_failing_degree0_case_names_both_sides(monkeypatch):
+    import localp12.localization as loc
+
+    true_sum = loc.degree0_fixed_point_sum
+    monkeypatch.setattr(
+        loc, "degree0_fixed_point_sum",
+        lambda classes: true_sum(classes) + (1 if tuple(classes) == ("1", "H", "H") else 0),
+    )
+    failed = [c.to_json() for c in degree0_suite().cases if not c.passed]
+    assert [c["key"] for c in failed] == ["<1,H,H>"]
+    assert failed[0]["info"] == {"value": "1/3", "got": "1/3", "want": "-2/3"}

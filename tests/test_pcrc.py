@@ -29,8 +29,9 @@ from localp12.pcrc import (
     verify_corollary_remark,
     verify_residual_thirdderiv,
 )
+from localp12.localization import resummation_suite, resummed_even, resummed_odd
 from localp12.potentials import extended_potential
-from localp12.ratfun import RF_ONE, RF_T1, RF_T2, rf
+from localp12.ratfun import RF_ONE, RF_T1, RF_T2, RatFun, rf
 
 
 def test_sqrt3_constants():
@@ -279,6 +280,19 @@ def test_residual_identity():
     report = verify_residual_thirdderiv(12)
     assert report.passed
     assert report.suite == "residual"
+
+
+def test_identity_checks_build_no_rational_function(monkeypatch):
+    # the bracket, residual and resummation identities carry no torus weight
+    def refuse(self, *args):
+        raise AssertionError("a RatFun was built")
+
+    monkeypatch.setattr(RatFun, "__init__", refuse)
+    assert verify_bracket_identity(3, 6).passed
+    assert verify_residual_thirdderiv(8).passed
+    assert resummation_suite().passed
+    assert resummed_odd(3, 7).coeff((1,)) == Fraction(-1, 9)
+    assert resummed_even(2, 6).coeff((0,)) == Fraction(-1, 4)
 
 
 def test_residual_sides_low_coefficients():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from localp12.localization import local_invariant, quantum_sign
+from localp12.mpseries import VarSet
 from localp12.potentials import (
     classical_part,
     degree0_triple,
@@ -58,12 +59,12 @@ def test_degree0_triple_selection_rule():
 def test_g_series_coefficients():
     g = g_series(10)
     for n in range(4):
-        assert g.coeff((n,)).rational() == 0
-    assert g.coeff((4,)).rational() == Fraction(1, 96)
-    assert g.coeff((5,)).rational() == 0
-    assert g.coeff((6,)).rational() == Fraction(1, 5760)
-    assert g.coeff((8,)).rational() == Fraction(1, 161280)
-    assert g.coeff((10,)).rational() == Fraction(17, 58060800)
+        assert g.coeff((n,)) == 0
+    assert g.coeff((4,)) == Fraction(1, 96)
+    assert g.coeff((5,)) == 0
+    assert g.coeff((6,)) == Fraction(1, 5760)
+    assert g.coeff((8,)) == Fraction(1, 161280)
+    assert g.coeff((10,)) == Fraction(17, 58060800)
     assert not g_series(3)
 
 
@@ -156,6 +157,21 @@ def test_extended_potential_caps_and_validation():
         extended_potential(1, 2, -1)
     with pytest.raises(ValueError):
         potential(-1, 2)
+
+
+@pytest.mark.parametrize("qmax, zorder", [(0, 2), (1, 4), (3, 5)])
+def test_potential_is_cap_exact(qmax, zorder):
+    small = potential(qmax, zorder)
+    big = potential(qmax + 2, zorder + 2)
+    assert small == big.into(VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax)))
+
+
+@pytest.mark.parametrize("qmax, zorder, uorder", [(0, 1, 2), (1, 3, 1), (2, 4, 3)])
+def test_extended_potential_is_cap_exact(qmax, zorder, uorder):
+    small = extended_potential(qmax, zorder, uorder)
+    big = extended_potential(qmax + 1, zorder + 1, uorder + 1)
+    caps = (zorder, zorder, zorder, qmax, uorder)
+    assert small == big.into(VarSet(("z0", "z1", "z2", "q", "u"), caps))
 
 
 def test_gw_invariant_values():
