@@ -13,8 +13,14 @@ Q(zeta) is the smallest field containing every scalar the package touches:
     sqrt(3)     = 2*zeta - zeta^3
     e^{-i*pi/3} = zeta^10
 
-Coordinates are Fractions and every operation returns the reduced
-representative, so field equality is plain coordinate equality.
+An element is stored as four int numerators over one positive int
+denominator, (n0 + n1*zeta + n2*zeta^2 + n3*zeta^3) / d, reduced so that
+gcd(n0, n1, n2, n3, d) = 1, with zero stored as (0, 0, 0, 0) / 1: the
+layout FLINT uses for fmpq_poly.  Every operation returns that reduced
+representative, so field equality is plain equality of representatives,
+and the field arithmetic is integer products plus one gcd per result.
+`coords` gives the four coordinates as reduced Fractions; the constructor
+takes ints and Fractions.
 """
 
 import math
@@ -45,23 +51,40 @@ _ZC3 = _ZC2 * _ZC1
 class Cyclo:
     """An immutable element of Q(zeta12)."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        self._c = (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
+        cs = [Fraction(c) for c in (c0, c1, c2, c3)]
+        d = math.lcm(*(c.denominator for c in cs))
+        # over the lcm of reduced denominators no prime divides d and every
+        # numerator, so the representative is already reduced
+        self._n = tuple(c.numerator * (d // c.denominator) for c in cs)
+        self._d = d
 
     @property
     def coords(self):
-        return self._c
+        d = self._d
+        return tuple(Fraction(n, d) for n in self._n)
 
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._c, other._c
-        return Cyclo(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        if not isinstance(other, Cyclo):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = other._n
+        ad, bd = self._d, other._d
+        if ad == bd:
+            return _reduced(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
+        return _reduced(
+            a0 * bd + b0 * ad,
+            a1 * bd + b1 * ad,
+            a2 * bd + b2 * ad,
+            a3 * bd + b3 * ad,
+            ad * bd,
+        )
 
     __radd__ = __add__
 
@@ -78,22 +101,28 @@ class Cyclo:
         return other + (-self)
 
     def __neg__(self):
-        a = self._c
-        return Cyclo(-a[0], -a[1], -a[2], -a[3])
+        a0, a1, a2, a3 = self._n
+        return _raw((-a0, -a1, -a2, -a3), self._d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._c, other._c
-        r = [Fraction(0)] * 7
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        r[i + j] += ai * bj
-        # fold zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 - zeta, zeta^6 = -1
-        return Cyclo(r[0] - r[4] - r[6], r[1] - r[5], r[2] + r[4], r[3] + r[5])
+        if not isinstance(other, Cyclo):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = other._n
+        # the zeta^4, zeta^5 and zeta^6 coefficients of the product, folded
+        # by zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 - zeta, zeta^6 = -1
+        r4 = a1 * b3 + a2 * b2 + a3 * b1
+        r5 = a2 * b3 + a3 * b2
+        r6 = a3 * b3
+        return _reduced(
+            a0 * b0 - r4 - r6,
+            a0 * b1 + a1 * b0 - r5,
+            a0 * b2 + a1 * b1 + a2 * b0 + r4,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + r5,
+            self._d * other._d,
+        )
 
     __rmul__ = __mul__
 
@@ -117,18 +146,20 @@ class Cyclo:
         return repeated_squaring(self, n, ONE)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._c == other._c
+        if not isinstance(other, Cyclo):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self):
         # a rational element equals its Fraction, so it hashes like one
-        c = self._c
-        return hash(c) if c[1] or c[2] or c[3] else hash(c[0])
+        if self.is_rational():
+            return hash(self.rational())
+        return hash((self._n, self._d))
 
     def __bool__(self):
-        return any(self._c)
+        return self._n != (0, 0, 0, 0)
 
     # -- field structure ------------------------------------------------
 
@@ -136,13 +167,15 @@ class Cyclo:
         """The field automorphism zeta -> zeta^k, for k coprime to 12."""
         if k % 12 not in (1, 5, 7, 11):
             raise ValueError("zeta -> zeta^%d is not an automorphism" % k)
-        out = [Fraction(0)] * 4
-        for j, cj in enumerate(self._c):
+        out = [0, 0, 0, 0]
+        for j, cj in enumerate(self._n):
             if cj:
                 for m, base in enumerate(_ZETA_POWERS[(j * k) % 12]):
                     if base:
                         out[m] += cj * base
-        return Cyclo(*out)
+        # the automorphism maps the integral basis to an integral basis, so
+        # the numerators keep their gcd and the result stays reduced
+        return _raw(tuple(out), self._d)
 
     def conj(self):
         """Complex conjugation, the automorphism zeta -> zeta^11."""
@@ -154,38 +187,47 @@ class Cyclo:
         # product of the other three Galois conjugates; times self it is
         # the field norm, a nonzero rational
         b = self.galois(5) * self.galois(7) * self.galois(11)
-        norm = (self * b).rational()
-        return b._scaled(1 / norm)
+        norm = self * b
+        return b._scaled(norm._d, norm._n[0])
 
-    def _scaled(self, f):
-        a = self._c
-        return Cyclo(a[0] * f, a[1] * f, a[2] * f, a[3] * f)
+    def _scaled(self, num, den):
+        """self * num / den, for ints num and den != 0."""
+        if den < 0:
+            num, den = -num, -den
+        a0, a1, a2, a3 = self._n
+        return _reduced(a0 * num, a1 * num, a2 * num, a3 * num, self._d * den)
 
     # -- views ------------------------------------------------------------
 
     def is_rational(self):
-        c = self._c
-        return not (c[1] or c[2] or c[3])
+        n = self._n
+        return not (n[1] or n[2] or n[3])
 
     def rational(self):
         """The element as a Fraction; raises if it is not rational."""
         if not self.is_rational():
             raise ValueError("not a rational element: %s" % (self,))
-        return self._c[0]
+        return Fraction(self._n[0], self._d)
 
     def embed(self):
         """Float-complex image under zeta -> cos(pi/6) + i*sin(pi/6)."""
-        c = self._c
+        n0, n1, n2, n3 = self._n
+        d = self._d
         return (
-            complex(float(c[0]), 0.0)
-            + float(c[1]) * _ZC1
-            + float(c[2]) * _ZC2
-            + float(c[3]) * _ZC3
+            complex(n0 / d, 0.0)
+            + (n1 / d) * _ZC1
+            + (n2 / d) * _ZC2
+            + (n3 / d) * _ZC3
         )
 
     def to_strings(self):
-        """The four coordinates as exact rational strings."""
-        return [str(x) for x in self._c]
+        """The four coordinates as exact rational strings, as str(Fraction)."""
+        d = self._d
+        out = []
+        for n in self._n:
+            g = math.gcd(n, d)
+            out.append(str(n // g) if g == d else "%d/%d" % (n // g, d // g))
+        return out
 
     @classmethod
     def from_strings(cls, parts):
@@ -194,22 +236,22 @@ class Cyclo:
         return cls(*(Fraction(p) for p in parts))
 
     def __repr__(self):
-        return "Cyclo(%s, %s, %s, %s)" % self._c
+        return "Cyclo(%s, %s, %s, %s)" % tuple(self.to_strings())
 
     def __str__(self):
         if not self:
             return "0"
         parts = []
-        for k, c in enumerate(self._c):
-            if not c:
+        for k, c in enumerate(self.to_strings()):
+            if c == "0":
                 continue
             if k == 0:
-                parts.append(str(c))
+                parts.append(c)
             else:
                 mon = "z" if k == 1 else "z^%d" % k
-                if c == 1:
+                if c == "1":
                     parts.append(mon)
-                elif c == -1:
+                elif c == "-1":
                     parts.append("-" + mon)
                 else:
                     parts.append("%s*%s" % (c, mon))
@@ -219,11 +261,30 @@ class Cyclo:
         return out
 
 
+def _raw(n, d):
+    """The element with numerators n over d, already reduced."""
+    x = object.__new__(Cyclo)
+    x._n = n
+    x._d = d
+    return x
+
+
+def _reduced(n0, n1, n2, n3, d):
+    """The element (n0 + n1*zeta + n2*zeta^2 + n3*zeta^3) / d, for d > 0."""
+    if d != 1:
+        g = math.gcd(n0, n1, n2, n3, d)
+        if g != 1:
+            n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
+    return _raw((n0, n1, n2, n3), d)
+
+
 def _coerce(x):
     if isinstance(x, Cyclo):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Cyclo(x)
+    if isinstance(x, int):
+        return _raw((x, 0, 0, 0), 1)
+    if isinstance(x, Fraction):
+        return _raw((x.numerator, 0, 0, 0), x.denominator)
     return NotImplemented
 
 
@@ -241,7 +302,7 @@ def repeated_squaring(base, n, one):
 
 def zeta_pow(k):
     """zeta^k for any integer k."""
-    return Cyclo(*_ZETA_POWERS[k % 12])
+    return _raw(_ZETA_POWERS[k % 12], 1)
 
 
 ZERO = Cyclo()

@@ -14,7 +14,13 @@ K[t2] are the ordinary monic Euclid.
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclo, ONE as C_ONE, ZERO as C_ZERO, repeated_squaring
+from .cyclotomic import (
+    Cyclo,
+    ONE as C_ONE,
+    ZERO as C_ZERO,
+    _coerce,
+    repeated_squaring,
+)
 
 _GRLEX = lambda e: (e[0] + e[1], e[0])
 
@@ -29,8 +35,7 @@ class Poly2:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, c in items:
-                if not isinstance(c, Cyclo):
-                    c = Cyclo(c)
+                c = _scalar(c)
                 if not c:
                     continue
                 exp = (int(exp[0]), int(exp[1]))
@@ -102,8 +107,7 @@ class Poly2:
         return p
 
     def scale(self, c):
-        if not isinstance(c, Cyclo):
-            c = Cyclo(c)
+        c = _scalar(c)
         if not c:
             return P_ZERO
         p = Poly2.__new__(Poly2)
@@ -119,7 +123,7 @@ class Poly2:
 
     def eval(self, a1, a2):
         a1, a2 = Fraction(a1), Fraction(a2)
-        out = Cyclo()
+        out = C_ZERO
         for (e1, e2), c in self._t.items():
             out = out + c * (a1**e1 * a2**e2)
         return out
@@ -155,6 +159,13 @@ class Poly2:
         return out
 
 
+def _scalar(c):
+    x = _coerce(c)
+    if x is NotImplemented:
+        raise TypeError("cannot build a coefficient from %r" % (c,))
+    return x
+
+
 P_ZERO = Poly2()
 P_ONE = Poly2({(0, 0): 1})
 P_T1 = Poly2({(1, 0): 1})
@@ -172,7 +183,7 @@ def _to_rec(p):
         return []
     d1 = max(e[0] for e in p._t)
     d2 = max(e[1] for e in p._t)
-    rows = [[Cyclo() for _ in range(d2 + 1)] for _ in range(d1 + 1)]
+    rows = [[C_ZERO] * (d2 + 1) for _ in range(d1 + 1)]
     for (e1, e2), c in p._t.items():
         rows[e1][e2] = c
     return _b_trim([_u_trim(r) for r in rows])
@@ -198,7 +209,7 @@ def _u_trim(f):
 def _u_mul(f, g):
     if not f or not g:
         return []
-    out = [Cyclo() for _ in range(len(f) + len(g) - 1)]
+    out = [C_ZERO] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
@@ -207,7 +218,7 @@ def _u_mul(f, g):
     return _u_trim(out)
 
 def _u_sub(f, g):
-    out = list(f) + [Cyclo()] * (len(g) - len(f))
+    out = list(f) + [C_ZERO] * (len(g) - len(f))
     for j, b in enumerate(g):
         out[j] = out[j] - b
     return _u_trim(out)
@@ -217,7 +228,7 @@ def _u_divmod(f, g):
     if not g:
         raise ZeroDivisionError("univariate division by zero")
     r = list(f)
-    q = [Cyclo()] * max(len(f) - len(g) + 1, 0)
+    q = [C_ZERO] * max(len(f) - len(g) + 1, 0)
     ilc = g[-1].inv()
     while len(r) >= len(g):
         c = r[-1] * ilc
@@ -427,8 +438,15 @@ class RatFun:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
+        if isinstance(other, (Cyclo, int, Fraction)):
+            # a nonzero scalar times a canonical numerator leaves it coprime
+            # to the monic denominator
+            if not other:
+                return RF_ZERO
+            r = RatFun.__new__(RatFun)
+            r._n, r._d = self._n.scale(other), self._d
+            return r
+        if not isinstance(other, RatFun):
             return NotImplemented
         return RatFun(self._n * other._n, self._d * other._d)
 

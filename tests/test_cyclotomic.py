@@ -141,3 +141,114 @@ def test_hash_consistency():
     for c in (Cyclo(0, 1), cy.OMEGA, cy.SQRT3 * Fraction(1, 2)):
         assert rf(c) == c and hash(rf(c)) == hash(c)
         assert len({rf(c), c}) == 1
+    # and so do rational values reached by arithmetic
+    for x in (
+        Cyclo(1, 2) * 0 + Fraction(3, 4),
+        cy.I * cy.I * Fraction(-3, 4),
+        (cy.SQRT3 + Fraction(3, 4)) - cy.SQRT3,
+        cy.OMEGA * cy.OMEGA_BAR * Fraction(3, 4),
+    ):
+        assert x == Fraction(3, 4) and hash(x) == hash(Fraction(3, 4))
+        assert hash(rf(x)) == hash(x)
+        assert len({Fraction(3, 4), Cyclo(Fraction(3, 4)), x, rf(x)}) == 1
+    assert len({Fraction(3, 4), Cyclo(Fraction(3, 4))}) == 1
+    assert hash(Cyclo(1, 2) * 0) == hash(0)
+
+
+def representative(x):
+    return x._n, x._d
+
+
+def routes(rng, y):
+    """The value y reached by several independent routes."""
+    x = rand_cyclo(rng, nonzero=True)
+    z = rand_cyclo(rng)
+    k = rng.choice((5, 7, 11))
+    return [
+        y,
+        Cyclo(*y.coords),
+        y + 0,
+        (y + z) - z,
+        (z + y) + (-z),
+        y * 1,
+        y * Fraction(7, 3) * Fraction(3, 7),
+        x * x.inv() * y,
+        (y * x) / x,
+        y.galois(k).galois(k),
+        Cyclo.from_strings(y.to_strings()),
+    ]
+
+
+def test_representatives_are_canonical():
+    rng = random.Random(4711)
+    for _ in range(200):
+        y = rand_cyclo(rng)
+        if rng.random() < 0.2:
+            y = y * Fraction(rng.randint(1, 10**12), rng.randint(1, 10**12))
+        forms = routes(rng, y)
+        want = representative(y)
+        for f in forms:
+            assert f == y and representative(f) == want and hash(f) == hash(y)
+        n, d = want
+        assert d > 0 and math.gcd(*n, d) == 1
+        if not y:
+            assert want == ((0, 0, 0, 0), 1)
+        for c, num in zip(y.coords, n):
+            assert type(c) is Fraction and c == Fraction(num, d)
+            assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+    for zero in (Cyclo(), cy.ZETA - cy.ZETA, cy.SQRT3 * 0, Cyclo(Fraction(0, 5))):
+        assert representative(zero) == ((0, 0, 0, 0), 1)
+
+
+def fraction_str(coords):
+    """str of an element, formatted from its Fraction coordinates."""
+    parts = []
+    for k, c in enumerate(coords):
+        if not c:
+            continue
+        if k == 0:
+            parts.append(str(c))
+        else:
+            mon = "z" if k == 1 else "z^%d" % k
+            if c == 1:
+                parts.append(mon)
+            elif c == -1:
+                parts.append("-" + mon)
+            else:
+                parts.append("%s*%s" % (c, mon))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
+    return out
+
+
+def test_string_forms_match_fraction_formatting():
+    big = Fraction(3**80 + 1, 2**70 * 7)
+    rng = random.Random(31337)
+    samples = [
+        (0, 0, 0, 0),
+        (5, 0, 0, 0),
+        (-1, 0, 0, 0),
+        (0, 1, 0, -1),
+        (0, -1, 1, 0),
+        (Fraction(-2, 3), 4, 0, Fraction(1, 6)),
+        (big, -big, 0, 10**30),
+        (Fraction(-1, 10**25), 0, Fraction(10**25 + 1, 3), -7),
+    ]
+    for _ in range(100):
+        pick = lambda: rng.choice(
+            (0, 1, -1, rng.randint(-50, 50), Fraction(rng.randint(-50, 50), rng.randint(1, 60)))
+        )
+        samples.append(tuple(pick() for _ in range(4)))
+    for coords in samples:
+        coords = tuple(Fraction(c) for c in coords)
+        x = Cyclo(*coords)
+        assert x.coords == coords
+        assert x.to_strings() == [str(c) for c in coords]
+        assert repr(x) == "Cyclo(%s, %s, %s, %s)" % coords
+        assert str(x) == fraction_str(coords)
+        # the same value reached by arithmetic prints the same
+        y = (x * cy.SQRT3 + 1) * cy.SQRT3.inv() - cy.SQRT3.inv()
+        assert (str(y), repr(y), y.to_strings()) == (str(x), repr(x), x.to_strings())

@@ -183,6 +183,25 @@ def test_substitute_is_a_homomorphism():
                 assert lhs.coeff((e1, e2)) == rhs.coeff((e1, e2))
 
 
+@pytest.mark.parametrize("xcap, ycap", [(1, 0), (2, 3), (4, 2)])
+def test_substitute_is_cap_exact(xcap, ycap):
+    def substituted(xcap, ycap):
+        # images of order >= 1 send a source monomial of total degree k to
+        # target terms of total degree >= k, so source caps of xcap + ycap
+        # are enough for every retained target coefficient
+        src = VarSet(("a", "b"), (xcap + ycap, xcap + ycap))
+        target = VarSet(("x", "y"), (xcap, ycap))
+        a, b = Series.variable(src, "a"), Series.variable(src, "b")
+        one = Series.constant(src, 1)
+        f = mp.exp(a) + mp.tan(a.scale(Fraction(1, 2))) * b + mp.inverse(one - a * b)
+        x, y = Series.variable(target, "x"), Series.variable(target, "y")
+        return f.substitute({"a": x + y, "b": x * y + y.scale(Fraction(-1, 3))}, target)
+
+    small = substituted(xcap, ycap)
+    big = substituted(xcap + 2, ycap + 1)
+    assert small == big.into(VarSet(("x", "y"), (xcap, ycap)))
+
+
 def test_substitute_validation():
     vs = VarSet(("a",), (2,))
     target = VarSet(("x",), (2,))

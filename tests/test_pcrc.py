@@ -193,6 +193,24 @@ def test_apply_is_multiplicative():
         )
 
 
+@pytest.mark.parametrize("zcap, qcap", [(0, 0), (2, 1), (3, 3)])
+def test_apply_is_cap_exact(zcap, qcap):
+    # apply maps the polynomial f retains, so for one f the image at caps C
+    # is the image at larger caps truncated to C, exponential lines included
+    rng = random.Random(2024)
+    fvs = VarSet(("y0", "y1", "y2", "q1", "q2"), (2, 2, 2, 2, 2))
+    f = Series.zero(fvs)
+    for _ in range(8):
+        e = tuple(rng.randrange(3) for _ in range(5))
+        f = f + Series(fvs, {e: Cyclo(rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2))})
+    for cov, names in ((build_cov(), ("z0", "z1", "z2", "q", "u")),
+                       (build_covbgp(), ("x0", "x1", "x2", "s1", "s2"))):
+        caps = (zcap, zcap, zcap, qcap, qcap)
+        small = apply(cov, f, VarSet(names, caps))
+        big = apply(cov, f, VarSet(names, tuple(c + 2 for c in caps)))
+        assert small == big.into(VarSet(names, caps))
+
+
 def test_apply_validation():
     cov = build_cov()
     target = VarSet(("z0", "z1", "z2", "q", "u"), (2, 2, 2, 2, 2))

@@ -155,3 +155,18 @@ def test_pow_and_json_roundtrip():
 def test_str_forms():
     assert str(RF_T1 + RF_T2) == "t1 + t2"
     assert str(RatFun(P_ONE, (P_T1 * P_T2).scale(3))) == "(1/3)/(t1*t2)"
+
+
+def test_scalar_times_ratfun_skips_canonicalization(monkeypatch):
+    rng = random.Random(17)
+    cases = [(rand_ratfun(rng), c) for c in (0, 3, Fraction(-2, 7), I, Cyclo(1, 1), Cyclo())]
+    want = [RatFun(r.num * Poly2({(0, 0): c}), r.den) for r, c in cases]
+
+    def refuse(self, num, den=None):
+        raise AssertionError("scalar product canonicalized")
+
+    monkeypatch.setattr(RatFun, "__init__", refuse)
+    for (r, c), w in zip(cases, want):
+        for got in (r * c, c * r):
+            assert got == w
+            assert got.num == w.num and got.den == w.den
