@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import localization, pcrc
+from .cyclotomic import ZERO as C_ZERO
 from .potentials import degree0_triple, extended_potential, gw_invariant, potential
 
 #: suite name -> runner; each looks its suite up in its module at call time,
@@ -100,8 +101,18 @@ _COMMAND_FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one line, exit 2.
+
+    Subparsers are made with the parser's own class, so they inherit it.
+    """
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % (message,))
+
+
 def _build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="localp12",
         description="Exact genus-0 potential and verification suites for local P(1,2).",
     )
@@ -211,22 +222,68 @@ def _parse_at(spec):
 # subcommands
 
 
-def _the_series(cfg):
+def _the_potential(cfg):
     if cfg.extended:
         return extended_potential(cfg.qmax, cfg.zorder, cfg.uorder)
     return potential(cfg.qmax, cfg.zorder)
 
 
+def _sorted_rows(pot, cubic_row, tail_row):
+    """Rows of the cubic's and the tail's terms, in `Series.sorted_terms` order.
+
+    The two supports are disjoint, so each exponent has exactly one row.
+    """
+    rows = {e: cubic_row(e, c) for e, c in pot.cubic.terms()}
+    rows.update((e, tail_row(e, r)) for e, r in pot.tail.terms())
+    return [rows[e] for e in sorted(rows, key=lambda e: (sum(e), e))]
+
+
+def _term_json(exp, coeff_text):
+    """One term of `Series.to_json` laid out as `_dump` lays it out in a table."""
+    return '    {\n      "coeff": %s,\n      "exp": [\n        %s\n      ]\n    }' % (
+        coeff_text, ",\n        ".join(map(str, exp)))
+
+
+def _nested_json(obj):
+    """`_dump` of obj, indented to sit at the coefficient of a table term."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n      ")
+
+
+#: `_nested_json` of the `RatFun.to_json` of (t1+t2)*r, with %s for str(r)
+_LEVEL_JSON = _nested_json({
+    "num": [[1, 0, ["%s", "0", "0", "0"]], [0, 1, ["%s", "0", "0", "0"]]],
+    "den": [[0, 0, ["1", "0", "0", "0"]]],
+})
+
+
+def _level_cell(r):
+    """`str` of the polynomial r*t1 + r*t2, for a nonzero rational r."""
+    a = str(abs(r))
+    m = "" if a == "1" else a + "*"
+    return ("-%st1 - %st2" if r < 0 else "%st1 + %st2") % (m, m)
+
+
 def cmd_potential(cfg):
-    series = _the_series(cfg)
+    pot = _the_potential(cfg)
     if cfg.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(series.vs.names) + ["num", "den"])
-        for e, v in series.sorted_terms():
-            writer.writerow([str(x) for x in e] + [str(v.num), str(v.den)])
+        writer.writerow(list(pot.vs.names) + ["num", "den"])
+        writer.writerows(_sorted_rows(
+            pot,
+            lambda e, c: [*map(str, e), str(c.num), str(c.den)],
+            lambda e, r: [*map(str, e), _level_cell(r), "1"]))
         return buf.getvalue(), 0
-    return _dump(series.to_json()), 0
+    cubic = {tuple(t["exp"]): _nested_json(t["coeff"]) for t in pot.cubic.to_json()["terms"]}
+    terms = _sorted_rows(
+        pot,
+        lambda e, c: _term_json(e, cubic[e]),
+        lambda e, r: _term_json(e, _LEVEL_JSON % (r, r)))
+    # the table as `_dump` writes it, with the term list written in place
+    table = _dump({"caps": list(pot.vs.caps), "terms": [], "vars": list(pot.vs.names)})
+    if terms:
+        table = table.replace('"terms": []', '"terms": [\n%s\n  ]' % ",\n".join(terms))
+    return table, 0
 
 
 def cmd_invariants(cfg):
@@ -279,18 +336,23 @@ def cmd_eval(cfg):
     if "t1" not in cfg.at or "t2" not in cfg.at:
         raise UsageError("--at must set t1 and t2")
     t1, t2 = cfg.at["t1"], cfg.at["t2"]
-    series = _the_series(cfg)
+    pot = _the_potential(cfg)
     point = {"t1": t1, "t2": t2}
-    for name in series.vs.names:
+    for name in pot.vs.names:
         point[name] = cfg.at.get(name, Fraction(0))
-    total = None
-    for e, coeff in series.sorted_terms():
-        scalar = coeff.eval(t1, t2)
-        for name, ev in zip(series.vs.names, e):
+    values = [point[name] for name in pot.vs.names]
+
+    def monomial(e):
+        m = 1
+        for x, ev in zip(values, e):
             if ev:
-                scalar = scalar * cfg.at.get(name, Fraction(0)) ** ev
-        total = scalar if total is None else total + scalar
-    value = complex(0) if total is None else total.embed()
+                m = m * x**ev
+        return m
+
+    # the value is exact, so its embedding does not depend on the summation order
+    cubic = sum((c.eval(t1, t2) * monomial(e) for e, c in pot.cubic.terms()), C_ZERO)
+    tail = sum(r * monomial(e) for e, r in pot.tail.terms())
+    value = (cubic + (t1 + t2) * tail).embed()
     record = {
         "at": {k: str(v) for k, v in sorted(point.items())},
         "extended": cfg.extended,
@@ -318,7 +380,7 @@ _COMMANDS = {
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as stop:  # argparse has printed the usage error
+    except SystemExit as stop:  # argparse has printed help or the usage error
         return stop.code
     try:
         cfg = _merge(args)

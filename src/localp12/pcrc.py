@@ -473,10 +473,10 @@ def verify_bracket_identity(qmax=8, order=10):
         bracket = (
             exp(theta.scale(-I)) + exp(theta.scale(I)).scale((-1) ** d)
         ).scale(I**d * Fraction(1, 2))
-        wave = sin(theta) if d % 2 else cos(theta)
-        diff = carrier * (bracket - wave.scale(quantum_sign(d)))
-        mismatch = None if not diff else list(_first_exponent(diff))
-        cases.append(CaseResult("d=%d" % d, not diff, mismatch))
+        wave = (sin(theta) if d % 2 else cos(theta)).scale(quantum_sign(d))
+        diff = carrier * (bracket - wave)
+        cases.append(_identity_case(
+            "d=%d" % d, diff, lambda: (carrier * bracket, carrier * wave)))
     return SuiteReport("bracket", cases)
 
 
@@ -493,14 +493,22 @@ def verify_residual_thirdderiv(order=16):
     lhs = Series.constant(vs, I * Fraction(1, 2)) - third
     e = exp(theta.scale(I))
     rhs = (e * inverse(Series.constant(vs, 1) + e)).scale(I)
-    diff = lhs - rhs
-    mismatch = None if not diff else list(_first_exponent(diff))
-    case = CaseResult("theta-order=%d" % order, not diff, mismatch)
+    case = _identity_case("theta-order=%d" % order, lhs - rhs, lambda: (lhs, rhs))
     return SuiteReport("residual", [case])
 
 
-def _first_exponent(series):
-    return min((e for e, _ in series.terms()), key=lambda e: (sum(e), e))
+def _identity_case(key, diff, sides):
+    """A case that passes when diff = got - want is zero.
+
+    A failing case names the first exponent of diff and both sides there;
+    `sides()` builds the two series only then.
+    """
+    if not diff:
+        return CaseResult(key, True, None)
+    e = min((e for e, _ in diff.terms()), key=lambda e: (sum(e), e))
+    got, want = sides()
+    info = {"got": str(got.coeff(e)), "want": str(want.coeff(e))}
+    return CaseResult(key, False, list(e), info)
 
 
 def verify_corollary_composition():

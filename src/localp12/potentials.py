@@ -12,13 +12,17 @@ The potential splits by curve degree into three layers:
     weighted by (t1+t2).
 
 Outside the classical cubic every coefficient is (t1+t2) times a rational
-number, so the stacky and quantum layers are built as series over Q and
-(t1+t2) is attached once, after all series arithmetic.  `potential`
-assembles the three layers under shared per-variable caps, and
-`extended_potential` shifts z2 by a formal angle u at a working precision
-high enough that the truncated result is exact.  `gw_invariant` exposes the
-underlying numbers directly, with the divisor class H accounted for by
-degree factors.
+number, so the stacky and quantum layers are built together as one series
+over Q, the rational tail.  `potential` and `extended_potential` return a
+`Potential`: the cubic as a `RatFun` series and the tail over Q, on shared
+per-variable caps.  The two never share an exponent: the cubic has q-degree
+0 and total degree at most 3, the tail q-degree at least 1 or z2/u-degree at
+least 4.  A writer can therefore print each term from exactly one part, and
+`Potential.series()` attaches (t1+t2) to the tail and adds the cubic when a
+`RatFun` series is wanted.  `extended_potential` shifts z2 by a formal angle
+u in both parts, building the tail at a working precision high enough that
+the truncated result is exact.  `gw_invariant` exposes the underlying
+numbers directly, with the divisor class H accounted for by degree factors.
 """
 
 import itertools
@@ -85,14 +89,21 @@ def stacky_part(order):
 
 
 def _rational_tail(qmax, zorder):
-    """The potential minus its classical cubic, divided by (t1+t2): over Q."""
+    """The potential minus its classical cubic, divided by (t1+t2): over Q.
+
+    Degree d contributes R_d(z2) e^(d z1) q^d, whose coefficient at
+    z1^a z2^b q^d is e^(d z1)[a] * R_d[b]; each block is written out as
+    that outer product.
+    """
     vs = VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax))
-    out = -g_series(zorder).into(vs)
+    out = {(0, 0, b, 0): -c for (b,), c in g_series(zorder).terms()}
+    z1 = Series.variable(VarSet(("z1",), (zorder,)), "z1")
     for d in range(1, qmax + 1):
-        term = (resummed_odd if d % 2 else resummed_even)(d, zorder).into(vs)
-        term = term * exp(Series.variable(vs, "z1").scale(d))
-        out = out + term * Series(vs, {(0, 0, 0, d): 1})
-    return out
+        wave = (resummed_odd if d % 2 else resummed_even)(d, zorder).terms()
+        for (a,), ca in exp(z1.scale(d)).terms():
+            for (b,), cb in wave:
+                out[(0, a, b, d)] = ca * cb
+    return Series(vs, out)
 
 
 def quantum_part(qmax, zorder):
@@ -102,12 +113,29 @@ def quantum_part(qmax, zorder):
     return Series(tail.vs, {e: c * _LEVEL for e, c in tail.terms() if e[3]})
 
 
+class Potential:
+    """The potential on `vs` as cubic + (t1+t2) * tail, supports disjoint.
+
+    `cubic` is the classical cubic as a `RatFun` series, `tail` the rest
+    divided by (t1+t2), over Q; both live on `vs`.
+    """
+
+    __slots__ = ("vs", "cubic", "tail")
+
+    def __init__(self, vs, cubic, tail):
+        self.vs, self.cubic, self.tail = vs, cubic, tail
+
+    def series(self):
+        """The potential as one `RatFun` series."""
+        return self.cubic + self.tail.scale(_LEVEL)
+
+
 def potential(qmax, zorder):
-    """Full potential as a series in (z0, z1, z2, q) with per-variable caps."""
+    """Full potential in (z0, z1, z2, q) with per-variable caps, as a `Potential`."""
     if qmax < 0 or zorder < 0:
         raise ValueError("caps must be nonnegative")
     tail = _rational_tail(qmax, zorder)
-    return classical_part().into(tail.vs) + tail.scale(_LEVEL)
+    return Potential(tail.vs, classical_part().into(tail.vs), tail)
 
 
 def extended_potential(qmax, zorder, uorder):
@@ -125,7 +153,7 @@ def extended_potential(qmax, zorder, uorder):
     )
     shift = {"z2": Series.variable(target, "z2") + Series.variable(target, "u")}
     tail = _rational_tail(qmax, zorder + uorder).substitute(shift, target)
-    return classical_part().substitute(shift, target) + tail.scale(_LEVEL)
+    return Potential(target, classical_part().substitute(shift, target), tail)
 
 
 def gw_invariant(n1, n2, d):

@@ -1,8 +1,14 @@
+import csv
+import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from localp12.cli import main
+from localp12.cyclotomic import ZERO
+from localp12.potentials import extended_potential, potential
+from localp12.ratfun import RatFun
 
 
 def _run(capsys, *argv):
@@ -160,9 +166,8 @@ def test_eval_extended_records_uorder(capsys):
 
 
 def test_eval_pole_exits_one(capsys):
-    code, _, err = _run(capsys, "eval", "--at", "t1=0,t2=1")
-    assert code == 1
-    assert "pole" in err
+    code, out, err = _run(capsys, "eval", "--at", "t1=0,t2=1")
+    assert (code, out, err) == (1, "", "error: pole at (t1, t2) = (0, 1)\n")
 
 
 def test_eval_requires_torus_weights(capsys):
@@ -300,3 +305,116 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and str(target) in err
+
+
+# -- the term table and eval, written from the cubic and the rational tail
+
+_PLAIN_CAPS = [(0, 0), (0, 2), (0, 3), (0, 4), (2, 0), (1, 2), (3, 5), (5, 4)]
+_EXTENDED_CAPS = [(2, 3, 0), (0, 4, 1), (1, 2, 3), (0, 0, 2), (3, 4, 2)]
+
+
+def _cap_argv(caps):
+    argv = ["--qmax", str(caps[0]), "--zorder", str(caps[1])]
+    if len(caps) == 3:
+        argv += ["--extended", "--uorder", str(caps[2])]
+    return argv
+
+
+def _record(caps):
+    return extended_potential(*caps) if len(caps) == 3 else potential(*caps)
+
+
+def _generic_table(series, fmt):
+    """The table as the series' own JSON and sorted terms render it."""
+    if fmt == "json":
+        return json.dumps(series.to_json(), indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(series.vs.names) + ["num", "den"])
+    for e, v in series.sorted_terms():
+        writer.writerow([str(x) for x in e] + [str(v.num), str(v.den)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("caps", _PLAIN_CAPS + _EXTENDED_CAPS)
+def test_table_bytes_equal_the_generic_rendering(capsys, caps, fmt):
+    code, out, err = _run(capsys, "potential", *_cap_argv(caps), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _generic_table(_record(caps).series(), fmt)
+
+
+def _count_ratfun_ops(monkeypatch):
+    count = [0]
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("__init__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(RatFun, name, counting(RatFun.__dict__[name]))
+    return count
+
+
+@pytest.mark.parametrize("small, big, fmt", [
+    ((2, 5), (16, 12), "json"),
+    ((2, 5), (16, 12), "csv"),
+    ((1, 3, 2), (4, 7, 6), "json"),
+])
+def test_table_makes_a_fixed_number_of_ratfun_operations(monkeypatch, capsys, small, big, fmt):
+    count = _count_ratfun_ops(monkeypatch)
+    seen = []
+    for caps in (small, big):
+        before = count[0]
+        code, out, _ = _run(capsys, "potential", *_cap_argv(caps), "--format", fmt)
+        assert code == 0
+        seen.append(count[0] - before)
+    # the classical cubic costs the same at any cap from 3 up; no tail term adds any
+    assert seen[0] == seen[1]
+    assert 0 < 5 * seen[1] < len(_record(big).tail.terms())
+
+
+def _series_value(series, at):
+    """The exact value of series at the point, term by term."""
+    total = ZERO
+    for e, c in series.sorted_terms():
+        v = c.eval(at["t1"], at["t2"])
+        for name, k in zip(series.vs.names, e):
+            v = v * at.get(name, 0) ** k
+        total = total + v
+    return total
+
+
+@pytest.mark.parametrize("caps, spec", [
+    ((3, 6), "t1=3/2,t2=5,z0=1/3,z1=1/5,z2=-2/7,q=1/2"),
+    ((0, 2), "t1=1,t2=2,z2=1/3"),
+    ((4, 5, 3), "t1=-2,t2=7/3,z0=1/2,z1=-1/3,z2=1/4,q=2/3,u=1/5"),
+    ((0, 0, 0), "t1=1,t2=2"),
+])
+def test_eval_equals_the_series_term_by_term(capsys, caps, spec):
+    code, out, _ = _run(capsys, "eval", "--at", spec, *_cap_argv(caps))
+    assert code == 0
+    at = {k: Fraction(v) for k, v in (kv.split("=") for kv in spec.split(","))}
+    value = _series_value(_record(caps).series(), at).embed()
+    assert json.loads(out)["value"] == {"re": format(value.real, ".15g"),
+                                        "im": format(value.imag, ".15g")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--uorder", "6"],
+    ["potential", "--qmax", "-1"],
+    ["frobnicate"],
+    [],
+])
+def test_argparse_errors_are_one_line(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_help_still_prints_and_exits_zero(capsys):
+    code, out, err = _run(capsys, "potential", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: localp12 potential") and "--zorder" in out

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from localp12 import pcrc
 from localp12.cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, ZERO, zeta_pow
 from localp12.mpseries import Series, VarSet, exp, inverse, sin, tan
 from localp12.pcrc import (
@@ -273,8 +274,8 @@ def test_half_shifted_specialization_matches_extended_tail():
     # part of the extended potential; the angle rides inside the wave at
     # half strength, not as a standalone prefactor
     qmax, zorder, uorder = 3, 4, 4
-    full = extended_potential(qmax, zorder, uorder)
-    degree0 = extended_potential(0, zorder, uorder).into(full.vs)
+    full = extended_potential(qmax, zorder, uorder).series()
+    degree0 = extended_potential(0, zorder, uorder).series().into(full.vs)
     tail = full - degree0
 
     vs = full.vs
@@ -344,3 +345,25 @@ def test_linearform_algebra():
     b = LinearForm.of({"x2": ONE})
     assert (a + b).names() == ("x1", "x2")
     assert a.scaled(-I) == LinearForm.of({"x1": ONE})
+
+
+def test_failing_bracket_case_names_both_sides(monkeypatch):
+    sign = pcrc.quantum_sign
+    monkeypatch.setattr(pcrc, "quantum_sign", lambda d: -sign(d))
+    report = verify_bracket_identity(2, 4)
+    assert not report.passed
+    # (z1, z2, q, u): the d=1 wave starts at (z2 + u)*q/2, the d=2 wave at -q^2/8
+    assert [c.to_json() for c in report.cases] == [
+        {"key": "d=1", "pass": False, "first_mismatch": [0, 0, 1, 1],
+         "info": {"got": "1/2", "want": "-1/2"}},
+        {"key": "d=2", "pass": False, "first_mismatch": [0, 0, 2, 0],
+         "info": {"got": "-1/8", "want": "1/8"}},
+    ]
+
+
+def test_failing_residual_case_names_both_sides(monkeypatch):
+    monkeypatch.setattr(pcrc, "tan", lambda f: tan(f).scale(2))
+    (case,) = verify_residual_thirdderiv(6).cases
+    # -tan(theta/2)/2 doubled: the theta coefficient -1/4 becomes -1/2
+    assert case.to_json() == {"key": "theta-order=6", "pass": False, "first_mismatch": [1],
+                              "info": {"got": "-1/2", "want": "-1/4"}}

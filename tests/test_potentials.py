@@ -88,18 +88,18 @@ def test_quantum_sign_period_four():
 
 
 def test_potential_small_caps():
-    p = potential(1, 1)
+    p = potential(1, 1).series()
     assert {e: v for e, v in p.terms()} == {
         (0, 0, 1, 1): _LEVEL,
         (0, 1, 1, 1): _LEVEL,
     }
-    cubic = potential(0, 3)
+    cubic = potential(0, 3).series()
     assert len(list(cubic.terms())) == 5
     assert cubic.coeff((1, 0, 2, 0)) == rf(Fraction(1, 4))
 
 
 def test_potential_coefficients_match_invariants():
-    p = potential(4, 6)
+    p = potential(4, 6).series()
     rng = random.Random(2061)
     for _ in range(30):
         d = rng.randrange(1, 5)
@@ -135,8 +135,8 @@ def test_divisor_property():
 
 def test_extended_potential_binomial_reconstruction():
     zorder, uorder = 4, 3
-    ext = extended_potential(2, zorder, uorder)
-    base = potential(2, zorder + uorder)
+    ext = extended_potential(2, zorder, uorder).series()
+    base = potential(2, zorder + uorder).series()
     rng = random.Random(515)
     for _ in range(40):
         e0 = rng.randrange(0, 2)
@@ -149,7 +149,7 @@ def test_extended_potential_binomial_reconstruction():
 
 
 def test_extended_potential_caps_and_validation():
-    ext = extended_potential(1, 2, 2)
+    ext = extended_potential(1, 2, 2).series()
     assert ext.vs.names == ("z0", "z1", "z2", "q", "u")
     assert ext.vs.caps == (2, 2, 2, 1, 2)
     assert ext.coeff((0, 0, 0, 1, 1)) == _LEVEL
@@ -161,15 +161,15 @@ def test_extended_potential_caps_and_validation():
 
 @pytest.mark.parametrize("qmax, zorder", [(0, 2), (1, 4), (3, 5)])
 def test_potential_is_cap_exact(qmax, zorder):
-    small = potential(qmax, zorder)
-    big = potential(qmax + 2, zorder + 2)
+    small = potential(qmax, zorder).series()
+    big = potential(qmax + 2, zorder + 2).series()
     assert small == big.into(VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax)))
 
 
 @pytest.mark.parametrize("qmax, zorder, uorder", [(0, 1, 2), (1, 3, 1), (2, 4, 3)])
 def test_extended_potential_is_cap_exact(qmax, zorder, uorder):
-    small = extended_potential(qmax, zorder, uorder)
-    big = extended_potential(qmax + 1, zorder + 1, uorder + 1)
+    small = extended_potential(qmax, zorder, uorder).series()
+    big = extended_potential(qmax + 1, zorder + 1, uorder + 1).series()
     caps = (zorder, zorder, zorder, qmax, uorder)
     assert small == big.into(VarSet(("z0", "z1", "z2", "q", "u"), caps))
 
@@ -205,3 +205,18 @@ def test_gw_invariant_validation():
         gw_invariant(0, 0, 0)
     with pytest.raises(ValueError):
         gw_invariant(-1, 1, 1)
+
+
+@pytest.mark.parametrize("caps", [
+    (0, 0), (0, 2), (0, 3), (0, 4), (3, 5), (2, 3, 0), (0, 4, 1), (3, 4, 2),
+])
+def test_cubic_and_tail_supports_are_disjoint(caps):
+    pot = extended_potential(*caps) if len(caps) == 3 else potential(*caps)
+    assert pot.cubic.vs == pot.tail.vs == pot.vs
+    cubic = {e for e, _ in pot.cubic.terms()}
+    tail = {e for e, _ in pot.tail.terms()}
+    assert not cubic & tail
+    # the cubic: q-degree 0, total degree at most 3; the tail: rational
+    q = pot.vs.index("q")
+    assert all(e[q] == 0 and sum(e) <= 3 for e in cubic)
+    assert all(isinstance(r, (int, Fraction)) for _, r in pot.tail.terms())
