@@ -7,13 +7,16 @@ numeric point.  Output is deterministic: identical configuration yields
 byte-identical bytes, with terms sorted and rationals in canonical form.
 
 Exit codes: 0 on success (all suites passing for `verify`), 1 on a
-verification failure or an evaluation pole, 2 on a usage error.
+verification failure, an evaluation pole or a value too large for a float,
+2 on a usage error.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,11 +214,32 @@ def _parse_at(spec):
             items.append((k.strip(), v.strip()))
     out = {}
     for k, v in items:
+        text = str(v)
+        if _too_long(text):
+            raise UsageError("the value of %s in --at has more than %d digits"
+                             % (k, sys.get_int_max_str_digits()))
         try:
-            out[k] = Fraction(str(v))
+            out[k] = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise UsageError("cannot parse %r as a rational" % (v,))
     return out
+
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
+
+
+def _too_long(text):
+    """Whether the Fraction of a literal may pass the int-to-str digit limit.
+
+    Its numerator and denominator have at most len(text) + |exponent| digits.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return False
+    if len(text) > limit:
+        return True
+    power = _EXPONENT.search(text)
+    return bool(power) and len(text) + abs(int(power.group(1))) > limit
 
 
 # --------------------------------------------------------------------------
@@ -303,6 +327,13 @@ def cmd_invariants(cfg):
         raise UsageError("--classes is only for degree 0")
     if cfg.n2 is None:
         raise UsageError("positive degree needs --n2 (twisted insertion count)")
+    limit = sys.get_int_max_str_digits()
+    # the value is (t1+t2) times +-2 d^(n1+n2-3) / 2^n2: its numerator has at
+    # most 1 + (n1+n2) log2(d) bits, its denominator at most 3 log2(d) + n2
+    bits = max(1 + (cfg.n1 + cfg.n2) * math.log2(d), 3 * math.log2(d) + cfg.n2)
+    if limit and math.floor(bits * math.log10(2)) + 1 > limit:
+        raise UsageError("the invariant at d=%d, n1=%d, n2=%d has more than %d digits"
+                         % (d, cfg.n1, cfg.n2, limit))
     try:
         value = gw_invariant(cfg.n1, cfg.n2, d)
     except ValueError as err:
@@ -352,7 +383,10 @@ def cmd_eval(cfg):
     # the value is exact, so its embedding does not depend on the summation order
     cubic = sum((c.eval(t1, t2) * monomial(e) for e, c in pot.cubic.terms()), C_ZERO)
     tail = sum(r * monomial(e) for e, r in pot.tail.terms())
-    value = (cubic + (t1 + t2) * tail).embed()
+    try:
+        value = (cubic + (t1 + t2) * tail).embed()
+    except OverflowError:
+        raise OverflowError("the value at this point is too large for a float")
     record = {
         "at": {k: str(v) for k, v in sorted(point.items())},
         "extended": cfg.extended,
@@ -396,7 +430,7 @@ def main(argv=None):
     except UsageError as err:
         print("error: %s" % (err,), file=sys.stderr)
         return 2
-    except ZeroDivisionError as err:
+    except (ZeroDivisionError, OverflowError) as err:
         print("error: %s" % (err,), file=sys.stderr)
         return 1
     return code

@@ -6,10 +6,16 @@ under graded lexicographic order with t1 > t2, so equality of rational
 functions is plain equality of representatives. Every verifier in the
 package leans on that.
 
-The gcd works on a dense recursion: a polynomial in t1 whose coefficients
-are univariate polynomials in t2 over the field. A primitive polynomial
-remainder sequence keeps intermediate growth down; coefficient gcds in
-K[t2] are the ordinary monic Euclid.
+Denominators are homogeneous in (t1, t2): every one in the package is a
+product of torus weights, so the field is K[t1, t2] localized at its
+nonzero homogeneous elements. Numerators are arbitrary. A non-homogeneous
+denominator, including the inverse of a non-homogeneous numerator, raises
+ValueError.
+
+That contract makes the gcd univariate. A homogeneous polynomial of degree
+k is t2^k F(s) with s = t1/t2, and every divisor of a homogeneous q is
+homogeneous, so gcd(p, q) is the monic Euclid in K[s] of q and each
+homogeneous component of p, times the least power of t2 they share.
 """
 
 from fractions import Fraction
@@ -174,59 +180,43 @@ P_T2 = Poly2({(0, 1): 1})
 
 # -- gcd machinery ------------------------------------------------------
 #
-# Dense recursive form: a Poly2 becomes a list over t1-degree whose entries
-# are trimmed lists over t2-degree of Cyclo (the zero polynomial is []).
+# The F of a homogeneous t2^k F(t1/t2) is a dense list over s-degree of Cyclo
+# (trimmed; zero is []); its factor t2^(k + 1 - len(F)) is the root at
+# s = infinity.
 
 
-def _to_rec(p):
-    if not p._t:
-        return []
-    d1 = max(e[0] for e in p._t)
-    d2 = max(e[1] for e in p._t)
-    rows = [[C_ZERO] * (d2 + 1) for _ in range(d1 + 1)]
+def _components(p):
+    """{k: F} over the homogeneous components t2^k F(t1/t2) of p."""
+    out = {}
     for (e1, e2), c in p._t.items():
-        rows[e1][e2] = c
-    return _b_trim([_u_trim(r) for r in rows])
+        f = out.setdefault(e1 + e2, [])
+        if len(f) <= e1:
+            f.extend([C_ZERO] * (e1 + 1 - len(f)))
+        f[e1] = c
+    return out
 
 
-def _from_rec(rows):
-    t = {}
-    for e1, row in enumerate(rows):
-        for e2, c in enumerate(row):
-            if c:
-                t[(e1, e2)] = c
+def _homogeneous(q):
+    """(k, F) of a denominator q = t2^k F(t1/t2).
+
+    ZeroDivisionError if q is zero, ValueError if it is not homogeneous.
+    """
+    comps = _components(q)
+    if len(comps) == 1:
+        return comps.popitem()
+    if not comps:
+        raise ZeroDivisionError("zero denominator")
+    raise ValueError("denominator %s is not homogeneous in t1, t2" % (q,))
+
+
+def _homogenize(k, f):
+    """t2^k f(t1/t2) as a Poly2."""
     p = Poly2.__new__(Poly2)
-    p._t = t
+    p._t = {(i, k - i): c for i, c in enumerate(f) if c}
     return p
 
 
-def _u_trim(f):
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _u_mul(f, g):
-    if not f or not g:
-        return []
-    out = [C_ZERO] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-    return _u_trim(out)
-
-def _u_sub(f, g):
-    out = list(f) + [C_ZERO] * (len(g) - len(f))
-    for j, b in enumerate(g):
-        out[j] = out[j] - b
-    return _u_trim(out)
-
-
 def _u_divmod(f, g):
-    if not g:
-        raise ZeroDivisionError("univariate division by zero")
     r = list(f)
     q = [C_ZERO] * max(len(f) - len(g) + 1, 0)
     ilc = g[-1].inv()
@@ -236,8 +226,9 @@ def _u_divmod(f, g):
         q[k] = c
         for j, b in enumerate(g):
             r[j + k] = r[j + k] - c * b
-        _u_trim(r)
-    return _u_trim(q), r
+        while r and not r[-1]:
+            r.pop()
+    return q, r
 
 
 def _u_gcd(f, g):
@@ -249,126 +240,54 @@ def _u_gcd(f, g):
     return f
 
 
-def _b_trim(rows):
-    while rows and not rows[-1]:
-        rows.pop()
-    return rows
-
-
-def _b_content(rows):
-    c = []
-    for r in rows:
-        c = _u_gcd(c, r)
-        if len(c) == 1:
-            break
-    return c
-
-
-def _b_div_content(rows, c):
-    if len(c) == 1 and c[0] == C_ONE:
-        return rows
-    out = []
-    for r in rows:
-        q, rem = _u_divmod(r, c)
-        if rem:
-            raise ArithmeticError("content division is not exact")
-        out.append(q)
-    return out
-
-
-def _b_primitive(rows):
-    rows = _b_trim(rows)
-    if not rows:
-        return rows
-    return _b_div_content(rows, _b_content(rows))
-
-
-def _b_prem(f, g):
-    """Pseudo-remainder of f by g in t1, up to K[t2]-content.
-
-    Content is irrelevant to the primitive remainder sequence, so the
-    classical lc(g)^e top-up is skipped.
-    """
-    dg = len(g) - 1
-    lcg = g[-1]
-    r = list(f)
-    while len(r) - 1 >= dg:
-        lcr = r[-1]
-        k = len(r) - 1 - dg
-        r = [_u_mul(lcg, ri) for ri in r]
-        for j, gj in enumerate(g):
-            r[j + k] = _u_sub(r[j + k], _u_mul(lcr, gj))
-        if len(_u_trim(r[-1])) != 0:
-            raise ArithmeticError("pseudo-remainder failed to cancel")
-        r.pop()
-        _b_trim(r)
-    return r
-
-
-def _b_gcd(a, b):
-    if not a:
-        return _b_trim(list(b))
-    if not b:
-        return _b_trim(list(a))
-    ca, cb = _b_content(a), _b_content(b)
-    f = _b_div_content(a, ca)
-    s = _b_div_content(b, cb)
-    while s:
-        r = _b_prem(f, s)
-        f, s = s, _b_primitive(r)
-    cg = _u_gcd(ca, cb)
-    return [_u_mul(fi, cg) for fi in f]
-
-
 def poly_gcd(p, q):
-    """A gcd of p and q, unique up to a Cyclo unit."""
-    return _from_rec(_b_gcd(_to_rec(p), _to_rec(q)))
+    """A gcd of p and a homogeneous q, unique up to a Cyclo unit.
+
+    Every divisor of q is homogeneous, so the gcd divides each homogeneous
+    component of p: it is the monic Euclid of the components in s = t1/t2,
+    times the least power of t2 they share.
+    """
+    k, g = _homogeneous(q)
+    t2 = k + 1 - len(g)
+    for j, f in _components(p).items():
+        t2 = min(t2, j + 1 - len(f))
+        if len(g) > 1:
+            g = _u_gcd(f, g)
+    if len(g) == 1:
+        g = [C_ONE]
+    return _homogenize(t2 + len(g) - 1, g)
 
 
 def poly_divexact(p, g):
-    """p / g when the division is exact; ArithmeticError otherwise."""
-    a, b = _to_rec(p), _to_rec(g)
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not a:
-        return P_ZERO
-    q = [[] for _ in range(len(a) - len(b) + 1)] if len(a) >= len(b) else []
-    lcb = b[-1]
-    r = list(a)
-    while r:
-        k = len(r) - len(b)
-        if k < 0:
+    """p / g for a homogeneous g dividing p; ArithmeticError otherwise."""
+    k, h = _homogeneous(g)
+    t2 = k + 1 - len(h)
+    out = {}
+    for j, f in _components(p).items():
+        quo, rem = _u_divmod(f, h)
+        if rem or j + 1 - len(f) < t2:
             raise ArithmeticError("not an exact division")
-        c, rem = _u_divmod(r[-1], lcb)
-        if rem:
-            raise ArithmeticError("not an exact division")
-        q[k] = c
-        for j, bj in enumerate(b):
-            r[j + k] = _u_sub(r[j + k], _u_mul(c, bj))
-        _b_trim(r)
-    return _from_rec(q)
+        out.update(_homogenize(j - k, quo)._t)
+    p = Poly2.__new__(Poly2)
+    p._t = out
+    return p
 
 
 # -- rational functions --------------------------------------------------
 
 
 class RatFun:
-    """A canonical ratio of two Poly2."""
+    """A canonical ratio of a Poly2 over a homogeneous Poly2."""
 
     __slots__ = ("_n", "_d")
 
     def __init__(self, num, den=None):
         num = _as_poly(num)
         den = P_ONE if den is None else _as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self._n, self._d = P_ZERO, P_ONE
-            return
         if den.is_one():
             self._n, self._d = num, P_ONE
             return
-        g = poly_gcd(num, den)
+        g = poly_gcd(num, den)  # refuses a zero or non-homogeneous den
         if not g.is_one():
             num = poly_divexact(num, g)
             den = poly_divexact(den, g)
@@ -472,7 +391,12 @@ class RatFun:
         return repeated_squaring(self, n, RF_ONE)
 
     def inv(self):
-        return RatFun(self._d, self._n)
+        # a canonical pair is coprime already: only the new denominator's
+        # leading coefficient needs normalizing
+        ilc = _homogeneous(self._n)[1][-1].inv()
+        r = RatFun.__new__(RatFun)
+        r._n, r._d = self._d.scale(ilc), self._n.scale(ilc)
+        return r
 
     def eval(self, a1, a2):
         """Value at exact rational (t1, t2); ZeroDivisionError on a pole."""

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -418,3 +420,36 @@ def test_help_still_prints_and_exits_zero(capsys):
     code, out, err = _run(capsys, "potential", "--help")
     assert (code, err) == (0, "")
     assert out.startswith("usage: localp12 potential") and "--zorder" in out
+
+
+@pytest.mark.parametrize("spec", ["t1=1,t2=1,z2=1e100", "t1=1e200,t2=1,z0=1e200"])
+def test_eval_overflow_is_one_line(capsys, spec):
+    code, out, err = _run(capsys, "eval", "--at", spec)
+    assert (code, out, err) == (1, "", "error: the value at this point is too large for a float\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--at", "t1=1e5000,t2=1"],
+    ["eval", "--at", "t1=1e3000000,t2=1"],
+    ["eval", "--at", "t1=1,t2=" + "7" * 5000],
+    ["invariants", "--d", "3", "--n1", "100000", "--n2", "1"],
+    ["invariants", "--d", "3", "--n1", "0", "--n2", "100001"],
+])
+def test_oversized_numbers_are_refused_before_work(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.endswith(" has more than %d digits\n" % sys.get_int_max_str_digits())
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--at", "t1=1.5e4290,t2=1"],
+    ["invariants", "--d", "3", "--n1", "9000", "--n2", "1"],
+    ["invariants", "--d", "1", "--n2", "14283"],
+])
+def test_numbers_near_the_digit_limit_still_print(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(out) > sys.get_int_max_str_digits()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from localp12.localization import (
     EvenLiteralAssembly,
     NodeSmoothing,
     SMonomial,
+    TorusWeights,
     WeightTable,
     assemble_even,
     assemble_odd,
@@ -58,6 +60,49 @@ def test_degree0_unit_acts_trivially_on_pairings():
     h_h = degree0_fixed_point_sum(("1", "H", "H"))
     assert one_h == RF_ZERO
     assert h_h.eval(2, 3) == Fraction(-2, 3)
+
+
+def test_degree0_sum_at_random_weights_matches_the_unsummed_formula():
+    """Random rational weights, one draw in two with proportional base weights
+    (as t2 - t1/2 = -(t1 - 2 t2)/2), against the two fixed-point terms
+    evaluated separately in plain Fractions."""
+    rng = random.Random(19)
+
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+
+    def form():
+        return (rational(), rng.choice((Fraction(0), rational())))
+
+    classes_list = [c for c in itertools.combinations_with_replacement("1HS", 3)
+                    if c.count("S") % 2 == 0]
+    for draw in range(8):
+        forms = {name: form() for name in ("base_0", "fiber_0", "base_inf", "fiber_inf",
+                                           "point_0", "point_inf", "point_twisted")}
+        if draw % 2 == 0:
+            ratio = rational()
+            forms["base_inf"] = tuple(ratio * x for x in forms["base_0"])
+        autos = {name: rational() for name in ("auto_0", "auto_inf", "auto_twisted")}
+        weights = TorusWeights(
+            **{name: RF_T1 * a + RF_T2 * b for name, (a, b) in forms.items()}, **autos)
+        points = []
+        while len(points) < 3:
+            t1, t2 = rational(), rational()
+            value = {name: a * t1 + b * t2 for name, (a, b) in forms.items()}
+            if all(value.values()):
+                points.append((t1, t2, value))
+        for classes in classes_list:
+            got = degree0_fixed_point_sum(classes, weights=weights)
+            for t1, t2, value in points:
+                if classes.count("S") == 2:
+                    restriction = value["point_twisted"] if "H" in classes else 1
+                    want = restriction * autos["auto_twisted"]
+                else:
+                    want = sum(
+                        autos["auto_" + end] * value["point_" + end] ** classes.count("H")
+                        / (value["fiber_" + end] * value["base_" + end])
+                        for end in ("0", "inf"))
+                assert got.eval(t1, t2) == want, (draw, classes, t1, t2)
 
 
 def test_degree0_validation():

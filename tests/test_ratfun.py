@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from localp12.cyclotomic import Cyclo, I
+from localp12.mpseries import Series
 from localp12.ratfun import (
     P_ONE,
     P_T1,
@@ -32,12 +33,30 @@ def rand_poly(rng, deg=2, dens=9):
     return Poly2(terms)
 
 
-def rand_ratfun(rng):
-    num = rand_poly(rng)
+def rand_homogeneous(rng, deg=1, dens=9):
+    """A random homogeneous polynomial of degree at most deg, possibly zero."""
+    k = rng.randint(0, deg)
+    return Poly2({
+        (e1, k - e1): Cyclo(Fraction(rng.randint(-6, 6), rng.randint(1, dens)), rng.randint(-2, 2))
+        for e1 in range(k + 1)
+        if rng.random() < 0.6
+    })
+
+
+def rand_den(rng, deg=1):
     while True:
-        den = rand_poly(rng, deg=1)
+        den = rand_homogeneous(rng, deg)
         if den:
-            return RatFun(num, den)
+            return den
+
+
+def rand_ratfun(rng):
+    return RatFun(rand_poly(rng), rand_den(rng))
+
+
+def rand_invertible(rng):
+    """A random element with a homogeneous numerator, so inv() applies when nonzero."""
+    return RatFun(rand_homogeneous(rng, deg=2), rand_den(rng))
 
 
 def test_normalization_collapses_common_factors():
@@ -78,14 +97,8 @@ def test_canonicalization_idempotent_and_cross_multiplication():
     rng = random.Random(11)
     for _ in range(60):
         a = rand_poly(rng)
-        while True:
-            b = rand_poly(rng)
-            if b:
-                break
-        while True:
-            c = rand_poly(rng, deg=1)
-            if c:
-                break
+        b = rand_den(rng, deg=2)
+        c = rand_den(rng)
         r1 = RatFun(a, b)
         r2 = RatFun(a * c, b * c)
         assert r1 == r2
@@ -98,7 +111,7 @@ def test_canonicalization_idempotent_and_cross_multiplication():
 def test_field_laws_random():
     rng = random.Random(23)
     for _ in range(12):
-        a, b, c = (rand_ratfun(rng) for _ in range(3))
+        a, b, c = rand_invertible(rng), rand_invertible(rng), rand_ratfun(rng)
         assert (a + b) * c == a * c + b * c
         assert a - a == RF_ZERO
         if not b.is_zero():
@@ -170,3 +183,46 @@ def test_scalar_times_ratfun_skips_canonicalization(monkeypatch):
         for got in (r * c, c * r):
             assert got == w
             assert got.num == w.num and got.den == w.den
+
+
+def test_non_homogeneous_denominator_is_refused():
+    refused = pytest.raises(ValueError, match="^denominator .* is not homogeneous in t1, t2$")
+    with refused:
+        RatFun(P_ONE, P_ONE + P_T1)
+    with refused:
+        (RF_ONE + RF_T1).inv()
+    with refused:
+        RF_ONE / (RF_ONE + RF_T1)
+    one = ["1", "0", "0", "0"]
+    blob = {"num": [[0, 0, one]], "den": [[1, 0, one], [0, 0, one]]}
+    with refused:
+        RatFun.from_json(blob)
+    with refused:
+        Series.from_json({"vars": ["z"], "caps": [2], "terms": [{"exp": [1], "coeff": blob}]})
+    with pytest.raises(ZeroDivisionError):
+        RatFun(P_ONE, Poly2())
+    with pytest.raises(ZeroDivisionError):
+        RF_ZERO.inv()
+
+
+def test_non_homogeneous_numerator_over_homogeneous_denominator():
+    general = P_ONE + P_T1 * P_T1
+    r = RatFun(general * (P_T1 - P_T2), (P_T1 - P_T2) * P_T2.scale(3))
+    assert r.num == general.scale(Fraction(1, 3)) and r.den == P_T2
+    rng = random.Random(37)
+    for _ in range(40):
+        a, b, c = rand_poly(rng, deg=3), rand_den(rng, deg=2), rand_den(rng)
+        r = RatFun(a * c, b * c)
+        assert r.num * b == a * r.den
+        assert poly_gcd(r.num, r.den) == P_ONE
+        assert r.den.leading()[1] == Cyclo(1)
+
+
+def test_inv_is_the_canonical_swap():
+    rng = random.Random(41)
+    for _ in range(60):
+        r = rand_invertible(rng)
+        if r.is_zero():
+            continue
+        got, want = r.inv(), RatFun(r.den, r.num)
+        assert got.num == want.num and got.den == want.den
