@@ -192,7 +192,7 @@ def _merge(args):
         at=_parse_at(pick("at")),
         out=pick_typed("out", str, "a path"),
         d=pick_nat("d", 0),
-        n1=pick_nat("n1", 0),
+        n1=pick_nat("n1"),
         n2=pick_nat("n2"),
         classes=pick_typed("classes", str, "a comma-separated string"),
     )
@@ -214,6 +214,8 @@ def _parse_at(spec):
             items.append((k.strip(), v.strip()))
     out = {}
     for k, v in items:
+        if k in out:
+            raise UsageError("%s is set twice in --at" % (k,))
         text = str(v)
         if _too_long(text):
             raise UsageError("the value of %s in --at has more than %d digits"
@@ -313,6 +315,9 @@ def cmd_potential(cfg):
 def cmd_invariants(cfg):
     d = cfg.d
     if d == 0:
+        for flag in ("n1", "n2"):
+            if getattr(cfg, flag) is not None:
+                raise UsageError("--%s is only for positive degree" % (flag,))
         if not cfg.classes:
             raise UsageError("degree 0 needs --classes, e.g. --classes 1,H,H")
         classes = tuple(c.strip() for c in cfg.classes.split(","))
@@ -327,18 +332,19 @@ def cmd_invariants(cfg):
         raise UsageError("--classes is only for degree 0")
     if cfg.n2 is None:
         raise UsageError("positive degree needs --n2 (twisted insertion count)")
+    n1 = 0 if cfg.n1 is None else cfg.n1
     limit = sys.get_int_max_str_digits()
     # the value is (t1+t2) times +-2 d^(n1+n2-3) / 2^n2: its numerator has at
     # most 1 + (n1+n2) log2(d) bits, its denominator at most 3 log2(d) + n2
-    bits = max(1 + (cfg.n1 + cfg.n2) * math.log2(d), 3 * math.log2(d) + cfg.n2)
+    bits = max(1 + (n1 + cfg.n2) * math.log2(d), 3 * math.log2(d) + cfg.n2)
     if limit and math.floor(bits * math.log10(2)) + 1 > limit:
         raise UsageError("the invariant at d=%d, n1=%d, n2=%d has more than %d digits"
-                         % (d, cfg.n1, cfg.n2, limit))
+                         % (d, n1, cfg.n2, limit))
     try:
-        value = gw_invariant(cfg.n1, cfg.n2, d)
+        value = gw_invariant(n1, cfg.n2, d)
     except ValueError as err:
         raise UsageError(str(err))
-    record = {"d": d, "n1": cfg.n1, "n2": cfg.n2, "value": value.to_json(),
+    record = {"d": d, "n1": n1, "n2": cfg.n2, "value": value.to_json(),
               "pretty": str(value)}
     return _dump(record), 0
 

@@ -15,13 +15,19 @@ produced by chaining the two printed maps carries phase zeta^10 (that is,
 e^{-i pi/3}) for every b.
 
 `verify_bracket_identity` and `verify_residual_thirdderiv` check the two
-series identities that drive the specialization argument; the corollary
-suite checks that inverting the first map and composing with the second
-reproduces the third, entry by entry in the coefficient field.
+series identities that drive the specialization argument.  Both run in the
+one angle theta = z2 + u: the bracket identity is stated on (z1, z2, q, u)
+with the carrier (q e^{z1})^d / d^3, but the carrier's z1^0 q^d coefficient
+is nonzero and z2^a u^b picks up C(a+b, a) times the theta^{a+b}
+coefficient, so checking bracket - wave to theta-degree 2 * order is the
+same check.  The corollary suite checks that inverting the first map and
+composing with the second reproduces the third, entry by entry in the
+coefficient field.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, ZERO, zeta_pow
 from .localization import quantum_sign
@@ -459,24 +465,42 @@ def verify_bracket_identity(qmax=8, order=10):
         (q e^{z1})^d / d^3 * i^d * (e^{-i d(z2+u)/2} + (-1)^d e^{i d(z2+u)/2}) / 2
 
     must equal sign(d) * sin or cos of d(z2+u)/2 on the same carrier, with
-    sine for odd d and cosine for even d.
+    sine for odd d and cosine for even d, to the caps (order, order, qmax,
+    order) on (z1, z2, q, u).
+
+    Both sides are functions of theta = z2 + u alone, so the check runs on
+    the difference D(theta) = bracket - wave to theta-degree 2 * order.
+    This is the same check: the z1^0 q^d coefficient of the carrier is
+    1/d^3, nonzero for d <= qmax, and the z2^a u^b coefficient of
+    D(z2 + u) is C(a+b, a) * D_{a+b}, where every a + b <= 2 * order is
+    reached with a, b <= order.  So the carried difference vanishes to the
+    caps exactly when D does to theta-degree 2 * order.
+
+    A failing case still reports the carried, four-variable record: with k
+    the lowest theta-degree of D and a = max(0, k - order), the first
+    exponent is (0, a, d, k - a) and both sides there are C(k, a)/d^3
+    times their theta^k coefficients.
     """
-    vs = VarSet(("z1", "z2", "q", "u"), (order, order, qmax, order))
-    z1 = Series.variable(vs, "z1")
-    theta0 = Series.variable(vs, "z2") + Series.variable(vs, "u")
+    vs = VarSet(("theta",), (2 * order,))
+    theta0 = Series.variable(vs, "theta")
     cases = []
     for d in range(1, qmax + 1):
-        carrier = exp(z1.scale(d)) * Series(
-            vs, {(0, 0, d, 0): Fraction(1, d**3)}
-        )
         theta = theta0.scale(Fraction(d, 2))
         bracket = (
             exp(theta.scale(-I)) + exp(theta.scale(I)).scale((-1) ** d)
         ).scale(I**d * Fraction(1, 2))
         wave = (sin(theta) if d % 2 else cos(theta)).scale(quantum_sign(d))
-        diff = carrier * (bracket - wave)
-        cases.append(_identity_case(
-            "d=%d" % d, diff, lambda: (carrier * bracket, carrier * wave)))
+        key = "d=%d" % d
+        diff = bracket - wave
+        if not diff:
+            cases.append(CaseResult(key, True))
+            continue
+        k = min(e for (e,), _ in diff.terms())
+        a = max(0, k - order)
+        carry = Fraction(comb(k, a), d**3)
+        info = {"got": str(bracket.coeff((k,)) * carry),
+                "want": str(wave.coeff((k,)) * carry)}
+        cases.append(CaseResult(key, False, [0, a, d, k - a], info))
     return SuiteReport("bracket", cases)
 
 
@@ -493,22 +517,13 @@ def verify_residual_thirdderiv(order=16):
     lhs = Series.constant(vs, I * Fraction(1, 2)) - third
     e = exp(theta.scale(I))
     rhs = (e * inverse(Series.constant(vs, 1) + e)).scale(I)
-    case = _identity_case("theta-order=%d" % order, lhs - rhs, lambda: (lhs, rhs))
-    return SuiteReport("residual", [case])
-
-
-def _identity_case(key, diff, sides):
-    """A case that passes when diff = got - want is zero.
-
-    A failing case names the first exponent of diff and both sides there;
-    `sides()` builds the two series only then.
-    """
+    key = "theta-order=%d" % order
+    diff = lhs - rhs
     if not diff:
-        return CaseResult(key, True, None)
-    e = min((e for e, _ in diff.terms()), key=lambda e: (sum(e), e))
-    got, want = sides()
-    info = {"got": str(got.coeff(e)), "want": str(want.coeff(e))}
-    return CaseResult(key, False, list(e), info)
+        return SuiteReport("residual", [CaseResult(key, True)])
+    first = min(x for x, _ in diff.terms())
+    info = {"got": str(lhs.coeff(first)), "want": str(rhs.coeff(first))}
+    return SuiteReport("residual", [CaseResult(key, False, list(first), info)])
 
 
 def verify_corollary_composition():

@@ -143,6 +143,21 @@ def test_invariants_classes_need_degree_zero(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, values", [
+    (["--n1", "5", "--n2", "3"], {"n1": 5, "n2": 3}),
+    (["--n1", "0"], {"n1": 0}),
+    (["--n2", "2"], {"n2": 2}),
+])
+def test_invariants_insertions_need_positive_degree(tmp_path, capsys, argv, values):
+    flag = next(iter(values))
+    want = (2, "", "error: --%s is only for positive degree\n" % flag)
+    got = _run(capsys, "invariants", "--d", "0", "--classes", "1,H,H", *argv)
+    assert got == want
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(dict(values, d=0, classes="1,H,H")))
+    assert _run(capsys, "invariants", "--config", str(cfg)) == want
+
+
 def test_eval_classical_point(capsys):
     code, out, _ = _run(
         capsys, "eval", "--at", "t1=1,t2=1,z0=1", "--qmax", "0", "--zorder", "3"
@@ -187,6 +202,16 @@ def test_eval_rejects_u_without_extended(capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "--extended" in err
+
+
+@pytest.mark.parametrize("spec, name", [
+    ("t1=1,t1=2,t2=1", "t1"),
+    ("t1=1,t2=1,z2=1/3,z2=1/3", "z2"),
+    ("t1=1, t2=1,t2 =2", "t2"),
+])
+def test_eval_refuses_a_repeated_variable(capsys, spec, name):
+    code, out, err = _run(capsys, "eval", "--at", spec)
+    assert (code, out, err) == (2, "", "error: %s is set twice in --at\n" % name)
 
 
 def test_bad_at_spec_is_usage_error(capsys):

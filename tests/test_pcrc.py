@@ -6,7 +6,7 @@ import pytest
 
 from localp12 import pcrc
 from localp12.cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, ZERO, zeta_pow
-from localp12.mpseries import Series, VarSet, exp, inverse, sin, tan
+from localp12.mpseries import Series, VarSet, cos, exp, inverse, sin, tan
 from localp12.pcrc import (
     AngleLine,
     CovMap,
@@ -30,9 +30,15 @@ from localp12.pcrc import (
     verify_corollary_remark,
     verify_residual_thirdderiv,
 )
-from localp12.localization import resummation_suite, resummed_even, resummed_odd
+from localp12.localization import (
+    quantum_sign,
+    resummation_suite,
+    resummed_even,
+    resummed_odd,
+)
 from localp12.potentials import extended_potential
 from localp12.ratfun import RF_ONE, RF_T1, RF_T2, RatFun, rf
+from localp12.reports import CaseResult
 
 
 def test_sqrt3_constants():
@@ -359,6 +365,71 @@ def test_failing_bracket_case_names_both_sides(monkeypatch):
         {"key": "d=2", "pass": False, "first_mismatch": [0, 0, 2, 0],
          "info": {"got": "-1/8", "want": "1/8"}},
     ]
+
+
+def _carried_bracket_records(qmax, order):
+    """The bracket suite's records, from carrier * (bracket - wave) on (z1, z2, q, u).
+
+    An independent route: the carrier and the angle z2 + u are built as
+    four-variable series, as the identity is stated.
+    """
+    vs = VarSet(("z1", "z2", "q", "u"), (order, order, qmax, order))
+    z1 = Series.variable(vs, "z1")
+    theta0 = Series.variable(vs, "z2") + Series.variable(vs, "u")
+    records = []
+    for d in range(1, qmax + 1):
+        carrier = exp(z1.scale(d)) * Series(vs, {(0, 0, d, 0): Fraction(1, d**3)})
+        theta = theta0.scale(Fraction(d, 2))
+        bracket = (
+            exp(theta.scale(-I)) + exp(theta.scale(I)).scale((-1) ** d)
+        ).scale(I**d * Fraction(1, 2))
+        wave = (pcrc.sin(theta) if d % 2 else pcrc.cos(theta)).scale(quantum_sign(d))
+        got, want = carrier * bracket, carrier * wave
+        diff = got - want
+        if not diff:
+            records.append(CaseResult("d=%d" % d, True).to_json())
+            continue
+        e = min((e for e, _ in diff.terms()), key=lambda e: (sum(e), e))
+        info = {"got": str(got.coeff(e)), "want": str(want.coeff(e))}
+        records.append(CaseResult("d=%d" % d, False, list(e), info).to_json())
+    return records
+
+
+@pytest.mark.parametrize("k", [None, 0, 1, 2, 3, 4, 5, 6, 7])
+def test_bracket_records_match_the_carried_four_variable_check(monkeypatch, k):
+    # a defect (3/7) f^k in sin and cos, at every theta-degree up to
+    # 2 * order, including those above order that only a z2^a u^b with both
+    # a, b > 0 reaches; at 2 * order + 1 it lies beyond every cap
+    qmax, order = 4, 3
+    if k is not None:
+        for name, f in (("sin", sin), ("cos", cos)):
+            monkeypatch.setattr(
+                pcrc, name, lambda g, f=f: f(g) + (g**k).scale(Fraction(3, 7)))
+    report = verify_bracket_identity(qmax, order)
+    assert report.passed == (k is None or k > 2 * order)
+    assert [c.to_json() for c in report.cases] == _carried_bracket_records(qmax, order)
+
+
+def test_bracket_identity_runs_in_one_variable(monkeypatch):
+    arities = []
+    init = VarSet.__init__
+
+    def record(self, names, caps):
+        init(self, names, caps)
+        arities.append(len(self.names))
+
+    monkeypatch.setattr(VarSet, "__init__", record)
+    assert verify_bracket_identity(8, 10).passed
+    assert arities and set(arities) == {1}
+
+
+def test_bracket_records_at_the_edge_caps():
+    assert verify_bracket_identity(2, 0).to_json() == {"suite": "bracket", "cases": [
+        {"key": "d=1", "pass": True, "first_mismatch": None},
+        {"key": "d=2", "pass": True, "first_mismatch": None},
+    ]}
+    report = verify_bracket_identity(0, 5)
+    assert report.cases == [] and report.passed
 
 
 def test_failing_residual_case_names_both_sides(monkeypatch):
