@@ -18,7 +18,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import localization, pcrc
@@ -38,32 +37,7 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-#: per-command cap defaults; a command without a cap does not read it
-_DEFAULT_CAPS = {
-    "potential": {"qmax": 3, "zorder": 6, "uorder": 3},
-    "eval": {"qmax": 3, "zorder": 6, "uorder": 3},
-    "verify": {"qmax": 8, "zorder": 10},
-    "invariants": {},
-}
-
 _EVAL_VARS = ("z0", "z1", "z2", "q", "u")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    qmax: int
-    zorder: int
-    uorder: int
-    extended: bool
-    suites: tuple
-    format: str
-    at: dict
-    out: str
-    d: int
-    n1: int
-    n2: int
-    classes: str
 
 
 class UsageError(Exception):
@@ -77,141 +51,53 @@ def _nat(text):
     return value
 
 
-#: flag -> its argparse keywords
-_FLAG_SPECS = {
-    "qmax": dict(type=_nat, help="curve-degree cap"),
-    "zorder": dict(type=_nat, help="cap on each z variable"),
-    "uorder": dict(type=_nat, help="cap on the angle variable"),
-    "extended": dict(action="store_true", help="use the u-extended potential"),
-    "format": dict(choices=("json", "csv")),
-    "at": dict(help="comma-separated k=v rational assignments"),
-    "suite": dict(help="one of %s, or 'all'" % (", ".join(SUITE_NAMES),)),
-    "d": dict(type=_nat, help="curve degree"),
-    "n1": dict(type=_nat, help="divisor insertions"),
-    "n2": dict(type=_nat, help="twisted insertions"),
-    "classes": dict(help="three comma-separated classes for d=0, e.g. 1,H,H"),
-}
+# each check takes a flag's name and merged value and returns the value to run with
 
 
-#: command -> (help, the flags it reads besides --config and --out)
-_COMMAND_FLAGS = {
-    "potential": ("print the truncated potential as a coefficient table",
-                  ("qmax", "zorder", "uorder", "extended", "format")),
-    "invariants": ("print one invariant value", ("d", "n1", "n2", "classes")),
-    "verify": ("run verification suites", ("qmax", "zorder", "suite")),
-    "eval": ("numerically evaluate the truncated potential",
-             ("qmax", "zorder", "uorder", "extended", "at")),
-}
+def _check_nat(name, value):
+    # bool is an int subclass, but true is no cap
+    if value is not None and (type(value) is not int or value < 0):
+        raise UsageError("%s must be a nonnegative integer, got %r" % (name, value))
+    return value
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose usage errors are one line, exit 2.
-
-    Subparsers are made with the parser's own class, so they inherit it.
-    """
-
-    def error(self, message):
-        self.exit(2, "error: %s\n" % (message,))
-
-
-def _build_parser():
-    top = _Parser(
-        prog="localp12",
-        description="Exact genus-0 potential and verification suites for local P(1,2).",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMAND_FLAGS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument("--" + flag, default=None, **_FLAG_SPECS[flag])
-        p.add_argument("--config", default=None, help="JSON file with the same keys as the flags")
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    return top
-
-
-def _load_config(path, command):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as err:
-        raise UsageError("cannot read config %s: %s" % (path, err))
-    if not isinstance(data, dict):
-        raise UsageError("config must be a JSON object")
-    keys = _COMMAND_FLAGS[command][1] + ("out",)
-    for key in data:
-        if key not in keys:
-            raise UsageError("config key %r is not read by %s" % (key, command))
-    return data
-
-
-def _merge(args):
-    """Flags override config-file values; defaults fill the rest."""
-    cfg = _load_config(args.config, args.command) if args.config else {}
-
-    def pick(name, fallback=None):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in cfg:
-            return cfg[name]
-        return fallback
-
-    def pick_nat(name, fallback=None):
-        value = pick(name, fallback)
-        # bool is an int subclass, but true is no cap
-        if value is not None and (type(value) is not int or value < 0):
-            raise UsageError("%s must be a nonnegative integer, got %r" % (name, value))
-        return value
-
-    def pick_typed(name, kind, what, fallback=None):
-        value = pick(name, fallback)
+def _check_type(kind, what):
+    def check(name, value):
         if value is not None and not isinstance(value, kind):
             raise UsageError("%s must be %s, got %r" % (name, what, value))
         return value
+    return check
 
-    # only verify reads a suite; the others keep the default, unused
-    suite = pick("suite", "all")
-    if suite != "all" and suite not in SUITE_NAMES:
+
+def _check_suite(name, value):
+    if value != "all" and value not in SUITE_NAMES:
         raise UsageError("unknown suite %r; choose from %s or 'all'"
-                         % (suite, ", ".join(SUITE_NAMES)))
-    suites = SUITE_NAMES if suite == "all" else (suite,)
+                         % (value, ", ".join(SUITE_NAMES)))
+    return value
 
-    fmt = pick("format", "json")
-    if fmt not in ("json", "csv"):
+
+def _check_format(name, value):
+    if value not in ("json", "csv"):
         raise UsageError("format must be json or csv")
-
-    caps = _DEFAULT_CAPS[args.command]
-    return RunConfig(
-        command=args.command,
-        qmax=pick_nat("qmax", caps.get("qmax")),
-        zorder=pick_nat("zorder", caps.get("zorder")),
-        uorder=pick_nat("uorder", caps.get("uorder")),
-        extended=pick_typed("extended", bool, "true or false", False),
-        suites=suites,
-        format=fmt,
-        at=_parse_at(pick("at")),
-        out=pick_typed("out", str, "a path"),
-        d=pick_nat("d", 0),
-        n1=pick_nat("n1"),
-        n2=pick_nat("n2"),
-        classes=pick_typed("classes", str, "a comma-separated string"),
-    )
+    return value
 
 
-def _parse_at(spec):
+def _parse_at(name, spec):
     if spec is None:
         return {}
     if isinstance(spec, dict):
         items = spec.items()
-    else:
+    elif isinstance(spec, str):
         items = []
-        for chunk in str(spec).split(","):
+        for chunk in spec.split(","):
             if not chunk:
                 continue
             if "=" not in chunk:
                 raise UsageError("bad assignment %r in --at" % (chunk,))
             k, v = chunk.split("=", 1)
             items.append((k.strip(), v.strip()))
+    else:
+        raise UsageError("at must be a string or an object, got %r" % (spec,))
     out = {}
     for k, v in items:
         if k in out:
@@ -242,6 +128,92 @@ def _too_long(text):
         return True
     power = _EXPONENT.search(text)
     return bool(power) and len(text) + abs(int(power.group(1))) > limit
+
+
+#: flag -> (its argparse keywords, the check on its merged value), in the
+#: order the checks run
+_FLAGS = {
+    "suite": (dict(help="one of %s, or 'all'" % (", ".join(SUITE_NAMES),)), _check_suite),
+    "format": (dict(choices=("json", "csv")), _check_format),
+    "qmax": (dict(type=_nat, help="curve-degree cap"), _check_nat),
+    "zorder": (dict(type=_nat, help="cap on each z variable"), _check_nat),
+    "uorder": (dict(type=_nat, help="cap on the angle variable"), _check_nat),
+    "extended": (dict(action="store_true", help="use the u-extended potential"),
+                 _check_type(bool, "true or false")),
+    "at": (dict(help="comma-separated k=v rational assignments"), _parse_at),
+    "out": (dict(help="write output to this path instead of stdout"),
+            _check_type(str, "a path")),
+    "d": (dict(type=_nat, help="curve degree"), _check_nat),
+    "n1": (dict(type=_nat, help="divisor insertions"), _check_nat),
+    "n2": (dict(type=_nat, help="twisted insertions"), _check_nat),
+    "classes": (dict(help="three comma-separated classes for d=0, e.g. 1,H,H"),
+                _check_type(str, "a comma-separated string")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one line, exit 2.
+
+    Subparsers are made with the parser's own class, so they inherit it.
+    """
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % (message,))
+
+
+def _build_parser():
+    top = _Parser(
+        prog="localp12",
+        description="Exact genus-0 potential and verification suites for local P(1,2).",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, reads, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in reads:
+            p.add_argument("--" + flag, default=None, **_FLAGS[flag][0])
+        p.add_argument("--config", default=None, help="JSON file with the same keys as the flags")
+        p.add_argument("--out", default=None, **_FLAGS["out"][0])
+    return top
+
+
+def _unique_keys(pairs):
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise UsageError("config key %r is set twice" % (key,))
+        out[key] = value
+    return out
+
+
+def _load_config(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as err:
+        raise UsageError("cannot read config %s: %s" % (path, err))
+    if not isinstance(data, dict):
+        raise UsageError("config must be a JSON object")
+    return data
+
+
+def _merge(args):
+    """Flags override config-file values; the command's defaults fill the rest.
+
+    The result holds the command, `out` and the flags that command reads.
+    """
+    reads = dict(_COMMANDS[args.command][1], out=None)
+    cfg = _load_config(args.config) if args.config else {}
+    for key in cfg:
+        if key not in reads:
+            raise UsageError("config key %r is not read by %s" % (key, args.command))
+    merged = argparse.Namespace(command=args.command)
+    for name, (_, check) in _FLAGS.items():
+        if name in reads:
+            value = getattr(args, name)
+            if value is None:
+                value = cfg.get(name, reads[name])
+            setattr(merged, name, check(name, value))
+    return merged
 
 
 # --------------------------------------------------------------------------
@@ -350,7 +322,8 @@ def cmd_invariants(cfg):
 
 
 def cmd_verify(cfg):
-    reports = [_SUITES[name](cfg) for name in cfg.suites]
+    names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
+    reports = [_SUITES[name](cfg) for name in names]
     ok = all(r.passed for r in reports)
     if len(reports) == 1:
         payload = reports[0].to_json()
@@ -409,11 +382,17 @@ def _dump(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+#: command -> (help, the flags it reads besides --config and --out, with their
+#: defaults, runner)
 _COMMANDS = {
-    "potential": cmd_potential,
-    "invariants": cmd_invariants,
-    "verify": cmd_verify,
-    "eval": cmd_eval,
+    "potential": ("print the truncated potential as a coefficient table",
+                  {"qmax": 3, "zorder": 6, "uorder": 3, "extended": False, "format": "json"},
+                  cmd_potential),
+    "invariants": ("print one invariant value",
+                   {"d": 0, "n1": None, "n2": None, "classes": None}, cmd_invariants),
+    "verify": ("run verification suites", {"qmax": 8, "zorder": 10, "suite": "all"}, cmd_verify),
+    "eval": ("numerically evaluate the truncated potential",
+             {"qmax": 3, "zorder": 6, "uorder": 3, "extended": False, "at": None}, cmd_eval),
 }
 
 
@@ -424,7 +403,7 @@ def main(argv=None):
         return stop.code
     try:
         cfg = _merge(args)
-        text, code = _COMMANDS[cfg.command](cfg)
+        text, code = _COMMANDS[cfg.command][2](cfg)
         if cfg.out:
             try:
                 with open(cfg.out, "w", encoding="utf-8") as fh:

@@ -229,12 +229,6 @@ class Cyclo:
             out.append(str(n // g) if g == d else "%d/%d" % (n // g, d // g))
         return out
 
-    @classmethod
-    def from_strings(cls, parts):
-        if len(parts) != 4:
-            raise ValueError("expected four coordinates, got %d" % len(parts))
-        return cls(*(Fraction(p) for p in parts))
-
     def __repr__(self):
         return "Cyclo(%s, %s, %s, %s)" % tuple(self.to_strings())
 

@@ -22,7 +22,6 @@ raise it, which keeps the exactness guarantee honest in both directions.
 from fractions import Fraction
 
 from .cyclotomic import repeated_squaring
-from .ratfun import RatFun
 
 
 class VarSet:
@@ -301,17 +300,6 @@ class Series:
                 for exp, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        vs = VarSet(obj["vars"], obj["caps"])
-        return cls(
-            vs,
-            (
-                (tuple(t["exp"]), RatFun.from_json(t["coeff"]))
-                for t in obj["terms"]
-            ),
-        )
 
     def _check_vs(self, other):
         if other.vs != self.vs:

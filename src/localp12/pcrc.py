@@ -170,91 +170,6 @@ class CovMap:
             raise ValueError("%r is a cohomology variable of this map" % (name,))
         return ln
 
-    def eval_linear(self, values):
-        """Evaluate the cohomology block at exact target-variable values."""
-        out = {}
-        for n, ln in self.lines:
-            if isinstance(ln, LinearForm):
-                acc = ZERO
-                for v, c in ln.terms:
-                    acc = acc + c * _cyclo(values.get(v, 0))
-                out[n] = acc
-        return out
-
-    def to_json(self):
-        return {
-            "source": list(self.source),
-            "target": list(self.target),
-            "branch": self.branch,
-            "lines": [[n, _line_json(ln)] for n, ln in self.lines],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            tuple(obj["source"]),
-            tuple(obj["target"]),
-            tuple((n, _line_from_json(ln)) for n, ln in obj["lines"]),
-            int(obj["branch"]),
-        )
-
-
-def _form_json(form):
-    return [[n, c.to_strings()] for n, c in form.terms]
-
-
-def _form_from_json(rows):
-    return LinearForm(tuple((r[0], Cyclo.from_strings(r[1])) for r in rows))
-
-
-def _line_json(ln):
-    if isinstance(ln, LinearForm):
-        return {"kind": "linear", "form": _form_json(ln)}
-    if isinstance(ln, ScalarLine):
-        return {"kind": "scalar", "scalar": ln.scalar.to_strings(), "var": ln.var}
-    if isinstance(ln, ExpLine):
-        return {"kind": "exp", "phase": ln.phase.to_strings(), "form": _form_json(ln.form)}
-    if isinstance(ln, LogLine):
-        return {
-            "kind": "log",
-            "premult": ln.premult.to_strings(),
-            "scalar": ln.scalar.to_strings(),
-            "param": ln.param,
-            "branch": ln.branch,
-        }
-    if isinstance(ln, AngleLine):
-        return {
-            "kind": "angle",
-            "phase": ln.phase.to_strings(),
-            "branch": ln.branch,
-            "form": _form_json(ln.form),
-        }
-    raise TypeError("unknown line %r" % (ln,))
-
-
-def _line_from_json(obj):
-    kind = obj["kind"]
-    if kind == "linear":
-        return _form_from_json(obj["form"])
-    if kind == "scalar":
-        return ScalarLine(Cyclo.from_strings(obj["scalar"]), obj["var"])
-    if kind == "exp":
-        return ExpLine(Cyclo.from_strings(obj["phase"]), _form_from_json(obj["form"]))
-    if kind == "log":
-        return LogLine(
-            Cyclo.from_strings(obj["premult"]),
-            Cyclo.from_strings(obj["scalar"]),
-            obj["param"],
-            int(obj["branch"]),
-        )
-    if kind == "angle":
-        return AngleLine(
-            Cyclo.from_strings(obj["phase"]),
-            int(obj["branch"]),
-            _form_from_json(obj["form"]),
-        )
-    raise ValueError("unknown line kind %r" % (kind,))
-
 
 # --------------------------------------------------------------------------
 # the three printed maps

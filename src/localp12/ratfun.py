@@ -410,10 +410,6 @@ class RatFun:
     def to_json(self):
         return {"num": _poly_json(self._n), "den": _poly_json(self._d)}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(_poly_from_json(obj["num"]), _poly_from_json(obj["den"]))
-
     def __repr__(self):
         return "RatFun(%s)" % (self,)
 
@@ -444,12 +440,6 @@ def _poly_json(p):
         [e[0], e[1], p._t[e].to_strings()]
         for e in sorted(p._t, key=_GRLEX, reverse=True)
     ]
-
-
-def _poly_from_json(rows):
-    return Poly2(
-        ((int(r[0]), int(r[1])), Cyclo.from_strings(r[2])) for r in rows
-    )
 
 
 def rf(x):

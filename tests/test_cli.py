@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from localp12 import cli
 from localp12.cli import main
 from localp12.cyclotomic import ZERO
 from localp12.potentials import extended_potential, potential
@@ -322,6 +323,41 @@ def test_config_supplies_invariant_arguments(tmp_path, capsys, values, flags):
     code, from_flags, _ = _run(capsys, "invariants", *flags)
     assert code == 0
     assert from_cfg == from_flags
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("potential", '{"qmax": 1, "qmax": 0, "zorder": 1}', "qmax"),
+    ("eval", '{"at": {"t1": 1, "t1": 2, "t2": 1}}', "t1"),
+    ("eval", '{"at": "t1=1,t2=1", "qmax": 1, "at": "t1=2,t2=1"}', "at"),
+    ("invariants", '{"d": 3, "n2": 3, "n2": 1}', "n2"),
+])
+def test_repeated_config_keys_are_refused(tmp_path, capsys, command, text, key):
+    # raw text: json.dumps cannot write a repeated key
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    code, out, err = _run(capsys, command, "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: config key %r is set twice\n" % key)
+
+
+@pytest.mark.parametrize("value", [["t1=1", "t2=2"], 5, True])
+def test_config_at_must_be_a_string_or_an_object(tmp_path, capsys, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"at": value}))
+    code, out, err = _run(capsys, "eval", "--config", str(cfg))
+    want = "error: at must be a string or an object, got %r\n" % (value,)
+    assert (code, out, err) == (2, "", want)
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["potential"], {"qmax", "zorder", "uorder", "extended", "format"}),
+    (["invariants", "--d", "3", "--n2", "3"], {"d", "n1", "n2", "classes"}),
+    (["verify"], {"qmax", "zorder", "suite"}),
+    (["eval", "--at", "t1=1,t2=2"], {"qmax", "zorder", "uorder", "extended", "at"}),
+])
+def test_merged_config_holds_only_what_the_command_reads(argv, keys):
+    merged = cli._merge(cli._build_parser().parse_args(argv))
+    assert set(vars(merged)) == {"command", "out"} | keys
+    assert merged.command == argv[0]
 
 
 def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):

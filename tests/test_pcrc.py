@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -60,11 +59,6 @@ def test_principal_angle():
 
 def test_printed_map_entries():
     cov = build_cov()
-    assert cov.eval_linear({"z0": 1, "z1": 0, "z2": 0}) == {
-        "y0": ONE,
-        "y1": ZERO,
-        "y2": ZERO,
-    }
     assert cov.quantum("q2") == ScalarLine(I, "q")
     assert cov.quantum("q1") == ExpLine(-ONE, LinearForm.of({"u": I}))
     assert cov.line("y1") == LinearForm.of({"z2": I})
@@ -332,16 +326,6 @@ def test_residual_sides_low_coefficients():
         assert side.coeff((0,)) == rf(I * Fraction(1, 2))
         assert side.coeff((1,)) == rf(Fraction(-1, 4))
     assert lhs == rhs
-
-
-def test_covmap_serialization():
-    maps = [build_cov(), build_covbgp(), build_corollary(), invert(build_cov(), 2)]
-    for m in maps:
-        blob = m.to_json()
-        assert CovMap.from_json(blob) == m
-        a = json.dumps(blob, sort_keys=True)
-        b = json.dumps(m.to_json(), sort_keys=True)
-        assert a == b
 
 
 def test_linearform_algebra():

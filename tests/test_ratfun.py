@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from localp12.cyclotomic import Cyclo, I
-from localp12.mpseries import Series
 from localp12.ratfun import (
     P_ONE,
     P_T1,
@@ -157,10 +156,15 @@ def test_cyclo_coefficients_survive():
 
 def test_pow_and_json_roundtrip():
     r = (RF_T1 + RF_T2) ** 3 / (RF_T1 * 18)
-    assert RatFun.from_json(r.to_json()) == r
-    # a non-canonical blob loads in canonical form
-    blob = {"num": [[1, 0, ["2", "0", "0", "0"]]], "den": [[1, 0, ["2", "0", "0", "0"]]]}
-    assert RatFun.from_json(blob) == RF_ONE
+    assert r.to_json() == {
+        "num": [
+            [3, 0, ["1/18", "0", "0", "0"]],
+            [2, 1, ["1/6", "0", "0", "0"]],
+            [1, 2, ["1/6", "0", "0", "0"]],
+            [0, 3, ["1/18", "0", "0", "0"]],
+        ],
+        "den": [[1, 0, ["1", "0", "0", "0"]]],
+    }
     assert r**0 == RF_ONE
     assert r**-2 == (r * r).inv()
 
@@ -193,12 +197,6 @@ def test_non_homogeneous_denominator_is_refused():
         (RF_ONE + RF_T1).inv()
     with refused:
         RF_ONE / (RF_ONE + RF_T1)
-    one = ["1", "0", "0", "0"]
-    blob = {"num": [[0, 0, one]], "den": [[1, 0, one], [0, 0, one]]}
-    with refused:
-        RatFun.from_json(blob)
-    with refused:
-        Series.from_json({"vars": ["z"], "caps": [2], "terms": [{"exp": [1], "coeff": blob}]})
     with pytest.raises(ZeroDivisionError):
         RatFun(P_ONE, Poly2())
     with pytest.raises(ZeroDivisionError):
