@@ -203,9 +203,12 @@ def _merge(args):
     """
     reads = dict(_COMMANDS[args.command][1], out=None)
     cfg = _load_config(args.config) if args.config else {}
-    for key in cfg:
+    for key, value in cfg.items():
         if key not in reads:
             raise UsageError("config key %r is not read by %s" % (key, args.command))
+        # None is how a flag reads as unset, so a null would pass every check
+        if value is None:
+            raise UsageError("config key %r must not be null" % (key,))
     merged = argparse.Namespace(command=args.command)
     for name, (_, check) in _FLAGS.items():
         if name in reads:

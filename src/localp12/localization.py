@@ -349,8 +349,9 @@ def resummed_even(d, order):
 def assemble_even(d, g):
     """Even-degree invariant, extracted from the resummed series.
 
-    This is the working route for even degrees; the literal fixed-locus
-    product does not close up (see `even_literal_assembly`).
+    This is the check for the even-degree closed form `local_invariant`,
+    which the potential is built from; the literal fixed-locus product does
+    not close up (see `even_literal_assembly`).
     """
     if g < -1:
         raise ValueError("genus must be at least -1, got %r" % (g,))

@@ -7,9 +7,12 @@ The potential splits by curve degree into three layers:
     torus weights t1, t2;
   * stacky: the degree-zero tail in the twisted variable alone, the triple
     antiderivative of half the tangent of z2/2, weighted by -(t1+t2);
-  * quantum: one closed-form term per positive degree d, a sine or cosine
-    of d z2/2 according to the parity of d, carried by e^(d z1) q^d and
-    weighted by (t1+t2).
+  * quantum: for each positive degree d, the coefficient of z1^a z2^b q^d
+    is the invariant <H^a S^b>_d / (a! b!): (t1+t2) times d^a from the
+    divisor class and `local_invariant(d, b)` from the stacky insertions.
+    Summed over a and b this is e^(d z1) times a sine or cosine of d z2/2;
+    `localization` keeps that resummed series only as the independent route
+    that checks the closed form.
 
 Outside the classical cubic every coefficient is (t1+t2) times a rational
 number, so the stacky and quantum layers are built together as one series
@@ -20,8 +23,8 @@ per-variable caps.  The two never share an exponent: the cubic has q-degree
 least 4.  A writer can therefore print each term from exactly one part, and
 `Potential.series()` attaches (t1+t2) to the tail and adds the cubic when a
 `RatFun` series is wanted.  `extended_potential` shifts z2 by a formal angle
-u in both parts, building the tail at a working precision high enough that
-the truncated result is exact.  `gw_invariant` exposes the underlying
+u in both parts, building the tail with a z2 cap high enough that the
+truncated result is exact.  `gw_invariant` exposes the underlying
 numbers directly, with the divisor class H accounted for by degree factors.
 """
 
@@ -29,13 +32,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .localization import (
-    degree0_fixed_point_sum,
-    local_invariant,
-    resummed_even,
-    resummed_odd,
-)
-from .mpseries import Series, VarSet, exp, tan
+from .localization import degree0_fixed_point_sum, local_invariant
+from .mpseries import Series, VarSet, tan
 from .ratfun import RF_T1, RF_T2, RF_ZERO
 
 _CLASS_NAMES = ("1", "H", "S")
@@ -54,18 +52,13 @@ def degree0_triple(classes):
 
 def classical_part():
     """Degree-zero cubic in (z0, z1, z2), one variable per insertion class."""
-    vs = VarSet(("z0", "z1", "z2"), (3, 3, 3))
-    out = Series.zero(vs)
+    terms = {}
     for picks in itertools.combinations_with_replacement(range(3), 3):
         counts = (picks.count(0), picks.count(1), picks.count(2))
-        value = degree0_triple(_CLASS_NAMES[i] for i in picks)
-        if not value:
-            continue
-        weight = Fraction(
-            1, math.factorial(counts[0]) * math.factorial(counts[1]) * math.factorial(counts[2])
-        )
-        out = out + Series(vs, {counts: value * weight})
-    return out
+        weight = Fraction(1, math.prod(map(math.factorial, counts)))
+        terms[counts] = degree0_triple(_CLASS_NAMES[i] for i in picks) * weight
+    # the vanishing triples are dropped by the constructor
+    return Series(VarSet(("z0", "z1", "z2"), (3, 3, 3)), terms)
 
 
 def g_series(order):
@@ -88,27 +81,32 @@ def stacky_part(order):
     return g_series(order).scale(-_LEVEL)
 
 
-def _rational_tail(qmax, zorder):
+def _plain_caps(qmax, zorder):
+    return VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax))
+
+
+def _rational_tail(vs):
     """The potential minus its classical cubic, divided by (t1+t2): over Q.
 
-    Degree d contributes R_d(z2) e^(d z1) q^d, whose coefficient at
-    z1^a z2^b q^d is e^(d z1)[a] * R_d[b]; each block is written out as
-    that outer product.
+    Built on vs, caps for (z0, z1, z2, q).  The q^0 row is -G; at d >= 1 the
+    coefficient of z1^a z2^b q^d is <H^a S^b>_d / (a! b!) without its
+    (t1+t2), that is d^a/a! * local_invariant(d, b)/b! when b = d (mod 2).
     """
-    vs = VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax))
-    out = {(0, 0, b, 0): -c for (b,), c in g_series(zorder).terms()}
-    z1 = Series.variable(VarSet(("z1",), (zorder,)), "z1")
+    _, z1_cap, z2_cap, qmax = vs.caps
+    out = {(0, 0, b, 0): -c for (b,), c in g_series(z2_cap).terms()}
     for d in range(1, qmax + 1):
-        wave = (resummed_odd if d % 2 else resummed_even)(d, zorder).terms()
-        for (a,), ca in exp(z1.scale(d)).terms():
-            for (b,), cb in wave:
-                out[(0, a, b, d)] = ca * cb
+        stacky = [(b, local_invariant(d, b) / math.factorial(b))
+                  for b in range(d % 2, z2_cap + 1, 2)]
+        for a in range(z1_cap + 1):
+            divisor = Fraction(d**a, math.factorial(a))
+            for b, c in stacky:
+                out[(0, a, b, d)] = divisor * c
     return Series(vs, out)
 
 
 def quantum_part(qmax, zorder):
     """All positive-degree terms up to q^qmax, z-variables capped at zorder."""
-    tail = _rational_tail(qmax, zorder)
+    tail = _rational_tail(_plain_caps(qmax, zorder))
     # the terms of positive q-degree; those of q-degree 0 are -G
     return Series(tail.vs, {e: c * _LEVEL for e, c in tail.terms() if e[3]})
 
@@ -134,17 +132,17 @@ def potential(qmax, zorder):
     """Full potential in (z0, z1, z2, q) with per-variable caps, as a `Potential`."""
     if qmax < 0 or zorder < 0:
         raise ValueError("caps must be nonnegative")
-    tail = _rational_tail(qmax, zorder)
+    tail = _rational_tail(_plain_caps(qmax, zorder))
     return Potential(tail.vs, classical_part().into(tail.vs), tail)
 
 
 def extended_potential(qmax, zorder, uorder):
     """Potential with z2 shifted by the formal angle u.
 
-    The rational tail is built at working z2-cap zorder + uorder before the
-    shift, which is exactly enough for every retained coefficient of
-    z2^a u^b to be exact; the classical cubic is a polynomial and needs no
-    margin.
+    The rational tail is built at z2-cap zorder + uorder before the shift,
+    which is exactly enough for every retained coefficient of z2^a u^b to be
+    exact; the shift leaves z0, z1 and q alone, so their caps need no margin,
+    and the classical cubic is a polynomial and needs none either.
     """
     if qmax < 0 or zorder < 0 or uorder < 0:
         raise ValueError("caps must be nonnegative")
@@ -152,7 +150,8 @@ def extended_potential(qmax, zorder, uorder):
         ("z0", "z1", "z2", "q", "u"), (zorder, zorder, zorder, qmax, uorder)
     )
     shift = {"z2": Series.variable(target, "z2") + Series.variable(target, "u")}
-    tail = _rational_tail(qmax, zorder + uorder).substitute(shift, target)
+    tail = _rational_tail(_plain_caps(qmax, zorder).with_cap("z2", zorder + uorder))
+    tail = tail.substitute(shift, target)
     return Potential(target, classical_part().substitute(shift, target), tail)
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -348,6 +349,23 @@ def test_config_at_must_be_a_string_or_an_object(tmp_path, capsys, value):
     assert (code, out, err) == (2, "", want)
 
 
+@pytest.mark.parametrize("command, values", [
+    (command, {key: None}) for command, (_, reads, _) in cli._COMMANDS.items()
+    for key in (*reads, "out")
+] + [
+    ("verify", {"zorder": 4, "qmax": None}),
+    ("eval", {"extended": None, "at": "t1=1,t2=1"}),
+    ("invariants", {"d": 3, "n2": None}),
+])
+def test_config_null_is_refused(tmp_path, capsys, command, values):
+    # a null once read as "flag not given" and reached the command unchecked
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = _run(capsys, command, "--config", str(cfg))
+    key = next(k for k, v in values.items() if v is None)
+    assert (code, out, err) == (2, "", "error: config key %r must not be null\n" % key)
+
+
 @pytest.mark.parametrize("argv, keys", [
     (["potential"], {"qmax", "zorder", "uorder", "extended", "format"}),
     (["invariants", "--d", "3", "--n2", "3"], {"d", "n1", "n2", "classes"}),
@@ -514,3 +532,45 @@ def test_numbers_near_the_digit_limit_still_print(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert (code, err) == (0, "")
     assert len(out) > sys.get_int_max_str_digits()
+
+
+# -- golden digests: (argv, sha1 of stdout, sha1 of stderr, exit code), first
+# 12 hex digits each; da39a3ee5e6b is the empty stream.  Any change here is a
+# change of the CLI's bytes and must be deliberate.
+
+_GOLDEN = [
+    (["potential"], "f7eedf3d893d", "da39a3ee5e6b", 0),
+    (["potential", "--format", "csv"], "d15df7c766f3", "da39a3ee5e6b", 0),
+    (["potential", "--extended"], "1c762807e5d0", "da39a3ee5e6b", 0),
+    (["potential", "--extended", "--format", "csv"], "343d8048cf31", "da39a3ee5e6b", 0),
+    (["potential", "--extended", "--qmax", "5", "--zorder", "7", "--uorder", "5"],
+     "9a44cf9ae96f", "da39a3ee5e6b", 0),
+    (["potential", "--qmax", "12", "--zorder", "14", "--format", "csv"],
+     "352e5d7c691d", "da39a3ee5e6b", 0),
+    (["potential", "--qmax", "0", "--zorder", "3", "--format", "csv"],
+     "be017911ffad", "da39a3ee5e6b", 0),
+    (["verify"], "6164a4e3e7e6", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "bracket", "--qmax", "10", "--zorder", "9"],
+     "dbb0c88657af", "da39a3ee5e6b", 0),
+    (["eval", "--at", "t1=1,t2=2,z2=1/3"], "8355c20fd8e7", "da39a3ee5e6b", 0),
+    (["eval", "--at", "t1=1,t2=2,z2=1/3,u=1/5", "--extended"],
+     "a5df182e5661", "da39a3ee5e6b", 0),
+    (["eval", "--at", "t1=3/7,t2=-2/5,z0=1/2,z1=1/3,z2=1/4,q=1/5"],
+     "19c967c8da19", "da39a3ee5e6b", 0),
+    (["invariants", "--d", "0", "--classes", "H,H,H"], "4b55a256f1b8", "da39a3ee5e6b", 0),
+    (["invariants", "--d", "3", "--n2", "3"], "e53299e564c5", "da39a3ee5e6b", 0),
+    (["invariants", "--d", "4", "--n1", "2", "--n2", "2"], "ddb3f545d06b", "da39a3ee5e6b", 0),
+    (["invariants", "--d", "1", "--n2", "0"], "da39a3ee5e6b", "b7957c26198e", 2),
+    (["eval", "--at", "t1=0,t2=1"], "da39a3ee5e6b", "d066406546db", 1),
+]
+
+
+def _sha(text):
+    return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("argv, out_sha, err_sha, want", _GOLDEN,
+                         ids=[" ".join(g[0]) for g in _GOLDEN])
+def test_cli_bytes_match_the_golden_digests(capsys, argv, out_sha, err_sha, want):
+    code, out, err = _run(capsys, *argv)
+    assert (_sha(out), _sha(err), code) == (out_sha, err_sha, want)

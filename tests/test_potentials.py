@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from localp12.localization import local_invariant, quantum_sign
-from localp12.mpseries import VarSet
+from localp12 import potentials
+from localp12.localization import local_invariant, quantum_sign, resummed_even, resummed_odd
+from localp12.mpseries import Series, VarSet, exp
 from localp12.potentials import (
     classical_part,
     degree0_triple,
@@ -220,3 +221,43 @@ def test_cubic_and_tail_supports_are_disjoint(caps):
     q = pot.vs.index("q")
     assert all(e[q] == 0 and sum(e) <= 3 for e in cubic)
     assert all(isinstance(r, (int, Fraction)) for _, r in pot.tail.terms())
+
+
+def _resummed_tail(qmax, zorder, uorder=None):
+    """The tail from the resummed route: -G, and exp(d z1) * sin or cos(d z2/2).
+
+    In the extended case every cap is raised to zorder + uorder before the
+    shift z2 -> z2 + u, which then truncates to the target caps.
+    """
+    work = zorder if uorder is None else zorder + uorder
+    out = {(0, 0, b, 0): -c for (b,), c in g_series(work).terms()}
+    z1 = Series.variable(VarSet(("z1",), (work,)), "z1")
+    for d in range(1, qmax + 1):
+        wave = (resummed_odd if d % 2 else resummed_even)(d, work).terms()
+        for (a,), ca in exp(z1.scale(d)).terms():
+            for (b,), cb in wave:
+                out[(0, a, b, d)] = ca * cb
+    tail = Series(VarSet(("z0", "z1", "z2", "q"), (work, work, work, qmax)), out)
+    if uorder is None:
+        return tail
+    target = VarSet(("z0", "z1", "z2", "q", "u"), (zorder, zorder, zorder, qmax, uorder))
+    shift = {"z2": Series.variable(target, "z2") + Series.variable(target, "u")}
+    return tail.substitute(shift, target)
+
+
+@pytest.mark.parametrize("caps", [
+    (0, 6), (1, 1), (4, 0), (3, 5), (6, 9), (2, 3, 0), (3, 4, 2), (1, 2, 5),
+])
+def test_tail_equals_the_resummed_route_term_by_term(caps):
+    pot = extended_potential(*caps) if len(caps) == 3 else potential(*caps)
+    want = _resummed_tail(*caps)
+    assert pot.tail.vs == want.vs
+    assert dict(pot.tail.terms()) == dict(want.terms())
+
+
+def test_extended_tail_takes_a_margin_in_z2_only(monkeypatch):
+    seen = []
+    build = potentials._rational_tail
+    monkeypatch.setattr(potentials, "_rational_tail", lambda vs: seen.append(vs) or build(vs))
+    extended_potential(2, 4, 3)
+    assert seen == [VarSet(("z0", "z1", "z2", "q"), (4, 4, 7, 2))]
