@@ -186,10 +186,10 @@ class OddAssembly:
         return self.total.value()
 
 
-def odd_assembly(d, g, table=None):
+def odd_assembly(d, g):
     if g < 0:
         raise ValueError("genus must be nonnegative, got %r" % (g,))
-    half, one, tangent = odd_weight_families(d, table)
+    half, one, tangent = odd_weight_families(d)
 
     edge = S_ONE
     for w in half:
@@ -204,9 +204,9 @@ def odd_assembly(d, g, table=None):
     return OddAssembly(d, g, edge, vertex, node, Fraction(1, d), COVER_INTEGRAL)
 
 
-def assemble_odd(d, g, table=None):
+def assemble_odd(d, g):
     """The genus-g, degree-d local invariant with 2g+1 stacky insertions."""
-    return odd_assembly(d, g, table).value
+    return odd_assembly(d, g).value
 
 
 # --------------------------------------------------------------------------
@@ -401,6 +401,17 @@ TORUS_WEIGHTS = TorusWeights(
 _CLASSES = ("1", "H", "S")
 
 
+def degree0_classes(classes):
+    """classes as a tuple of three names from `_CLASSES`; ValueError otherwise."""
+    classes = tuple(classes)
+    if len(classes) != 3:
+        raise ValueError("expected three insertion classes, got %r" % (classes,))
+    for c in classes:
+        if c not in _CLASSES:
+            raise ValueError("unknown insertion class %r" % (c,))
+    return classes
+
+
 def degree0_fixed_point_sum(classes, weights=None):
     """Three-point degree-zero invariant of the listed insertion classes.
 
@@ -409,12 +420,7 @@ def degree0_fixed_point_sum(classes, weights=None):
     number of them is rejected since those invariants vanish for parity
     reasons and are handled upstream.
     """
-    classes = tuple(classes)
-    if len(classes) != 3:
-        raise ValueError("expected three insertion classes, got %r" % (classes,))
-    for c in classes:
-        if c not in _CLASSES:
-            raise ValueError("unknown insertion class %r" % (c,))
+    classes = degree0_classes(classes)
     w = weights or TORUS_WEIGHTS
 
     stacky = classes.count("S")
@@ -470,30 +476,32 @@ def degree0_suite():
     return SuiteReport("degree0", cases)
 
 
-def resummation_suite(odd_dmax=9, even_dmax=8, gmax=4):
+#: the (d, g) cases the resummation and assembly suites walk, odd then even
+_ODD_GRID = [(d, g) for d in range(1, 10, 2) for g in range(0, 5)]
+_EVEN_GRID = [(d, g) for d in range(2, 9, 2) for g in range(-1, 5)]
+
+
+def resummation_suite():
     """Compare series extraction against the direct closed form."""
     cases = []
-    for d in range(1, odd_dmax + 1, 2):
-        for g in range(0, gmax + 1):
-            n = 2 * g + 1
-            series = resummed_odd(d, n)
-            got = math.factorial(n) * series.coeff((n,))
-            want = local_invariant(d, n)
-            cases.append(
-                _case("odd d=%d g=%d" % (d, g), got == want, {"value": str(want)}, got, want, n)
-            )
-    for d in range(2, even_dmax + 1, 2):
-        for g in range(-1, gmax + 1):
-            n = 2 * g + 2
-            got = assemble_even(d, g)
-            want = local_invariant(d, n)
-            cases.append(
-                _case("even d=%d g=%d" % (d, g), got == want, {"value": str(want)}, got, want, n)
-            )
+    for d, g in _ODD_GRID:
+        n = 2 * g + 1
+        got = math.factorial(n) * resummed_odd(d, n).coeff((n,))
+        want = local_invariant(d, n)
+        cases.append(
+            _case("odd d=%d g=%d" % (d, g), got == want, {"value": str(want)}, got, want, n)
+        )
+    for d, g in _EVEN_GRID:
+        n = 2 * g + 2
+        got = assemble_even(d, g)
+        want = local_invariant(d, n)
+        cases.append(
+            _case("even d=%d g=%d" % (d, g), got == want, {"value": str(want)}, got, want, n)
+        )
     return SuiteReport("resummation", cases)
 
 
-def assembly_suite(odd_dmax=9, even_dmax=8, gmax=4):
+def assembly_suite():
     """Odd assembly against the closed form; even literal product recorded.
 
     Even-degree cases pass when the product shows exactly the documented
@@ -501,31 +509,29 @@ def assembly_suite(odd_dmax=9, even_dmax=8, gmax=4):
     change in that behavior is what fails them.
     """
     cases = []
-    for d in range(1, odd_dmax + 1, 2):
-        for g in range(0, gmax + 1):
-            n = 2 * g + 1
-            total = odd_assembly(d, g).total
-            want = local_invariant(d, n)
-            ok = total.is_constant and total.coeff == want
-            info = {"s_exponent": str(total.s_exp), "value": str(total.coeff)}
-            cases.append(_case("odd d=%d g=%d" % (d, g), ok, info, total.coeff, want, n))
-    for d in range(2, even_dmax + 1, 2):
-        for g in range(-1, gmax + 1):
-            report = even_literal_assembly(d, g)
-            expected_imbalance = (
-                report.s_exponent == Fraction(-1, 2) and not report.matches
-            )
-            info = {
-                "rational": str(report.rational),
-                "s_exponent": str(report.s_exponent),
-                "root2d_exponent": str(report.root2d_exponent),
-                "rootd_exponent": str(report.rootd_exponent),
-                "closed_form": str(report.closed_form),
-                "matches": report.matches,
-            }
-            # what is compared is the net s-exponent, which must stay -1/2
-            cases.append(
-                _case("even-literal d=%d g=%d" % (d, g), expected_imbalance, info,
-                      report.s_exponent, Fraction(-1, 2), 2 * g + 2)
-            )
+    for d, g in _ODD_GRID:
+        n = 2 * g + 1
+        total = odd_assembly(d, g).total
+        want = local_invariant(d, n)
+        ok = total.is_constant and total.coeff == want
+        info = {"s_exponent": str(total.s_exp), "value": str(total.coeff)}
+        cases.append(_case("odd d=%d g=%d" % (d, g), ok, info, total.coeff, want, n))
+    for d, g in _EVEN_GRID:
+        report = even_literal_assembly(d, g)
+        expected_imbalance = (
+            report.s_exponent == Fraction(-1, 2) and not report.matches
+        )
+        info = {
+            "rational": str(report.rational),
+            "s_exponent": str(report.s_exponent),
+            "root2d_exponent": str(report.root2d_exponent),
+            "rootd_exponent": str(report.rootd_exponent),
+            "closed_form": str(report.closed_form),
+            "matches": report.matches,
+        }
+        # what is compared is the net s-exponent, which must stay -1/2
+        cases.append(
+            _case("even-literal d=%d g=%d" % (d, g), expected_imbalance, info,
+                  report.s_exponent, Fraction(-1, 2), 2 * g + 2)
+        )
     return SuiteReport("assembly", cases)

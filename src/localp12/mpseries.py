@@ -314,22 +314,6 @@ class Series:
     def __repr__(self):
         return "Series(%r, %d terms)" % (self.vs, len(self._t))
 
-    def __str__(self):
-        if not self._t:
-            return "0"
-        parts = []
-        for exp, c in self.sorted_terms():
-            mon = "*".join(
-                n if e == 1 else "%s^%d" % (n, e)
-                for n, e in zip(self.vs.names, exp)
-                if e
-            )
-            cs = str(c)
-            if ("+" in cs[1:]) or ("-" in cs[1:]) or "/" in cs:
-                cs = "(%s)" % cs
-            parts.append((cs + "*" + mon) if mon else cs)
-        return " + ".join(parts)
-
 
 # -- analytic functions of a series -------------------------------------
 #

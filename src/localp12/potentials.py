@@ -23,20 +23,18 @@ per-variable caps.  The two never share an exponent: the cubic has q-degree
 least 4.  A writer can therefore print each term from exactly one part, and
 `Potential.series()` attaches (t1+t2) to the tail and adds the cubic when a
 `RatFun` series is wanted.  `extended_potential` shifts z2 by a formal angle
-u in both parts, building the tail with a z2 cap high enough that the
-truncated result is exact.  `gw_invariant` exposes the underlying
-numbers directly, with the divisor class H accounted for by degree factors.
+u: the cubic by substitution, the tail written from its coefficients in
+theta = z2 + u.  `gw_invariant` exposes the underlying numbers directly,
+with the divisor class H accounted for by degree factors.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from .localization import degree0_fixed_point_sum, local_invariant
+from .localization import _CLASSES, degree0_classes, degree0_fixed_point_sum, local_invariant
 from .mpseries import Series, VarSet, tan
 from .ratfun import RF_T1, RF_T2, RF_ZERO
-
-_CLASS_NAMES = ("1", "H", "S")
 
 #: the weight (t1+t2) carried by every term outside the classical cubic
 _LEVEL = RF_T1 + RF_T2
@@ -44,7 +42,7 @@ _LEVEL = RF_T1 + RF_T2
 
 def degree0_triple(classes):
     """Three-point degree-zero invariant, including the vanishing ones."""
-    classes = tuple(classes)
+    classes = degree0_classes(classes)
     if classes.count("S") % 2:
         return RF_ZERO
     return degree0_fixed_point_sum(classes)
@@ -56,7 +54,7 @@ def classical_part():
     for picks in itertools.combinations_with_replacement(range(3), 3):
         counts = (picks.count(0), picks.count(1), picks.count(2))
         weight = Fraction(1, math.prod(map(math.factorial, counts)))
-        terms[counts] = degree0_triple(_CLASS_NAMES[i] for i in picks) * weight
+        terms[counts] = degree0_triple(_CLASSES[i] for i in picks) * weight
     # the vanishing triples are dropped by the constructor
     return Series(VarSet(("z0", "z1", "z2"), (3, 3, 3)), terms)
 
@@ -88,19 +86,31 @@ def _plain_caps(qmax, zorder):
 def _rational_tail(vs):
     """The potential minus its classical cubic, divided by (t1+t2): over Q.
 
-    Built on vs, caps for (z0, z1, z2, q).  The q^0 row is -G; at d >= 1 the
-    coefficient of z1^a z2^b q^d is <H^a S^b>_d / (a! b!) without its
-    (t1+t2), that is d^a/a! * local_invariant(d, b)/b! when b = d (mod 2).
+    Built on vs, caps for (z0, z1, z2, q) or, extended, (z0, z1, z2, q, u),
+    where u enters only through theta = z2 + u and theta^n/n! is the sum of
+    z2^b u^c/(b! c!) over b + c = n.  The q^0 row is -G_n n!/(b! c!); at d >= 1
+    the coefficient of z1^a z2^b u^c q^d is <H^a S^n>_d/(a! b! c!) without its
+    (t1+t2), that is d^a/a! * local_invariant(d, n)/(b! c!) when n = d (mod 2).
     """
-    _, z1_cap, z2_cap, qmax = vs.caps
-    out = {(0, 0, b, 0): -c for (b,), c in g_series(z2_cap).terms()}
-    for d in range(1, qmax + 1):
-        stacky = [(b, local_invariant(d, b) / math.factorial(b))
-                  for b in range(d % 2, z2_cap + 1, 2)]
-        for a in range(z1_cap + 1):
+    z1_cap, z2_cap, qmax = vs.caps[1:4]
+    u_cap = sum(vs.caps[4:])  # 0 on the plain caps
+    top = z2_cap + u_cap
+    out = {}
+    for d in range(qmax + 1):
+        # n! times the coefficient of theta^n q^d at z1 = 0
+        if d:
+            row = [(n, local_invariant(d, n)) for n in range(d % 2, top + 1, 2)]
+        else:
+            row = [(n, -c * math.factorial(n)) for (n,), c in g_series(top).terms()]
+        # theta^n split into z2^b u^c; the exponents end (z2, q) or (z2, q, u)
+        row = [((b, d, n - b)[:len(vs.caps) - 2],
+                v / (math.factorial(b) * math.factorial(n - b)))
+               for n, v in row for b in range(max(0, n - u_cap), min(n, z2_cap) + 1)]
+        out.update(((0, 0) + e, w) for e, w in row)  # z1^0 takes no divisor
+        for a in range(1, z1_cap + 1 if d else 1):
             divisor = Fraction(d**a, math.factorial(a))
-            for b, c in stacky:
-                out[(0, a, b, d)] = divisor * c
+            for e, w in row:
+                out[(0, a) + e] = divisor * w
     return Series(vs, out)
 
 
@@ -139,10 +149,8 @@ def potential(qmax, zorder):
 def extended_potential(qmax, zorder, uorder):
     """Potential with z2 shifted by the formal angle u.
 
-    The rational tail is built at z2-cap zorder + uorder before the shift,
-    which is exactly enough for every retained coefficient of z2^a u^b to be
-    exact; the shift leaves z0, z1 and q alone, so their caps need no margin,
-    and the classical cubic is a polynomial and needs none either.
+    The tail is written straight from its theta = z2 + u coefficients; only
+    the classical cubic, a polynomial, goes through the shift.
     """
     if qmax < 0 or zorder < 0 or uorder < 0:
         raise ValueError("caps must be nonnegative")
@@ -150,9 +158,8 @@ def extended_potential(qmax, zorder, uorder):
         ("z0", "z1", "z2", "q", "u"), (zorder, zorder, zorder, qmax, uorder)
     )
     shift = {"z2": Series.variable(target, "z2") + Series.variable(target, "u")}
-    tail = _rational_tail(_plain_caps(qmax, zorder).with_cap("z2", zorder + uorder))
-    tail = tail.substitute(shift, target)
-    return Potential(target, classical_part().substitute(shift, target), tail)
+    cubic = classical_part().substitute(shift, target)
+    return Potential(target, cubic, _rational_tail(target))
 
 
 def gw_invariant(n1, n2, d):

@@ -140,6 +140,16 @@ def test_invariants_parity_rejected(capsys):
     assert "parity" in err
 
 
+@pytest.mark.parametrize("classes, message", [
+    ("X,S,1", "unknown insertion class 'X'"),
+    ("S", "expected three insertion classes, got ('S',)"),
+    ("S,S,S,S,S", "expected three insertion classes, got ('S', 'S', 'S', 'S', 'S')"),
+], ids=["X,S,1", "S", "S,S,S,S,S"])
+def test_degree_zero_classes_are_checked_before_the_parity_rule(capsys, classes, message):
+    got = _run(capsys, "invariants", "--d", "0", "--classes", classes)
+    assert got == (2, "", "error: %s\n" % message)
+
+
 def test_invariants_classes_need_degree_zero(capsys):
     code, _, _ = _run(capsys, "invariants", "--d", "2", "--classes", "1,1,1")
     assert code == 2
@@ -545,6 +555,8 @@ _GOLDEN = [
     (["potential", "--extended", "--format", "csv"], "343d8048cf31", "da39a3ee5e6b", 0),
     (["potential", "--extended", "--qmax", "5", "--zorder", "7", "--uorder", "5"],
      "9a44cf9ae96f", "da39a3ee5e6b", 0),
+    (["potential", "--extended", "--qmax", "3", "--zorder", "1", "--uorder", "6",
+      "--format", "csv"], "3d3eccca2a76", "da39a3ee5e6b", 0),
     (["potential", "--qmax", "12", "--zorder", "14", "--format", "csv"],
      "352e5d7c691d", "da39a3ee5e6b", 0),
     (["potential", "--qmax", "0", "--zorder", "3", "--format", "csv"],

@@ -247,6 +247,7 @@ def _resummed_tail(qmax, zorder, uorder=None):
 
 @pytest.mark.parametrize("caps", [
     (0, 6), (1, 1), (4, 0), (3, 5), (6, 9), (2, 3, 0), (3, 4, 2), (1, 2, 5),
+    (2, 0, 5), (3, 1, 6),
 ])
 def test_tail_equals_the_resummed_route_term_by_term(caps):
     pot = extended_potential(*caps) if len(caps) == 3 else potential(*caps)
@@ -255,9 +256,14 @@ def test_tail_equals_the_resummed_route_term_by_term(caps):
     assert dict(pot.tail.terms()) == dict(want.terms())
 
 
-def test_extended_tail_takes_a_margin_in_z2_only(monkeypatch):
-    seen = []
-    build = potentials._rational_tail
-    monkeypatch.setattr(potentials, "_rational_tail", lambda vs: seen.append(vs) or build(vs))
-    extended_potential(2, 4, 3)
-    assert seen == [VarSet(("z0", "z1", "z2", "q"), (4, 4, 7, 2))]
+def test_extended_potential_shifts_only_the_cubic(monkeypatch):
+    """The tail is written on the target caps; `substitute` sees the cubic alone."""
+    tails, shifted = [], []
+    build, substitute = potentials._rational_tail, Series.substitute
+    monkeypatch.setattr(potentials, "_rational_tail", lambda vs: tails.append(vs) or build(vs))
+    monkeypatch.setattr(
+        Series, "substitute", lambda self, *a: shifted.append(self.vs) or substitute(self, *a)
+    )
+    pot = extended_potential(2, 4, 3)
+    assert tails == [VarSet(("z0", "z1", "z2", "q", "u"), (4, 4, 4, 2, 3))] == [pot.vs]
+    assert shifted == [classical_part().vs]
