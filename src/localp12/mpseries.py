@@ -9,7 +9,10 @@ in the field its inputs live in.  A missing coefficient reads as 0.
 A VarSet fixes an ordered tuple of variable names and one truncation cap
 per variable. A Series stores only exponents within the caps; arithmetic
 silently discards anything beyond a cap and never corrupts what is kept,
-so a result is exact to its caps whenever its inputs were.
+so a result is exact to its caps whenever its inputs were.  `Series(vs,
+terms)` is the one public constructor and checks every exponent; the
+package's own results, whose dicts are already within the caps and free of
+zeros, are wrapped by the internal `Series._of` without a second check.
 
 Caps are per variable rather than total degree: the curve-degree variable
 q wants its own bound independent of the analytic orders in the z and u
@@ -106,6 +109,19 @@ class Series:
         exp[vs.index(name)] = 1
         return cls(vs, {tuple(exp): 1})
 
+    @staticmethod
+    def _of(vs, terms):
+        """A series on vs that takes the dict terms as it is, unchecked.
+
+        Only for dicts the package built itself: each exponent a tuple of
+        ints within vs.caps, no zero coefficient, and no other holder that
+        will change the dict.  Everything else goes through `Series(vs, terms)`.
+        """
+        s = Series.__new__(Series)
+        s.vs = vs
+        s._t = terms
+        return s
+
     # -- ring structure ---------------------------------------------------
 
     def __bool__(self):
@@ -128,10 +144,10 @@ class Series:
                 out[exp] = c
             elif exp in out:
                 del out[exp]
-        return self._wrap(out)
+        return Series._of(self.vs, out)
 
     def __neg__(self):
-        return self._wrap({e: -c for e, c in self._t.items()})
+        return Series._of(self.vs, {e: -c for e, c in self._t.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Series):
@@ -156,12 +172,12 @@ class Series:
                     out[exp] = c
                 elif exp in out:
                     del out[exp]
-        return self._wrap(out)
+        return Series._of(self.vs, out)
 
     def scale(self, c):
         if not c:
-            return Series(self.vs)
-        return self._wrap({e: v * c for e, v in self._t.items()})
+            return Series._of(self.vs, {})
+        return Series._of(self.vs, {e: v * c for e, v in self._t.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -181,7 +197,7 @@ class Series:
             if exp[i]:
                 e2 = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
                 out[e2] = c * exp[i]
-        return Series(vs2, out)
+        return Series._of(vs2, out)
 
     def integrate(self, name):
         """Antiderivative in name with zero constant of integration."""
@@ -191,7 +207,7 @@ class Series:
         for exp, c in self._t.items():
             e2 = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
             out[e2] = c * Fraction(1, exp[i] + 1)
-        return Series(vs2, out)
+        return Series._of(vs2, out)
 
     # -- structure maps -------------------------------------------------------
 
@@ -247,7 +263,7 @@ class Series:
                     acc[pe] = v
                 elif pe in acc:
                     del acc[pe]
-        return Series(target, acc)
+        return Series._of(target, acc)
 
     def into(self, target):
         """Recoordinatize on target: reorder/add variables, prune to its caps.
@@ -270,7 +286,7 @@ class Series:
             if any(e > cap for e, cap in zip(exp2, target.caps)):
                 continue
             out[exp2] = c
-        return Series(target, out)
+        return Series._of(target, out)
 
     # -- views ------------------------------------------------------------
 
@@ -304,12 +320,6 @@ class Series:
     def _check_vs(self, other):
         if other.vs != self.vs:
             raise ValueError("variable sets differ: %r vs %r" % (self.vs, other.vs))
-
-    def _wrap(self, terms):
-        s = Series.__new__(Series)
-        s.vs = self.vs
-        s._t = terms
-        return s
 
     def __repr__(self):
         return "Series(%r, %d terms)" % (self.vs, len(self._t))

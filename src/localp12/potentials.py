@@ -26,8 +26,13 @@ least 4.  A writer can therefore print each term from exactly one part, and
 u: the cubic by substitution, the tail written from its coefficients in
 theta = z2 + u.  `gw_invariant` exposes the underlying numbers directly,
 with the divisor class H accounted for by degree factors.
+
+The degree-zero values and the classical cubic depend on no input, so each
+is computed once per process and the same object is handed to every caller;
+`Series` and `RatFun` have no mutators, so sharing them is safe.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -42,12 +47,18 @@ _LEVEL = RF_T1 + RF_T2
 
 def degree0_triple(classes):
     """Three-point degree-zero invariant, including the vanishing ones."""
-    classes = degree0_classes(classes)
+    return _degree0_value(tuple(sorted(degree0_classes(classes))))
+
+
+@functools.cache
+def _degree0_value(classes):
+    """`degree0_triple` of a sorted, checked class tuple, once per process."""
     if classes.count("S") % 2:
         return RF_ZERO
     return degree0_fixed_point_sum(classes)
 
 
+@functools.cache
 def classical_part():
     """Degree-zero cubic in (z0, z1, z2), one variable per insertion class."""
     terms = {}
@@ -111,7 +122,7 @@ def _rational_tail(vs):
             divisor = Fraction(d**a, math.factorial(a))
             for e, w in row:
                 out[(0, a) + e] = divisor * w
-    return Series(vs, out)
+    return Series._of(vs, out)
 
 
 def quantum_part(qmax, zorder):

@@ -11,7 +11,7 @@ import pytest
 from localp12 import cli
 from localp12.cli import main
 from localp12.cyclotomic import ZERO
-from localp12.potentials import extended_potential, potential
+from localp12.potentials import classical_part, extended_potential, potential
 from localp12.ratfun import RatFun
 
 
@@ -455,16 +455,23 @@ def _count_ratfun_ops(monkeypatch):
     ((1, 3, 2), (4, 7, 6), "json"),
 ])
 def test_table_makes_a_fixed_number_of_ratfun_operations(monkeypatch, capsys, small, big, fmt):
+    classical_part.cache_clear()
     count = _count_ratfun_ops(monkeypatch)
     seen = []
-    for caps in (small, big):
+    for caps in (small, small, big):
         before = count[0]
         code, out, _ = _run(capsys, "potential", *_cap_argv(caps), "--format", fmt)
         assert code == 0
         seen.append(count[0] - before)
-    # the classical cubic costs the same at any cap from 3 up; no tail term adds any
-    assert seen[0] == seen[1]
-    assert 0 < 5 * seen[1] < len(_record(big).tail.terms())
+    # only the first table builds the classical cubic; a warm one makes no
+    # RatFun operation, except that an extended one shifts the cubic, which
+    # costs the same at any cap from 3 up; no tail term adds any
+    assert seen[0] > 0
+    assert seen[1] == seen[2]
+    if len(big) == 2:
+        assert seen[2] == 0
+    else:
+        assert 0 < 5 * seen[2] < len(_record(big).tail.terms())
 
 
 def _series_value(series, at):

@@ -6,6 +6,7 @@ import pytest
 from localp12 import mpseries as mp
 from localp12.cyclotomic import I
 from localp12.mpseries import Series, VarSet
+from localp12.potentials import classical_part, extended_potential, potential
 from localp12.ratfun import RF_ONE, RF_T1, RF_T2, rf
 
 
@@ -264,3 +265,43 @@ def test_into_reorders_and_raises_on_lost_variables():
     with pytest.raises(ValueError):
         f.into(narrow)
     assert g.into(vs) == f
+
+
+def _assert_canonical(s):
+    """s is what the checking constructor makes of its own terms."""
+    assert Series(s.vs, dict(s.terms())) == s
+    for e, c in s.terms():
+        assert c
+        assert type(e) is tuple and len(e) == len(s.vs.caps)
+        assert all(type(k) is int and 0 <= k <= cap for k, cap in zip(e, s.vs.caps))
+
+
+@pytest.mark.parametrize("caps", [(0, 0), (1, 4), (3, 6), (0, 0, 0), (2, 3, 1), (1, 2, 5), (3, 1, 4)])
+def test_built_potentials_are_canonical(caps):
+    pot = extended_potential(*caps) if len(caps) == 3 else potential(*caps)
+    _assert_canonical(pot.tail)
+    _assert_canonical(pot.cubic)
+    _assert_canonical(pot.series())
+
+
+def test_unchecked_results_are_canonical():
+    rng = random.Random(13)
+    vs = VarSet(("a", "b", "c"), (3, 2, 4))
+    target = VarSet(("x", "y"), (3, 2))
+    x, y = Series.variable(target, "x"), Series.variable(target, "y")
+    images = [x + y, x * y.scale(Fraction(1, 3)) - y, y.scale(I) + Series.constant(target, 2)]
+    results = [
+        classical_part().into(VarSet(("q", "z2", "z1", "z0"), (1, 1, 2, 3))),
+        classical_part().into(VarSet(("z0", "z1", "z2"), (1, 2, 2))),
+    ]
+    for _ in range(20):
+        f, g = rand_series(rng, vs), rand_series(rng, vs)
+        results += [f + g, f - f, f - g, -f, f * g, f.scale(Fraction(-2, 3)), f.scale(0)]
+        results.append(f.into(VarSet(("c", "b", "a", "d"), (2, 2, 1, 1))))
+        results.append(f.expand(images, target))
+        for name in vs.names:
+            results.append(f.differentiate(name))
+            results.append(f.integrate(name))
+    assert any(r for r in results) and not all(r for r in results)
+    for r in results:
+        _assert_canonical(r)

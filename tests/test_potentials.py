@@ -5,8 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from localp12 import potentials
-from localp12.localization import local_invariant, quantum_sign, resummed_even, resummed_odd
+from localp12 import localization, potentials
+from localp12.localization import (
+    degree0_fixed_point_sum,
+    local_invariant,
+    quantum_sign,
+    resummed_even,
+    resummed_odd,
+)
 from localp12.mpseries import Series, VarSet, exp
 from localp12.potentials import (
     classical_part,
@@ -55,6 +61,43 @@ def test_degree0_triple_selection_rule():
     assert degree0_triple(("1", "H", "S")) == RF_ZERO
     assert degree0_triple(("H", "H", "S")) == RF_ZERO
     assert degree0_triple(("1", "S", "S")) == rf(Fraction(1, 2))
+
+
+def test_degree0_values_come_from_the_cache_unchanged():
+    for classes in itertools.product(("1", "H", "S"), repeat=3):
+        want = RF_ZERO if classes.count("S") % 2 else degree0_fixed_point_sum(classes)
+        got = degree0_triple(classes)
+        assert got == want
+        # one cached value per class multiset, whatever the order
+        assert got is degree0_triple(reversed(classes))
+        assert got is degree0_triple(sorted(classes))
+    assert classical_part() is classical_part()
+    assert classical_part() == classical_part.__wrapped__()
+
+
+def test_warm_degree0_cache_leaves_the_suite_independent(monkeypatch):
+    for classes in itertools.combinations_with_replacement(("1", "H", "S"), 3):
+        degree0_triple(classes)
+    calls = []
+    original = localization.degree0_fixed_point_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(localization, "degree0_fixed_point_sum", counting)
+    monkeypatch.setattr(potentials, "degree0_fixed_point_sum", counting)
+    degree0_triple(("S", "1", "S"))
+    assert calls == []
+    report = localization.degree0_suite()
+    assert report.passed
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("classes", [("1", "H", "X"), ("1", "H"), ("S",) * 5, (1, "H", "S")])
+def test_degree0_triple_still_refuses_bad_classes(classes):
+    with pytest.raises(ValueError):
+        degree0_triple(classes)
 
 
 def test_g_series_coefficients():
