@@ -14,6 +14,9 @@ terms)` is the one public constructor and checks every exponent; the
 package's own results, whose dicts are already within the caps and free of
 zeros, are wrapped by the internal `Series._of` without a second check.
 
+Products and the Taylor sums of exp, sin, cos, tan and inverse add their
+terms into one dict.
+
 Caps are per variable rather than total degree: the curve-degree variable
 q wants its own bound independent of the analytic orders in the z and u
 directions.
@@ -23,6 +26,7 @@ raise it, which keeps the exactness guarantee honest in both directions.
 """
 
 from fractions import Fraction
+from operator import add, le
 
 from .cyclotomic import repeated_squaring
 
@@ -137,13 +141,7 @@ class Series:
             return NotImplemented
         self._check_vs(other)
         out = dict(self._t)
-        for exp, c in other._t.items():
-            acc = out.get(exp)
-            c = c if acc is None else acc + c
-            if c:
-                out[exp] = c
-            elif exp in out:
-                del out[exp]
+        _accumulate(out, other._t)
         return Series._of(self.vs, out)
 
     def __neg__(self):
@@ -159,19 +157,23 @@ class Series:
             return self.scale(other)
         self._check_vs(other)
         caps = self.vs.caps
+        right = list(other._t.items())
         out = {}
         for e1, c1 in self._t.items():
-            for e2, c2 in other._t.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if any(e > cap for e, cap in zip(exp, caps)):
+            for e2, c2 in right:
+                exp = tuple(map(add, e1, e2))
+                if not all(map(le, exp, caps)):
                     continue
-                c = c1 * c2
                 acc = out.get(exp)
-                c = c if acc is None else acc + c
-                if c:
-                    out[exp] = c
-                elif exp in out:
-                    del out[exp]
+                if acc is None:
+                    # nonzero, as c1 and c2 are
+                    out[exp] = c1 * c2
+                else:
+                    acc += c1 * c2
+                    if acc:
+                        out[exp] = acc
+                    else:
+                        del out[exp]
         return Series._of(self.vs, out)
 
     def scale(self, c):
@@ -336,21 +338,36 @@ def _require_no_constant(f, what):
         raise ValueError("%s of a series with a nonzero constant term" % what)
 
 
+def _accumulate(out, terms):
+    """Add the nonzero terms of a dict into out, in place."""
+    for exp, c in terms.items():
+        acc = out.get(exp)
+        if acc is None:
+            out[exp] = c
+        else:
+            acc += c
+            if acc:
+                out[exp] = acc
+            else:
+                del out[exp]
+
+
 def _taylor(out, term, step, ratio=None):
     """out + term * step + term * step^2 + ..., until the caps kill a term.
 
     With a ratio, the k-th added term is also scaled by ratio(k) on top of
     the scalings of the terms before it.
     """
+    total = dict(out._t)
     k = 0
     while True:
         k += 1
         term = term * step
         if not term:
-            return out
+            return Series._of(out.vs, total)
         if ratio is not None:
             term = term.scale(ratio(k))
-        out = out + term
+        _accumulate(total, term._t)
 
 
 def exp(f):

@@ -25,6 +25,7 @@ composing with the second reproduces the third, entry by entry in the
 coefficient field.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -241,7 +242,7 @@ def invert(m, branch=0):
         raise ValueError("singular linear part: %d variables for %d lines"
                          % (len(touched), len(lin_sources)))
     inv_rows = _invert_matrix(
-        [[m.line(n).coeff(v) for v in touched] for n in lin_sources]
+        tuple(tuple(m.line(n).coeff(v) for v in touched) for n in lin_sources)
     )
 
     out = {}
@@ -272,8 +273,10 @@ def invert(m, branch=0):
     return CovMap(m.target, m.source, tuple((v, out[v]) for v in m.target), branch)
 
 
+@functools.cache
 def _invert_matrix(rows):
-    # Gauss-Jordan over the coefficient field
+    """Gauss-Jordan inverse of a tuple of row tuples, once per matrix; the
+    rows come back as tuples, as callers share them."""
     n = len(rows)
     aug = [list(rows[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for col in range(n):
@@ -288,7 +291,7 @@ def _invert_matrix(rows):
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     # row j of the inverse expresses variable j in terms of the sources
-    return [row[n:] for row in aug]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def compose(a, b):

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from localp12 import cli
+from localp12 import cli, localization, pcrc
 from localp12.cli import main
-from localp12.cyclotomic import ZERO
+from localp12.cyclotomic import ZERO, Cyclo
 from localp12.potentials import classical_part, extended_potential, potential
 from localp12.ratfun import RatFun
 
@@ -474,6 +474,35 @@ def test_table_makes_a_fixed_number_of_ratfun_operations(monkeypatch, capsys, sm
         assert 0 < 5 * seen[2] < len(_record(big).tail.terms())
 
 
+#: Cyclo inverses in one cold `verify` at default caps: 74 in the degree-0
+#: sums, 3 in the one elimination, 39 in the thirteen inversions of
+#: `build_cov` (its scalar and exponential lines)
+_VERIFY_CYCLO_INVERSES = 116
+
+
+def test_verify_builds_one_series_per_degree_and_eliminates_once(monkeypatch, capsys):
+    pcrc._invert_matrix.cache_clear()
+    localization._odd_edge.cache_clear()
+    builds = []
+    for name in ("resummed_odd", "resummed_even"):
+        build = getattr(localization, name)
+        monkeypatch.setattr(localization, name,
+                            lambda d, n, build=build: builds.append(d) or build(d, n))
+    inverses = [0]
+    inv = Cyclo.inv
+
+    def counting(self):
+        inverses[0] += 1
+        return inv(self)
+
+    monkeypatch.setattr(Cyclo, "inv", counting)
+    code, _, _ = _run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert sorted(builds) == list(range(1, 10))
+    assert pcrc._invert_matrix.cache_info().misses == 1
+    assert inverses[0] <= _VERIFY_CYCLO_INVERSES
+
+
 def _series_value(series, at):
     """The exact value of series at the point, term by term."""
     total = ZERO
@@ -581,6 +610,20 @@ _GOLDEN = [
     (["invariants", "--d", "4", "--n1", "2", "--n2", "2"], "ddb3f545d06b", "da39a3ee5e6b", 0),
     (["invariants", "--d", "1", "--n2", "0"], "da39a3ee5e6b", "b7957c26198e", 2),
     (["eval", "--at", "t1=0,t2=1"], "da39a3ee5e6b", "d066406546db", 1),
+    (["verify", "--suite", "degree0", "--qmax", "5", "--zorder", "13"],
+     "ee66bc168da7", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "resummation", "--qmax", "5", "--zorder", "13"],
+     "e279001b9771", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "assembly", "--qmax", "5", "--zorder", "13"],
+     "6c0a6657c994", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "bracket", "--qmax", "5", "--zorder", "13"],
+     "e168a922582d", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "residual", "--qmax", "5", "--zorder", "13"],
+     "5b59d5d90a3f", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "corollary", "--qmax", "5", "--zorder", "13"],
+     "33a7e9565ae3", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "all", "--qmax", "12", "--zorder", "8"],
+     "50872b5bd310", "da39a3ee5e6b", 0),
 ]
 
 

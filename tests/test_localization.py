@@ -27,6 +27,8 @@ from localp12.localization import (
     resummed_even,
     resummed_odd,
 )
+from localp12.localization import _EVEN_GRID, _ODD_GRID, _odd_edge, _per_degree
+from localp12.mpseries import VarSet
 from localp12.ratfun import P_ONE, P_T1, P_T2, RF_T1, RF_T2, RF_ZERO, RatFun, rf
 
 
@@ -187,6 +189,33 @@ def test_odd_assembly_structure():
             assert report.cover_integral == COVER_INTEGRAL
     with pytest.raises(ValueError):
         odd_assembly(3, -1)
+
+
+def test_edge_from_integer_products_equals_the_factor_by_factor_product():
+    one_s = SMonomial(Fraction(1), Fraction(1))
+    for d in range(1, 22, 2):
+        half, one, tangent = odd_weight_families(d)
+        edge = SMonomial(Fraction(1), Fraction(0))
+        for w in half + one:
+            edge = edge * one_s.scaled(w)
+        for w in tangent:
+            edge = edge / one_s.scaled(w)
+        assert _odd_edge(d) == edge
+        assert odd_assembly(d, 2).edge == edge
+
+
+@pytest.mark.parametrize("build, grid, shift", [
+    (resummed_odd, _ODD_GRID, 1),
+    (resummed_even, _EVEN_GRID, 2),
+])
+def test_one_series_per_degree_equals_a_build_at_each_cap(build, grid, shift):
+    series = _per_degree(build, grid, shift)
+    assert sorted(series) == sorted({d for d, _ in grid})
+    for d, g in grid:
+        n = 2 * g + shift
+        at_n = build(d, n)
+        assert series[d].coeff((n,)) == at_n.coeff((n,))
+        assert series[d].into(VarSet(("z2",), (n,))) == at_n
 
 
 def test_odd_assembly_matches_resummation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from localp12 import mpseries as mp
-from localp12.cyclotomic import I
+from localp12.cyclotomic import I, Cyclo
 from localp12.mpseries import Series, VarSet
 from localp12.potentials import classical_part, extended_potential, potential
 from localp12.ratfun import RF_ONE, RF_T1, RF_T2, rf
@@ -41,6 +41,55 @@ def test_truncating_product():
     vq = VarSet(("q",), (1,))
     q = Series.variable(vq, "q")
     assert not q * q
+
+
+def _naive_product(f, g):
+    """Every pair multiplied out, then cut to the caps and cleared of zeros."""
+    acc = {}
+    for e1, c1 in f.terms():
+        for e2, c2 in g.terms():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items()
+            if c and all(x <= cap for x, cap in zip(e, f.vs.caps))}
+
+
+def _small_series(rng, vs, pool, units):
+    # exponents from a pool shared with the other factor and unit
+    # coefficients, so that the sums of pairs cancel often
+    return Series(vs, {rng.choice(pool): rng.choice(units) for _ in range(rng.randint(1, 5))})
+
+
+@pytest.mark.parametrize("caps", [(6,), (2, 1, 3, 2), (1, 2, 0, 1, 2)])
+@pytest.mark.parametrize("field", ["fraction", "cyclo"])
+def test_product_matches_the_naive_product(caps, field):
+    vs = VarSet(["v%d" % i for i in range(len(caps))], caps)
+    units = [Fraction(1), Fraction(-1)]
+    if field == "cyclo":
+        units += [I, -I, Cyclo(1, 1)]
+    rng = random.Random("%s:%r" % (field, caps))
+    cancelled = truncated = 0
+    for _ in range(60):
+        pool = [tuple(rng.randint(0, min(cap, cap // 2 + 1)) for cap in caps) for _ in range(4)]
+        f = _small_series(rng, vs, pool, units)
+        g = _small_series(rng, vs, pool, units)
+        got = f * g
+        want = _naive_product(f, g)
+        assert dict(got.terms()) == want
+        every = {tuple(a + b for a, b in zip(e1, e2)) for e1 in dict(f.terms())
+                 for e2 in dict(g.terms())}
+        truncated += any(e not in want and any(x > c for x, c in zip(e, caps)) for e in every)
+        cancelled += any(e not in want and all(x <= c for x, c in zip(e, caps)) for e in every)
+    assert truncated and cancelled
+
+
+def test_product_cancels_to_zero():
+    vs = VarSet(("x", "y"), (2, 2))
+    x, y = Series.variable(vs, "x"), Series.variable(vs, "y")
+    assert dict(((x + y) * (x - y)).terms()) == {(2, 0): 1, (0, 2): -1}
+    assert not (x * x) * (x + (x * y).scale(I)) and not (x * x * x)
+    ix = x.scale(I)
+    assert not ix * ix + x * x
 
 
 def test_scale_matches_theorem_coefficient():

@@ -328,6 +328,18 @@ def test_residual_sides_low_coefficients():
     assert lhs == rhs
 
 
+def test_cached_inverse_equals_a_fresh_elimination(monkeypatch):
+    cached = [invert(build_cov(), b) for b in range(12)]
+    monkeypatch.setattr(pcrc, "_invert_matrix", pcrc._invert_matrix.__wrapped__)
+    assert cached == [invert(build_cov(), b) for b in range(12)]
+    monkeypatch.undo()
+    rows = ((ONE, ZERO, ZERO), (ZERO, I, ZERO), (ONE, I * Fraction(-1, 2), ONE))
+    inv = pcrc._invert_matrix(rows)
+    assert inv is pcrc._invert_matrix(rows)
+    assert type(inv) is tuple and all(type(row) is tuple for row in inv)
+    assert inv == pcrc._invert_matrix.__wrapped__(rows)
+
+
 def test_linearform_algebra():
     a = LinearForm.of({"x1": I, "x2": 0})
     assert a.terms == (("x1", I),)
