@@ -6,6 +6,15 @@ the verification suites, and `eval` embeds the truncated potential at a
 numeric point.  Output is deterministic: identical configuration yields
 byte-identical bytes, with terms sorted and rationals in canonical form.
 
+A table is written in one pass.  The exponents of the classical cubic and
+of the rational tail (disjoint supports) are sorted together once, by total
+degree and then by exponent; a cubic term is written from the cubic's
+`Series.to_json`, a tail term r from `str(r)` alone, into one JSON template
+per table or one CSV cell.  `eval` sums the tail exactly in integers: with
+x = p/q at each variable, a table of p^k q^(cap-k) per variable turns every
+monomial into an integer product, the coefficients are brought to the lcm
+of their denominators, and the sum is divided once.
+
 Exit codes: 0 on success (all suites passing for `verify`), 1 on a
 verification failure, an evaluation pole or a value too large for a float,
 2 on a usage error.
@@ -229,22 +238,6 @@ def _the_potential(cfg):
     return potential(cfg.qmax, cfg.zorder)
 
 
-def _sorted_rows(pot, cubic_row, tail_row):
-    """Rows of the cubic's and the tail's terms, in `Series.sorted_terms` order.
-
-    The two supports are disjoint, so each exponent has exactly one row.
-    """
-    rows = {e: cubic_row(e, c) for e, c in pot.cubic.terms()}
-    rows.update((e, tail_row(e, r)) for e, r in pot.tail.terms())
-    return [rows[e] for e in sorted(rows, key=lambda e: (sum(e), e))]
-
-
-def _term_json(exp, coeff_text):
-    """One term of `Series.to_json` laid out as `_dump` lays it out in a table."""
-    return '    {\n      "coeff": %s,\n      "exp": [\n        %s\n      ]\n    }' % (
-        coeff_text, ",\n        ".join(map(str, exp)))
-
-
 def _nested_json(obj):
     """`_dump` of obj, indented to sit at the coefficient of a table term."""
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n      ")
@@ -257,29 +250,41 @@ _LEVEL_JSON = _nested_json({
 })
 
 
-def _level_cell(r):
-    """`str` of the polynomial r*t1 + r*t2, for a nonzero rational r."""
-    a = str(abs(r))
+def _level_cell(s):
+    """`str` of the polynomial r*t1 + r*t2, from s = str(r) for a nonzero rational r."""
+    if s[0] == "-":
+        a, form = s[1:], "-%st1 - %st2"
+    else:
+        a, form = s, "%st1 + %st2"
     m = "" if a == "1" else a + "*"
-    return ("-%st1 - %st2" if r < 0 else "%st1 + %st2") % (m, m)
+    return form % (m, m)
 
 
 def cmd_potential(cfg):
+    """The table in one pass: the cubic's and the tail's exponents sorted
+    together (their supports are disjoint), each term written from its part."""
     pot = _the_potential(cfg)
+    cubic, tail = dict(pot.cubic.terms()), dict(pot.tail.terms())
+    exps = [*cubic, *tail]
+    exps.sort()
+    exps.sort(key=sum)  # stable: by total degree, then by exponent, as `Series.sorted_terms`
     if cfg.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(list(pot.vs.names) + ["num", "den"])
-        writer.writerows(_sorted_rows(
-            pot,
-            lambda e, c: [*map(str, e), str(c.num), str(c.den)],
-            lambda e, r: [*map(str, e), _level_cell(r), "1"]))
+        writer.writerows(
+            (*e, _level_cell(str(tail[e])), "1") if e in tail
+            else (*e, str(cubic[e].num), str(cubic[e].den))
+            for e in exps)
         return buf.getvalue(), 0
-    cubic = {tuple(t["exp"]): _nested_json(t["coeff"]) for t in pot.cubic.to_json()["terms"]}
-    terms = _sorted_rows(
-        pot,
-        lambda e, c: _term_json(e, cubic[e]),
-        lambda e, r: _term_json(e, _LEVEL_JSON % (r, r)))
+    coeffs = {tuple(t["exp"]): _nested_json(t["coeff"]) for t in pot.cubic.to_json()["terms"]}
+    # one term of `Series.to_json` as `_dump` lays it out in a table: %s for the
+    # coefficient's text (twice str(r) in a tail term), %d for each exponent
+    term = '    {\n      "coeff": %%s,\n      "exp": [\n        %s\n      ]\n    }' % (
+        ",\n        ".join(["%d"] * len(pot.vs.names)),)
+    level = term.replace("%s", _LEVEL_JSON)
+    terms = [level % ((s := str(tail[e])), s, *e) if e in tail else term % (coeffs[e], *e)
+             for e in exps]
     # the table as `_dump` writes it, with the term list written in place
     table = _dump({"caps": list(pot.vs.caps), "terms": [], "vars": list(pot.vs.names)})
     if terms:
@@ -335,6 +340,23 @@ def cmd_verify(cfg):
     return _dump(payload), 0 if ok else 1
 
 
+def _tail_sum(terms, values, caps):
+    """The sum of r * prod(x_i^e_i) over the (e, r) of a tail, exact, in integers.
+
+    With x_i = p_i/q_i, the table A_i[k] = p_i^k q_i^(cap_i - k) turns each
+    monomial into prod A_i[e_i] / prod q_i^cap_i; with L the lcm of the
+    denominators d of the coefficients n/d, the sum is
+    sum(n (L/d) prod A_i[e_i]) / (L prod q_i^cap_i), one division in all.
+    """
+    tables = [[x.numerator**k * x.denominator**(cap - k) for k in range(cap + 1)]
+              for x, cap in zip(values, caps)]
+    lcm = math.lcm(*(r.denominator for _, r in terms))
+    total = sum(math.prod(map(list.__getitem__, tables, e),
+                          start=r.numerator * (lcm // r.denominator))
+                for e, r in terms)
+    return Fraction(total, lcm * math.prod(x.denominator**cap for x, cap in zip(values, caps)))
+
+
 def cmd_eval(cfg):
     """Embed the truncated potential at a numeric point.
 
@@ -364,7 +386,7 @@ def cmd_eval(cfg):
 
     # the value is exact, so its embedding does not depend on the summation order
     cubic = sum((c.eval(t1, t2) * monomial(e) for e, c in pot.cubic.terms()), C_ZERO)
-    tail = sum(r * monomial(e) for e, r in pot.tail.terms())
+    tail = _tail_sum(pot.tail.terms(), values, pot.vs.caps)
     try:
         value = (cubic + (t1 + t2) * tail).embed()
     except OverflowError:

@@ -254,7 +254,7 @@ def invert(m, branch=0):
         if isinstance(ln, ScalarLine):
             if ln.var in out:
                 raise ValueError("two lines land on %r" % (ln.var,))
-            out[ln.var] = ScalarLine(ln.scalar.inv(), n)
+            out[ln.var] = ScalarLine(_inverse(ln.scalar), n)
         elif isinstance(ln, ExpLine):
             if len(ln.form.terms) != 1:
                 raise ValueError(
@@ -264,13 +264,19 @@ def invert(m, branch=0):
             v, k = ln.form.terms[0]
             if v in out:
                 raise ValueError("two lines land on %r" % (v,))
-            out[v] = LogLine(k.inv(), ln.phase.inv(), n, branch)
+            out[v] = LogLine(_inverse(k), _inverse(ln.phase), n, branch)
         elif isinstance(ln, (LogLine, AngleLine)):
             raise ValueError("cannot invert a logarithm or angle line")
     missing = [v for v in m.target if v not in out]
     if missing:
         raise ValueError("target variables never hit: %r" % (missing,))
     return CovMap(m.target, m.source, tuple((v, out[v]) for v in m.target), branch)
+
+
+@functools.cache
+def _inverse(c):
+    """`c.inv()`, once per process for each scalar; the maps' scalars are constants."""
+    return c.inv()
 
 
 @functools.cache

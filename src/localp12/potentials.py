@@ -106,22 +106,25 @@ def _rational_tail(vs):
     z1_cap, z2_cap, qmax = vs.caps[1:4]
     u_cap = sum(vs.caps[4:])  # 0 on the plain caps
     top = z2_cap + u_cap
+    fact = [math.factorial(k) for k in range(max(top, z1_cap) + 1)]
     out = {}
     for d in range(qmax + 1):
         # n! times the coefficient of theta^n q^d at z1 = 0
         if d:
             row = [(n, local_invariant(d, n)) for n in range(d % 2, top + 1, 2)]
         else:
-            row = [(n, -c * math.factorial(n)) for (n,), c in g_series(top).terms()]
-        # theta^n split into z2^b u^c; the exponents end (z2, q) or (z2, q, u)
+            row = [(n, -c * fact[n]) for (n,), c in g_series(top).terms()]
+        # theta^n split into z2^b u^c, each weight as its numerator and
+        # denominator; the exponents end (z2, q) or (z2, q, u)
         row = [((b, d, n - b)[:len(vs.caps) - 2],
-                v / (math.factorial(b) * math.factorial(n - b)))
+                v.numerator, v.denominator * fact[b] * fact[n - b])
                for n, v in row for b in range(max(0, n - u_cap), min(n, z2_cap) + 1)]
-        out.update(((0, 0) + e, w) for e, w in row)  # z1^0 takes no divisor
-        for a in range(1, z1_cap + 1 if d else 1):
-            divisor = Fraction(d**a, math.factorial(a))
-            for e, w in row:
-                out[(0, a) + e] = divisor * w
+        # z1^a takes the divisor factor d^a/a!, reduced to p/f (1 at a = 0):
+        # each coefficient is one Fraction of two integer products
+        for a in range(z1_cap + 1 if d else 1):
+            divisor = Fraction(d**a, fact[a])
+            p, f = divisor.numerator, divisor.denominator
+            out.update(((0, a) + e, Fraction(p * n, f * m)) for e, n, m in row)
     return Series._of(vs, out)
 
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -11,8 +12,9 @@ import pytest
 from localp12 import cli, localization, pcrc
 from localp12.cli import main
 from localp12.cyclotomic import ZERO, Cyclo
+from localp12.mpseries import Series
 from localp12.potentials import classical_part, extended_potential, potential
-from localp12.ratfun import RatFun
+from localp12.ratfun import RF_T1, RF_T2, RatFun
 
 
 def _run(capsys, *argv):
@@ -475,13 +477,15 @@ def test_table_makes_a_fixed_number_of_ratfun_operations(monkeypatch, capsys, sm
 
 
 #: Cyclo inverses in one cold `verify` at default caps: 74 in the degree-0
-#: sums, 3 in the one elimination, 39 in the thirteen inversions of
-#: `build_cov` (its scalar and exponential lines)
-_VERIFY_CYCLO_INVERSES = 116
+#: sums, 3 in the one elimination, and 2 for the scalars of `build_cov`'s
+#: scalar and exponential lines, i (in both) and -1, each inverted once for
+#: the thirteen inversions of the map (39 when each inversion made its own)
+_VERIFY_CYCLO_INVERSES = 79
 
 
 def test_verify_builds_one_series_per_degree_and_eliminates_once(monkeypatch, capsys):
     pcrc._invert_matrix.cache_clear()
+    pcrc._inverse.cache_clear()
     localization._odd_edge.cache_clear()
     builds = []
     for name in ("resummed_odd", "resummed_even"):
@@ -500,7 +504,7 @@ def test_verify_builds_one_series_per_degree_and_eliminates_once(monkeypatch, ca
     assert code == 0
     assert sorted(builds) == list(range(1, 10))
     assert pcrc._invert_matrix.cache_info().misses == 1
-    assert inverses[0] <= _VERIFY_CYCLO_INVERSES
+    assert inverses[0] == _VERIFY_CYCLO_INVERSES
 
 
 def _series_value(series, at):
@@ -527,6 +531,95 @@ def test_eval_equals_the_series_term_by_term(capsys, caps, spec):
     value = _series_value(_record(caps).series(), at).embed()
     assert json.loads(out)["value"] == {"re": format(value.real, ".15g"),
                                         "im": format(value.imag, ".15g")}
+
+
+def _fraction_tail_sum(tail, values):
+    """The tail's value at the point, one `Fraction` product per term."""
+    total = Fraction(0)
+    for e, r in tail.terms():
+        m = r
+        for x, k in zip(values, e):
+            m = m * x**k
+        total += m
+    return total
+
+
+def _eval_points(arity, seed):
+    """Points with zero, negative and integer coordinates, and a seeded rest."""
+    rng = random.Random("eval-points:%d" % seed)
+    points = [[Fraction(0)] * arity, [Fraction(-2)] * arity,
+              [Fraction(k - 2) for k in range(arity)]]
+    for _ in range(4):
+        points.append([Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 7)))
+                       for _ in range(arity)])
+    return points
+
+
+@pytest.mark.parametrize("caps", _PLAIN_CAPS + _EXTENDED_CAPS + [(3, 6), (4, 8), (2, 4, 3)])
+def test_integer_tail_sum_equals_the_fraction_sum(caps):
+    pot = _record(caps)
+    for values in _eval_points(len(pot.vs.names), sum(caps)):
+        got = cli._tail_sum(pot.tail.terms(), values, pot.vs.caps)
+        assert type(got) is Fraction
+        assert got == _fraction_tail_sum(pot.tail, values)
+
+
+def _old_level_cell(r):
+    a = str(abs(r))
+    m = "" if a == "1" else a + "*"
+    return ("-%st1 - %st2" if r < 0 else "%st1 + %st2") % (m, m)
+
+
+@pytest.mark.parametrize("r", [Fraction(k) * s for k in (1, 2, Fraction(1, 2), Fraction(7, 96))
+                               for s in (1, -1)])
+def test_level_cell_from_the_text_of_r(r):
+    cell = cli._level_cell(str(r))
+    assert cell == _old_level_cell(r)
+    assert cell == str(((RF_T1 + RF_T2) * r).num)
+
+
+def _count_calls(monkeypatch, cls, names):
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    return counts
+
+
+def test_eval_makes_as_many_fraction_products_at_any_cap(monkeypatch, capsys):
+    """The tail sum is integer work: a bigger tail adds no `Fraction` power
+    or product; those left belong to the classical cubic."""
+    seen = []
+    for caps in ((3, 6), (4, 8)):
+        pot = potential(*caps)
+        monkeypatch.setattr(cli, "potential", lambda qmax, zorder, pot=pot: pot)
+        counts = _count_calls(monkeypatch, Fraction, ("__pow__", "__mul__"))
+        code, _, _ = _run(capsys, "eval", "--at", "t1=3/2,t2=5,z0=1/3,z1=-1/5,z2=2/7,q=1/2",
+                          *_cap_argv(caps))
+        monkeypatch.undo()
+        assert code == 0
+        seen.append((dict(counts), len(pot.tail.terms())))
+    (small, small_terms), (big, big_terms) = seen
+    assert small_terms < big_terms
+    assert small == big
+    assert sum(small.values()) < small_terms
+
+
+@pytest.mark.parametrize("fmt, to_json", [("json", 1), ("csv", 0)])
+def test_table_writes_the_tail_from_text_alone(monkeypatch, capsys, fmt, to_json):
+    """A tail term costs no `Fraction` sign test; only a JSON table's cubic
+    goes through `Series.to_json`."""
+    fractions = _count_calls(monkeypatch, Fraction, ("__abs__", "__lt__"))
+    series = _count_calls(monkeypatch, Series, ("to_json",))
+    code, _, _ = _run(capsys, "potential", "--qmax", "5", "--zorder", "6", "--format", fmt)
+    assert code == 0
+    assert (fractions, series) == ({"__abs__": 0, "__lt__": 0}, {"to_json": to_json})
 
 
 @pytest.mark.parametrize("argv", [
@@ -624,6 +717,19 @@ _GOLDEN = [
      "33a7e9565ae3", "da39a3ee5e6b", 0),
     (["verify", "--suite", "all", "--qmax", "12", "--zorder", "8"],
      "50872b5bd310", "da39a3ee5e6b", 0),
+    (["potential", "--qmax", "16", "--zorder", "12"], "a1128b5d3b06", "da39a3ee5e6b", 0),
+    (["potential", "--extended", "--qmax", "4", "--zorder", "7", "--uorder", "6"],
+     "7536f2fe18c8", "da39a3ee5e6b", 0),
+    (["potential", "--extended", "--qmax", "6", "--zorder", "6", "--uorder", "5",
+      "--format", "csv"], "c84dd763f5d8", "da39a3ee5e6b", 0),
+    (["potential", "--qmax", "0", "--zorder", "0"], "97434ff3030f", "da39a3ee5e6b", 0),
+    (["potential", "--qmax", "0", "--zorder", "0", "--format", "csv"],
+     "d4dce111b5ea", "da39a3ee5e6b", 0),
+    (["eval", "--extended", "--qmax", "4", "--zorder", "6", "--uorder", "4",
+      "--at", "t1=2,t2=-3/4,z0=-1/2,z1=1/3,z2=-2/5,q=1/7,u=-3"],
+     "905364fe7d11", "da39a3ee5e6b", 0),
+    (["eval", "--qmax", "0", "--zorder", "0", "--at", "t1=1,t2=2,z2=1/3"],
+     "5728aa963c6a", "da39a3ee5e6b", 0),
 ]
 
 

@@ -340,6 +340,14 @@ def test_cached_inverse_equals_a_fresh_elimination(monkeypatch):
     assert inv == pcrc._invert_matrix.__wrapped__(rows)
 
 
+def test_cached_scalar_inverses_leave_invert_unchanged(monkeypatch):
+    cached = [invert(build_cov(), b) for b in range(12)]
+    monkeypatch.setattr(pcrc, "_inverse", lambda c: c.inv())
+    assert cached == [invert(build_cov(), b) for b in range(12)]
+    monkeypatch.undo()
+    assert pcrc._inverse(I) is pcrc._inverse(I) and pcrc._inverse(I) == I.inv()
+
+
 def test_linearform_algebra():
     a = LinearForm.of({"x1": I, "x2": 0})
     assert a.terms == (("x1", I),)

@@ -299,6 +299,47 @@ def test_tail_equals_the_resummed_route_term_by_term(caps):
     assert dict(pot.tail.terms()) == dict(want.terms())
 
 
+def _divisor_times_weight_tail(vs):
+    """The tail with each z1 column as the `Fraction` product d^a/a! * weight."""
+    z1_cap, z2_cap, qmax = vs.caps[1:4]
+    u_cap = sum(vs.caps[4:])
+    top = z2_cap + u_cap
+    out = {}
+    for d in range(qmax + 1):
+        if d:
+            row = [(n, local_invariant(d, n)) for n in range(d % 2, top + 1, 2)]
+        else:
+            row = [(n, -c * math.factorial(n)) for (n,), c in g_series(top).terms()]
+        row = [((b, d, n - b)[:len(vs.caps) - 2],
+                v / (math.factorial(b) * math.factorial(n - b)))
+               for n, v in row for b in range(max(0, n - u_cap), min(n, z2_cap) + 1)]
+        out.update(((0, 0) + e, w) for e, w in row)
+        for a in range(1, z1_cap + 1 if d else 1):
+            divisor = Fraction(d**a, math.factorial(a))
+            for e, w in row:
+                out[(0, a) + e] = divisor * w
+    return Series(vs, out)
+
+
+#: the caps of the benchmark's tables, plain and extended, and two with a
+#: small z cap and a large u cap
+_TABLE_CAPS = [(8, 17), (9, 16), (12, 14), (13, 13), (14, 13), (16, 12), (18, 11),
+               (5, 7, 5), (6, 7, 4), (5, 8, 4), (6, 8, 3), (6, 6, 5), (4, 7, 6),
+               (2, 0, 5), (3, 1, 6)]
+
+
+@pytest.mark.parametrize("caps", _TABLE_CAPS)
+def test_tail_from_integer_products_equals_the_fraction_products(caps):
+    q, z, *u = caps
+    names = ("z0", "z1", "z2", "q", "u")[:4 + len(u)]
+    vs = VarSet(names, (z, z, z, q, *u))
+    got = potentials._rational_tail(vs)
+    assert dict(got.terms()) == dict(_divisor_times_weight_tail(vs).terms())
+    for _, r in got.terms():
+        assert type(r) is Fraction and r
+        assert r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
+
+
 def test_extended_potential_shifts_only_the_cubic(monkeypatch):
     """The tail is written on the target caps; `substitute` sees the cubic alone."""
     tails, shifted = [], []
