@@ -13,7 +13,9 @@ degree and then by exponent; a cubic term is written from the cubic's
 per table or one CSV cell.  `eval` sums the tail exactly in integers: with
 x = p/q at each variable, a table of p^k q^(cap-k) per variable turns every
 monomial into an integer product, the coefficients are brought to the lcm
-of their denominators, and the sum is divided once.
+of their denominators, and the sum is divided once.  `eval` keeps the
+potential of its last caps, so a run of evals at the same caps builds it
+once; `potential` builds every table afresh.
 
 Exit codes: 0 on success (all suites passing for `verify`), 1 on a
 verification failure, an evaluation pole or a value too large for a float,
@@ -22,6 +24,7 @@ verification failure, an evaluation pole or a value too large for a float,
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -232,10 +235,15 @@ def _merge(args):
 # subcommands
 
 
-def _the_potential(cfg):
-    if cfg.extended:
-        return extended_potential(cfg.qmax, cfg.zorder, cfg.uorder)
-    return potential(cfg.qmax, cfg.zorder)
+def _the_potential(extended, qmax, zorder, uorder):
+    if extended:
+        return extended_potential(qmax, zorder, uorder)
+    return potential(qmax, zorder)
+
+
+#: `eval`'s potential, kept for the last caps only: repeated evals at the same
+#: caps build it once, and it holds one potential at most
+_eval_potential = functools.lru_cache(maxsize=1)(_the_potential)
 
 
 def _nested_json(obj):
@@ -263,7 +271,7 @@ def _level_cell(s):
 def cmd_potential(cfg):
     """The table in one pass: the cubic's and the tail's exponents sorted
     together (their supports are disjoint), each term written from its part."""
-    pot = _the_potential(cfg)
+    pot = _the_potential(cfg.extended, cfg.qmax, cfg.zorder, cfg.uorder)
     cubic, tail = dict(pot.cubic.terms()), dict(pot.tail.terms())
     exps = [*cubic, *tail]
     exps.sort()
@@ -371,7 +379,7 @@ def cmd_eval(cfg):
     if "t1" not in cfg.at or "t2" not in cfg.at:
         raise UsageError("--at must set t1 and t2")
     t1, t2 = cfg.at["t1"], cfg.at["t2"]
-    pot = _the_potential(cfg)
+    pot = _eval_potential(cfg.extended, cfg.qmax, cfg.zorder, cfg.uorder)
     point = {"t1": t1, "t2": t2}
     for name in pot.vs.names:
         point[name] = cfg.at.get(name, Fraction(0))

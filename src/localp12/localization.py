@@ -31,12 +31,11 @@ The `resummation` suite reads every genus of a degree from one series.
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .mpseries import Series, VarSet, cos, sin
 from .ratfun import P_ONE, P_T1, P_T2, RF_ONE, RF_T1, RF_T2, RF_ZERO, RatFun, rf
-from .reports import CaseResult, SuiteReport
+from .reports import CaseResult, FrozenRecord, SuiteReport, setfield
 
 
 class AssemblyInconsistencyError(ArithmeticError):
@@ -47,12 +46,14 @@ class AssemblyInconsistencyError(ArithmeticError):
 # monomials in the auxiliary weight
 
 
-@dataclass(frozen=True)
-class SMonomial:
+class SMonomial(FrozenRecord):
     """A rational multiple of an integer or half-integer power of s."""
 
-    coeff: Fraction
-    s_exp: Fraction
+    __slots__ = ("coeff", "s_exp")
+
+    def __init__(self, coeff, s_exp):
+        setfield(self, "coeff", coeff)
+        setfield(self, "s_exp", s_exp)
 
     def __mul__(self, other):
         return SMonomial(self.coeff * other.coeff, self.s_exp + other.s_exp)
@@ -79,8 +80,7 @@ class SMonomial:
 # lifting weights of the three line bundles on the cover
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(FrozenRecord):
     """Weights of the torus lift at the two ramification points of a cover.
 
     Each entry is the pair (at the stacky point, at the other point), in
@@ -88,9 +88,13 @@ class WeightTable:
     bundle O(-1) + O(-1/2) balanced against the tangent line.
     """
 
-    o_one: tuple = (Fraction(0), Fraction(1))
-    o_half: tuple = (Fraction(-1, 2), Fraction(0))
-    tangent: tuple = (Fraction(1, 2), Fraction(0))
+    __slots__ = ("o_one", "o_half", "tangent")
+
+    def __init__(self, o_one=(Fraction(0), Fraction(1)), o_half=(Fraction(-1, 2), Fraction(0)),
+                 tangent=(Fraction(1, 2), Fraction(0))):
+        setfield(self, "o_one", o_one)
+        setfield(self, "o_half", o_half)
+        setfield(self, "tangent", tangent)
 
 
 DEFAULT_WEIGHTS = WeightTable()
@@ -163,17 +167,19 @@ COVER_INTEGRAL = Fraction(1, 2)
 # odd-degree assembly
 
 
-@dataclass(frozen=True)
-class OddAssembly:
+class OddAssembly(FrozenRecord):
     """All factors of one odd-degree fixed-locus contribution."""
 
-    d: int
-    g: int
-    edge: SMonomial
-    vertex: SMonomial
-    node: SMonomial
-    automorphisms: Fraction
-    cover_integral: Fraction
+    __slots__ = ("d", "g", "edge", "vertex", "node", "automorphisms", "cover_integral")
+
+    def __init__(self, d, g, edge, vertex, node, automorphisms, cover_integral):
+        setfield(self, "d", d)
+        setfield(self, "g", g)
+        setfield(self, "edge", edge)
+        setfield(self, "vertex", vertex)
+        setfield(self, "node", node)
+        setfield(self, "automorphisms", automorphisms)
+        setfield(self, "cover_integral", cover_integral)
 
     @property
     def total(self):
@@ -224,8 +230,7 @@ def _double_factorial(n):
     return out
 
 
-@dataclass(frozen=True)
-class EvenLiteralAssembly:
+class EvenLiteralAssembly(FrozenRecord):
     """Exact bookkeeping of the literal even-degree fixed-locus product.
 
     The product is rational * s^s_exponent * (2d)^root2d_exponent
@@ -234,13 +239,18 @@ class EvenLiteralAssembly:
     is decided against the closed form only when all exponents vanish.
     """
 
-    d: int
-    g: int
-    rational: Fraction
-    s_exponent: Fraction
-    root2d_exponent: Fraction
-    rootd_exponent: Fraction
-    closed_form: Fraction
+    __slots__ = ("d", "g", "rational", "s_exponent", "root2d_exponent", "rootd_exponent",
+                 "closed_form")
+
+    def __init__(self, d, g, rational, s_exponent, root2d_exponent, rootd_exponent,
+                 closed_form):
+        setfield(self, "d", d)
+        setfield(self, "g", g)
+        setfield(self, "rational", rational)
+        setfield(self, "s_exponent", s_exponent)
+        setfield(self, "root2d_exponent", root2d_exponent)
+        setfield(self, "rootd_exponent", rootd_exponent)
+        setfield(self, "closed_form", closed_form)
 
     @property
     def matches(self):
@@ -367,8 +377,7 @@ def assemble_even(d, g):
 # degree zero
 
 
-@dataclass(frozen=True)
-class TorusWeights:
+class TorusWeights(FrozenRecord):
     """Restrictions and normal weights at the degree-zero fixed loci.
 
     `base_*` and `fiber_*` are the tangent and fiber-direction weights at
@@ -376,16 +385,21 @@ class TorusWeights:
     class H, and the `auto_*` entries the orbifold automorphism factors.
     """
 
-    base_0: RatFun
-    fiber_0: RatFun
-    auto_0: Fraction
-    base_inf: RatFun
-    fiber_inf: RatFun
-    auto_inf: Fraction
-    point_0: RatFun
-    point_inf: RatFun
-    point_twisted: RatFun
-    auto_twisted: Fraction
+    __slots__ = ("base_0", "fiber_0", "auto_0", "base_inf", "fiber_inf", "auto_inf",
+                 "point_0", "point_inf", "point_twisted", "auto_twisted")
+
+    def __init__(self, base_0, fiber_0, auto_0, base_inf, fiber_inf, auto_inf,
+                 point_0, point_inf, point_twisted, auto_twisted):
+        setfield(self, "base_0", base_0)
+        setfield(self, "fiber_0", fiber_0)
+        setfield(self, "auto_0", auto_0)
+        setfield(self, "base_inf", base_inf)
+        setfield(self, "fiber_inf", fiber_inf)
+        setfield(self, "auto_inf", auto_inf)
+        setfield(self, "point_0", point_0)
+        setfield(self, "point_inf", point_inf)
+        setfield(self, "point_twisted", point_twisted)
+        setfield(self, "auto_twisted", auto_twisted)
 
 
 TORUS_WEIGHTS = TorusWeights(

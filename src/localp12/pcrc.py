@@ -26,14 +26,13 @@ coefficient field.
 """
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, ZERO, zeta_pow
 from .localization import quantum_sign
 from .mpseries import Series, VarSet, cos, exp, inverse, sin, tan
-from .reports import CaseResult, SuiteReport
+from .reports import CaseResult, FrozenRecord, SuiteReport, setfield
 
 #: i / sqrt(3) = (2 zeta^2 - 1) / 3
 I_OVER_SQRT3 = Cyclo(Fraction(-1, 3), 0, Fraction(2, 3), 0)
@@ -65,11 +64,13 @@ def principal_angle(c):
 # line types
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(FrozenRecord):
     """Cyclo-linear combination of named variables (sorted, zero-free)."""
 
-    terms: tuple
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        setfield(self, "terms", terms)
 
     @classmethod
     def of(cls, mapping):
@@ -106,58 +107,68 @@ class LinearForm:
         return out
 
 
-@dataclass(frozen=True)
-class ScalarLine:
+class ScalarLine(FrozenRecord):
     """q maps to scalar * var: an ordinary quantum parameter."""
 
-    scalar: Cyclo
-    var: str
+    __slots__ = ("scalar", "var")
+
+    def __init__(self, scalar, var):
+        setfield(self, "scalar", scalar)
+        setfield(self, "var", var)
 
 
-@dataclass(frozen=True)
-class ExpLine:
+class ExpLine(FrozenRecord):
     """q maps to phase * e^(form): a root-of-unity specialization."""
 
-    phase: Cyclo
-    form: LinearForm
+    __slots__ = ("phase", "form")
+
+    def __init__(self, phase, form):
+        setfield(self, "phase", phase)
+        setfield(self, "form", form)
 
 
-@dataclass(frozen=True)
-class LogLine:
+class LogLine(FrozenRecord):
     """v maps to premult * Log_branch(scalar * param).
 
     The unresolved inverse of an exponential line; composing it over an
     ExpLine resolves it into an AngleLine.
     """
 
-    premult: Cyclo
-    scalar: Cyclo
-    param: str
-    branch: int
+    __slots__ = ("premult", "scalar", "param", "branch")
+
+    def __init__(self, premult, scalar, param, branch):
+        setfield(self, "premult", premult)
+        setfield(self, "scalar", scalar)
+        setfield(self, "param", param)
+        setfield(self, "branch", branch)
 
 
-@dataclass(frozen=True)
-class AngleLine:
+class AngleLine(FrozenRecord):
     """v maps to an exact angle constant plus a linear form.
 
     The constant is pi * principal_angle(phase) + 2 pi branch; the phase
     is pinned to a power of zeta so the constant stays symbolic.
     """
 
-    phase: Cyclo
-    branch: int
-    form: LinearForm
+    __slots__ = ("phase", "branch", "form")
+
+    def __init__(self, phase, branch, form):
+        setfield(self, "phase", phase)
+        setfield(self, "branch", branch)
+        setfield(self, "form", form)
 
     def constant_in_pi(self):
         return principal_angle(self.phase) + 2 * self.branch
 
 
-@dataclass(frozen=True)
-class CovMap:
-    source: tuple
-    target: tuple
-    lines: tuple  # (source name, line) pairs in source order
-    branch: int = 0
+class CovMap(FrozenRecord):
+    __slots__ = ("source", "target", "lines", "branch")  # lines: (name, line) in source order
+
+    def __init__(self, source, target, lines, branch=0):
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "lines", lines)
+        setfield(self, "branch", branch)
 
     def line(self, name):
         for n, ln in self.lines:

@@ -1,14 +1,59 @@
-"""Pass/fail case records shared by the verification suites and the CLI."""
+"""Record classes: pass/fail case records shared by the verification suites
+and the CLI, and the plain base every record class of the package uses.
 
-from dataclasses import dataclass, field
+A record lists its fields in `__slots__`, in order, and writes its own
+`__init__`.  `Record` gives `==` between instances of the same class only,
+field by field, and a `Class(field=value, ...)` repr; it is unhashable, as
+a mutable record must be.  `FrozenRecord` adds a hash of the field tuple
+and refuses attribute assignment; its `__init__` sets each field with
+`setfield`, one call per field, which constructs faster than a loop would.
+"""
+
+#: how a frozen record's `__init__` sets a field past its `__setattr__`
+setfield = object.__setattr__
 
 
-@dataclass
-class CaseResult:
-    key: str
-    passed: bool
-    first_mismatch: list | None = None
-    info: dict | None = None
+class Record:
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            ["%s=%r" % (name, getattr(self, name)) for name in self.__slots__]))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through `__init__`, which takes the fields in slot order
+        return type(self), self._fields()
+
+
+class FrozenRecord(Record):
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to or delete field %r" % (name,))
+
+    __delattr__ = __setattr__
+
+
+class CaseResult(Record):
+    __slots__ = ("key", "passed", "first_mismatch", "info")
+
+    def __init__(self, key, passed, first_mismatch=None, info=None):
+        self.key = key
+        self.passed = passed
+        self.first_mismatch = first_mismatch
+        self.info = info
 
     def to_json(self):
         out = {
@@ -21,10 +66,12 @@ class CaseResult:
         return out
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    cases: list = field(default_factory=list)
+class SuiteReport(Record):
+    __slots__ = ("suite", "cases")
+
+    def __init__(self, suite, cases=None):
+        self.suite = suite
+        self.cases = [] if cases is None else cases
 
     @property
     def passed(self):

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -609,6 +611,38 @@ def test_eval_makes_as_many_fraction_products_at_any_cap(monkeypatch, capsys):
     assert small_terms < big_terms
     assert small == big
     assert sum(small.values()) < small_terms
+
+
+def test_eval_builds_the_potential_once_per_run_of_caps(monkeypatch, capsys):
+    """`eval` keeps only the potential of its last caps; a table is built on
+    every request."""
+    built = []
+    monkeypatch.setattr(cli, "potential", lambda *caps: built.append(caps) or potential(*caps))
+    monkeypatch.setattr(cli, "extended_potential",
+                        lambda *caps: built.append(caps) or extended_potential(*caps))
+    cli._eval_potential.cache_clear()
+    for caps in ((2, 4), (2, 4), (3, 5), (2, 4), (1, 2, 3), (1, 2, 3), (1, 2, 2)):
+        code, out, _ = _run(capsys, "eval", "--at", "t1=1,t2=2,z2=1/3", *_cap_argv(caps))
+        assert code == 0 and json.loads(out)["qmax"] == caps[0]
+    assert built == [(2, 4), (3, 5), (2, 4), (1, 2, 3), (1, 2, 2)]
+    built.clear()
+    for _ in range(2):
+        assert _run(capsys, "potential", *_cap_argv((2, 4)))[0] == 0
+    assert built == [(2, 4), (2, 4)]
+    cli._eval_potential.cache_clear()
+
+
+def test_importing_the_cli_loads_no_introspection_machinery():
+    """The records are plain classes: `import localp12.cli` brings in neither
+    `dataclasses` nor what it pulls in."""
+    code = ("import sys; before = set(sys.modules); import localp12.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    added = set(done.stdout.split())
+    assert {"localp12.cli", "localp12.pcrc", "argparse", "json"} <= added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
 
 
 @pytest.mark.parametrize("fmt, to_json", [("json", 1), ("csv", 0)])
