@@ -15,7 +15,9 @@ x = p/q at each variable, a table of p^k q^(cap-k) per variable turns every
 monomial into an integer product, the coefficients are brought to the lcm
 of their denominators, and the sum is divided once.  `eval` keeps the
 potential of its last caps, so a run of evals at the same caps builds it
-once; `potential` builds every table afresh.
+once; `potential` builds every table afresh.  `verify` writes each report
+from one fixed template per case, in the layout of `_dump`, with strings
+through `json.encoder.encode_basestring_ascii`.
 
 Exit codes: 0 on success (all suites passing for `verify`), 1 on a
 verification failure, an evaluation pole or a value too large for a float,
@@ -337,15 +339,58 @@ def cmd_invariants(cfg):
     return _dump(record), 0
 
 
+_STR = json.encoder.encode_basestring_ascii
+
+
+def _token(v, pad):
+    """`json.dumps(v, indent=2, sort_keys=True)` with pad after each newline:
+    a str, None, bool, int or non-empty str-keyed dict of them written
+    directly, any other value through `json.dumps`."""
+    t = type(v)
+    if t is str:
+        return _STR(v)
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
+    if t is int:
+        return int.__repr__(v)
+    if t is dict and v and all(type(k) is str for k in v):
+        inner = pad + "  "
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(
+            [_STR(k) + ": " + (_STR(x) if type(x) is str else _token(x, inner))
+             for k, x in sorted(v.items())]), pad)
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+#: `CaseResult.to_json` as `_dump` lays it out in a single-suite report, its
+#: values in sorted key order; the second %s is the info line, or nothing
+_CASE = '{\n      "first_mismatch": %s,%s\n      "key": %s,\n      "pass": %s\n    }'
+
+
+def _report_json(report):
+    """`_dump(report.to_json())` without its final newline, one template per case."""
+    pad = "      "
+    cases = [_CASE % (_token(c.first_mismatch, pad),
+                      "" if c.info is None else '\n      "info": %s,' % _token(c.info, pad),
+                      _token(c.key, pad), _token(c.passed, pad))
+             for c in report.cases]
+    body = "[\n    %s\n  ]" % ",\n    ".join(cases) if cases else "[]"
+    return '{\n  "cases": %s,\n  "suite": %s\n}' % (body, _token(report.suite, "  "))
+
+
 def cmd_verify(cfg):
+    """Run the suites and write their reports as `_dump` would: one report
+    alone, several as a list, each shifted two spaces in."""
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     reports = [_SUITES[name](cfg) for name in names]
     ok = all(r.passed for r in reports)
     if len(reports) == 1:
-        payload = reports[0].to_json()
+        text = _report_json(reports[0])
     else:
-        payload = [r.to_json() for r in reports]
-    return _dump(payload), 0 if ok else 1
+        text = "[\n  %s\n]" % ",\n  ".join([_report_json(r).replace("\n", "\n  ")
+                                            for r in reports])
+    return text + "\n", 0 if ok else 1
 
 
 def _tail_sum(terms, values, caps):

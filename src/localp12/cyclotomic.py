@@ -182,8 +182,16 @@ class Cyclo:
         return self.galois(11)
 
     def inv(self):
-        if not self:
-            raise ZeroDivisionError("inverse of zero in Q(zeta12)")
+        """The multiplicative inverse.
+
+        A rational n/d, reduced, inverts to d/n with the sign moved into the
+        numerator; any other element through its Galois conjugates.
+        """
+        n0, n1, n2, n3 = self._n
+        if not (n1 or n2 or n3):
+            if not n0:
+                raise ZeroDivisionError("inverse of zero in Q(zeta12)")
+            return _raw((self._d, 0, 0, 0), n0) if n0 > 0 else _raw((-self._d, 0, 0, 0), -n0)
         # product of the other three Galois conjugates; times self it is
         # the field norm, a nonzero rational
         b = self.galois(5) * self.galois(7) * self.galois(11)

@@ -14,8 +14,9 @@ terms)` is the one public constructor and checks every exponent; the
 package's own results, whose dicts are already within the caps and free of
 zeros, are wrapped by the internal `Series._of` without a second check.
 
-Products and the Taylor sums of exp, sin, cos, tan and inverse add their
-terms into one dict.
+Products and the Taylor sums of exp, sin, cos and tan add their terms into
+one dict.  `inverse` is no Taylor sum but the graded recurrence of f * g = 1,
+one product per pair of a result term and a term of f.
 
 Caps are per variable rather than total degree: the curve-degree variable
 q wants its own bound independent of the analytic orders in the z and u
@@ -329,8 +330,8 @@ class Series:
 
 # -- analytic functions of a series -------------------------------------
 #
-# Each is a finite Taylor sum: the argument has zero constant term, so its
-# powers climb in total degree and die at the caps.
+# Each but `inverse` is a finite Taylor sum: the argument has zero constant
+# term, so its powers climb in total degree and die at the caps.
 
 
 def _require_no_constant(f, what):
@@ -352,12 +353,10 @@ def _accumulate(out, terms):
                 del out[exp]
 
 
-def _taylor(out, term, step, ratio=None):
-    """out + term * step + term * step^2 + ..., until the caps kill a term.
-
-    With a ratio, the k-th added term is also scaled by ratio(k) on top of
-    the scalings of the terms before it.
-    """
+def _taylor(out, term, step, ratio):
+    """out + term * step * ratio(1) + term * step^2 * ratio(1) * ratio(2) + ...,
+    until the caps kill a term: the k-th added term is the one before it
+    times step, scaled by ratio(k)."""
     total = dict(out._t)
     k = 0
     while True:
@@ -365,8 +364,7 @@ def _taylor(out, term, step, ratio=None):
         term = term * step
         if not term:
             return Series._of(out.vs, total)
-        if ratio is not None:
-            term = term.scale(ratio(k))
+        term = term.scale(ratio(k))
         _accumulate(total, term._t)
 
 
@@ -408,10 +406,34 @@ def tan(f):
 
 
 def inverse(f):
-    """Multiplicative inverse; the constant term must be invertible."""
+    """Multiplicative inverse; the constant term must be invertible.
+
+    The graded recurrence g_0 = 1/f_0, g_e = sum of (-f_s/f_0) g_(e-s) over
+    the other terms f_s of f, run in order of total degree, visits only the
+    exponents reachable from f's support: one product per term of the result
+    and term of f.
+    """
     c = f.constant_term()
     if not c:
         raise ZeroDivisionError("series with zero constant term has no inverse")
     ci = Fraction(1) / c
-    one = Series.constant(f.vs, 1)
-    return _taylor(one, one, one - f.scale(ci)).scale(ci)
+    nci = -ci
+    vs = f.vs
+    caps = vs.caps
+    zero = (0,) * len(caps)
+    steps = [(s, sum(s), v * nci) for s, v in f._t.items() if s != zero]
+    # by_degree[k]: the sums reached so far at the exponents of total degree k
+    by_degree = [{} for _ in range(sum(caps) + 1)]
+    by_degree[0][zero] = ci
+    out = {}
+    for k, level in enumerate(by_degree):
+        for e, g in level.items():
+            if not g:
+                continue
+            out[e] = g
+            for s, ds, a in steps:
+                exp = tuple(map(add, e, s))
+                if all(map(le, exp, caps)):
+                    pending = by_degree[k + ds]
+                    pending[exp] = pending[exp] + a * g if exp in pending else a * g
+    return Series._of(vs, out)

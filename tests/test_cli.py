@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from localp12.cyclotomic import ZERO, Cyclo
 from localp12.mpseries import Series
 from localp12.potentials import classical_part, extended_potential, potential
 from localp12.ratfun import RF_T1, RF_T2, RatFun
+from localp12.reports import CaseResult, SuiteReport
 
 
 def _run(capsys, *argv):
@@ -111,6 +113,56 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, err = _run(capsys, "verify", "--suite", "nonsense")
     assert code == 2
     assert "nonsense" in err
+
+
+@pytest.mark.parametrize("qmax, zorder", [(0, 0), (3, 2), (8, 10)])
+@pytest.mark.parametrize("suite", cli.SUITE_NAMES + ("all",))
+def test_verify_writes_the_reports_as_dump_would(capsys, suite, qmax, zorder):
+    names = cli.SUITE_NAMES if suite == "all" else (suite,)
+    reports = [cli._SUITES[n](SimpleNamespace(qmax=qmax, zorder=zorder)) for n in names]
+    payload = [r.to_json() for r in reports] if suite == "all" else reports[0].to_json()
+    got = _run(capsys, "verify", "--suite", suite, "--qmax", str(qmax), "--zorder", str(zorder))
+    assert got == (0, cli._dump(payload), "")
+
+
+#: reports no suite makes, each written by the verify writer: failing
+#: cases, no info, no cases, bool, int, float and nested info values, empty
+#: lists and dicts, and keys and text that JSON must escape
+_HAND_BUILT = [
+    SuiteReport("bracket", [
+        CaseResult("d=1", False, [0, 1, 1, 2], {"got": "1/2", "want": "-1/2"}),
+        CaseResult("d=2", True),
+    ]),
+    SuiteReport("empty", []),
+    SuiteReport("values", [
+        CaseResult("typed", True, None, {"matches": False, "ok": True, "exponent": 3,
+                                         "big": -10**30, "half": 0.5}),
+        CaseResult("no info", True, None, None),
+        CaseResult("empty", False, [], {}),
+        CaseResult("nested", False, [[1, 2], {"b": None}],
+                   {"list": [1, [2, {"z": None, "a": "b"}]], "dict": {"y": {}, "x": []}}),
+    ]),
+    SuiteReport('q"uo\\te \u00fc', [
+        CaseResult('k"\\\u00e9\u221e', False, [7],
+                   {'a"b': "c\\d", "\u00fcn\u00ef": "\u00e7\u00f8d\u00e9 \u221e \n\t",
+                    "\u2028": "\x00\U0001f600"}),
+    ]),
+]
+
+
+@pytest.mark.parametrize("report", _HAND_BUILT, ids=["failing", "empty", "values", "escapes"])
+def test_verify_writes_hand_built_reports_as_dump_would(monkeypatch, capsys, report):
+    monkeypatch.setitem(cli._SUITES, "bracket", lambda cfg: report)
+    got = _run(capsys, "verify", "--suite", "bracket")
+    assert got == (0 if report.passed else 1, cli._dump(report.to_json()), "")
+
+
+def test_verify_all_writes_hand_built_reports_as_dump_would(monkeypatch, capsys):
+    reports = [_HAND_BUILT[k % len(_HAND_BUILT)] for k in range(len(cli.SUITE_NAMES))]
+    for name, report in zip(cli.SUITE_NAMES, reports):
+        monkeypatch.setitem(cli._SUITES, name, lambda cfg, report=report: report)
+    got = _run(capsys, "verify")
+    assert got == (1, cli._dump([r.to_json() for r in reports]), "")
 
 
 def test_invariants_degree_zero(capsys):
@@ -764,6 +816,9 @@ _GOLDEN = [
      "905364fe7d11", "da39a3ee5e6b", 0),
     (["eval", "--qmax", "0", "--zorder", "0", "--at", "t1=1,t2=2,z2=1/3"],
      "5728aa963c6a", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "bracket", "--qmax", "0", "--zorder", "0"],
+     "6f70139b4f62", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "residual", "--zorder", "0"], "733778df9aa4", "da39a3ee5e6b", 0),
 ]
 
 

@@ -53,6 +53,24 @@ def test_inverses():
         Cyclo().inv()
 
 
+def _galois_inverse(x):
+    """x^-1 as the product of its other three Galois conjugates over the norm."""
+    b = x.galois(5) * x.galois(7) * x.galois(11)
+    return b * (1 / (x * b).rational())
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_rational_inverses_are_exact_and_canonical(sign):
+    for n in range(1, 13):
+        for d in range(1, 13):
+            x = Cyclo(Fraction(sign * n, d))
+            got = x.inv()
+            for want in (_galois_inverse(x), Cyclo(Fraction(d, sign * n))):
+                assert (got._n, got._d) == (want._n, want._d)
+            assert got.is_rational() and got._d > 0
+            assert hash(got) == hash(Fraction(sign * d, n))
+
+
 def test_conjugation():
     assert cy.I.conj() == -cy.I
     assert cy.SQRT3.conj() == cy.SQRT3

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -288,6 +289,95 @@ def test_inverse_unit_constant():
     assert f * mp.inverse(f) == Series.constant(vs, 1)
     with pytest.raises(ZeroDivisionError):
         mp.inverse(Series.variable(vs, "x"))
+
+
+def _unit_series(vs, rng, field, density):
+    """A series on vs with an invertible constant term, in the given field;
+    a `RatFun` constant term is linear in t1, t2, as a denominator must be
+    homogeneous."""
+    pick = {
+        "fraction": lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        "cyclo": lambda: Cyclo(*(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                 for _ in range(4))),
+        "ratfun": lambda: rf(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        + RF_T1 * rng.randint(-2, 2),
+    }[field]
+    terms = {}
+    for exp in itertools.product(*(range(cap + 1) for cap in vs.caps)):
+        if rng.random() < density:
+            terms[exp] = pick()
+    if field == "ratfun":
+        pick = lambda: RF_T1 * rng.randint(-2, 2) + RF_T2 * Fraction(rng.randint(-3, 3), 2)
+    constant = pick()
+    while not constant:
+        constant = pick()
+    terms[(0,) * len(vs.caps)] = constant
+    return Series(vs, terms)
+
+
+@pytest.mark.parametrize("field", ["fraction", "cyclo", "ratfun"])
+@pytest.mark.parametrize("caps", [(0,), (1,), (7,), (0, 0), (3, 2), (4, 4)])
+def test_inverse_is_a_two_sided_inverse(field, caps):
+    rng = random.Random("inverse:%s:%r" % (field, caps))
+    vs = VarSet(("x", "y")[:len(caps)], caps)
+    one = Series.constant(vs, 1)
+    for density in (0.2, 0.7):
+        f = _unit_series(vs, rng, field, density)
+        g = mp.inverse(f)
+        assert f * g == one
+
+
+def test_inverse_of_a_sparse_series_stays_on_its_support():
+    vs = VarSet(("x", "y", "z"), (5, 4, 6))
+    x = Series.variable(vs, "x")
+    g = mp.inverse(Series.constant(vs, 1) + x)
+    assert dict(g.terms()) == {(k, 0, 0): (-1) ** k for k in range(6)}
+    # 2 + x y^2 reaches only the exponents k * (1, 2, 0) within the caps
+    f = Series.constant(vs, Cyclo(2)) + Series(vs, {(1, 2, 0): I})
+    g = mp.inverse(f)
+    assert {e for e, _ in g.terms()} == {(0, 0, 0), (1, 2, 0), (2, 4, 0)}
+    assert f * g == Series.constant(vs, 1)
+
+
+@pytest.mark.parametrize("field", ["fraction", "cyclo", "ratfun"])
+def test_inverse_is_cap_exact(field):
+    rng = random.Random("inverse-caps:%s" % field)
+    big = VarSet(("x", "y"), (6, 5))
+    f = _unit_series(big, rng, field, 0.5)
+    g = mp.inverse(f)
+    for caps in ((0, 0), (3, 5), (6, 2), (1, 1)):
+        small = VarSet(("x", "y"), caps)
+        assert mp.inverse(f.into(small)) == g.into(small)
+
+
+@pytest.mark.parametrize("constant", [0, Fraction(0), Cyclo(), rf(0)])
+def test_inverse_of_a_zero_constant_term_raises(constant):
+    vs = VarSet(("x", "y"), (3, 3))
+    f = Series.variable(vs, "x") + Series.constant(vs, constant)
+    with pytest.raises(ZeroDivisionError):
+        mp.inverse(f)
+
+
+def test_inverse_is_quadratic_in_the_cap(monkeypatch):
+    # the residual suite's 1 + e^{i theta} at cap 13: the graded recurrence
+    # makes one product per pair of a term of f and a term of the result,
+    # at most 13 * 14 / 2 of them; a Taylor sum of the geometric series
+    # makes several hundred
+    vs = VarSet(("theta",), (13,))
+    f = Series.constant(vs, 1) + mp.exp(Series.variable(vs, "theta").scale(I))
+    calls = [0]
+    mul = Cyclo.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyclo, "__mul__", counting)
+    monkeypatch.setattr(Cyclo, "__rmul__", counting)
+    g = mp.inverse(f)
+    assert 0 < calls[0] <= 13 * 14 // 2
+    monkeypatch.undo()
+    assert f * g == Series.constant(vs, 1)
 
 
 def test_json_round_trip_sorted():

@@ -295,6 +295,32 @@ def test_half_shifted_specialization_matches_extended_tail():
     assert acc == tail
 
 
+@pytest.mark.parametrize("d", range(1, 13))
+def test_conjugated_exponential_equals_the_second_taylor_sum(d):
+    # the bracket's e^{-i d theta/2} at order 13, from its one exp and the
+    # route it replaces
+    vs = VarSet(("theta",), (26,))
+    theta = Series.variable(vs, "theta").scale(Fraction(d, 2))
+    assert pcrc._conjugate(exp(theta.scale(I))) == exp(theta.scale(-I))
+
+
+def test_rational_coefficients_are_their_own_conjugates():
+    vs = VarSet(("theta",), (3,))
+    f = Series(vs, {(0,): 1, (1,): Fraction(-2, 3), (2,): I, (3,): Cyclo(1, 2, 3, 4)})
+    terms = dict(pcrc._conjugate(f).terms())
+    assert terms == {(0,): 1, (1,): Fraction(-2, 3), (2,): -I, (3,): Cyclo(1, 2, 3, 4).conj()}
+    assert type(terms[(0,)]) is int and type(terms[(1,)]) is Fraction
+    assert pcrc._conjugate(pcrc._conjugate(f)) == f
+
+
+@pytest.mark.parametrize("qmax, order", [(0, 5), (1, 0), (4, 3), (8, 10)])
+def test_bracket_identity_makes_one_exp_per_degree(monkeypatch, qmax, order):
+    calls = []
+    monkeypatch.setattr(pcrc, "exp", lambda f: calls.append(f) or exp(f))
+    assert verify_bracket_identity(qmax, order).passed
+    assert len(calls) == qmax
+
+
 def test_residual_identity():
     report = verify_residual_thirdderiv(12)
     assert report.passed
