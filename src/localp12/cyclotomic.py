@@ -19,8 +19,11 @@ gcd(n0, n1, n2, n3, d) = 1, with zero stored as (0, 0, 0, 0) / 1: the
 layout FLINT uses for fmpq_poly.  Every operation returns that reduced
 representative, so field equality is plain equality of representatives,
 and the field arithmetic is integer products plus one gcd per result.
-`coords` gives the four coordinates as reduced Fractions; the constructor
-takes ints and Fractions.
+An int or Fraction operand of `*` or `/` takes the rational route,
+`Cyclo._scaled`: four numerator products and one denominator product, with
+no field product and no inverse.  `coords` gives the four coordinates as
+reduced Fractions; the constructor takes ints and Fractions and raises
+TypeError for anything else, a float included.
 """
 
 import math
@@ -54,7 +57,10 @@ class Cyclo:
     __slots__ = ("_n", "_d")
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        cs = [Fraction(c) for c in (c0, c1, c2, c3)]
+        cs = (c0, c1, c2, c3)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("a Cyclo coordinate is an int or a Fraction, not %r" % (c,))
         d = math.lcm(*(c.denominator for c in cs))
         # over the lcm of reduced denominators no prime divides d and every
         # numerator, so the representative is already reduced
@@ -106,9 +112,9 @@ class Cyclo:
 
     def __mul__(self, other):
         if not isinstance(other, Cyclo):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other.numerator, other.denominator)
+            return NotImplemented
         a0, a1, a2, a3 = self._n
         b0, b1, b2, b3 = other._n
         # the zeta^4, zeta^5 and zeta^6 coefficients of the product, folded
@@ -127,8 +133,11 @@ class Cyclo:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero in Q(zeta12)")
+            return self._scaled(other.denominator, other.numerator)
+        if not isinstance(other, Cyclo):
             return NotImplemented
         return self * other.inv()
 

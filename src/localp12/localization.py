@@ -272,39 +272,42 @@ def even_literal_assembly(d, g):
     if g < -1:
         raise ValueError("genus must be at least -1, got %r" % (g,))
 
-    rational = Fraction(1)
-    s_exp = Fraction(0)
-    e2d = Fraction(0)
-    ed = Fraction(0)
-
+    # the rational is num / den; every exponent is counted in halves
+    num, den, s2, e2d2, ed2 = 1, 1, 0, 0, 0
     # first edge bundle: (d-1)!! s^((d-1)/2) / (2d)^((d-1)/2)
-    rational *= _double_factorial(d - 1)
-    s_exp += Fraction(d - 1, 2)
-    e2d -= Fraction(d - 1, 2)
+    num *= _double_factorial(d - 1)
+    s2 += d - 1
+    e2d2 -= d - 1
     # second edge bundle: (d-1)! (s/d)^(d-1)
-    rational *= math.factorial(d - 1)
-    s_exp += d - 1
-    ed -= d - 1
+    num *= math.factorial(d - 1)
+    s2 += 2 * (d - 1)
+    ed2 -= 2 * (d - 1)
     # tangent denominator: 2 d! d!! s^(3d/2) / ((2d)^(d/2) d^d)
-    rational /= 2 * math.factorial(d) * _double_factorial(d)
-    s_exp -= Fraction(3 * d, 2)
-    e2d += Fraction(d, 2)
-    ed += d
+    den *= 2 * math.factorial(d) * _double_factorial(d)
+    s2 -= 3 * d
+    e2d2 += d
+    ed2 += 2 * d
     # flag factor s/2
-    rational /= 2
-    s_exp += 1
-    # vertex (s/2)^(2g); g = -1 inverts it
-    rational *= Fraction(1, 4) ** g
-    s_exp += 2 * g
+    den *= 2
+    s2 += 2
+    # vertex (s/2)^(2g) = s^(2g) / 4^g; g = -1 inverts it
+    if g < 0:
+        num *= 4
+    else:
+        den *= 4**g
+    s2 += 4 * g
     # untwisted node smoothing, psi^(2g) coefficient
     node = NodeSmoothing(d, stacky=False).psi_coefficient(2 * g)
-    rational *= node.coeff
-    s_exp += node.s_exp
+    num *= node.coeff.numerator
+    den *= node.coeff.denominator
+    s2 += 2 * int(node.s_exp)
     # gluing factor 2 and the cover integral
-    rational *= 2 * COVER_INTEGRAL
+    num *= 2 * COVER_INTEGRAL.numerator
+    den *= COVER_INTEGRAL.denominator
 
     return EvenLiteralAssembly(
-        d, g, rational, s_exp, e2d, ed, local_invariant(d, 2 * g + 2)
+        d, g, Fraction(num, den), Fraction(s2, 2), Fraction(e2d2, 2), Fraction(ed2, 2),
+        local_invariant(d, 2 * g + 2),
     )
 
 

@@ -46,12 +46,15 @@ def _cyclo(x):
     return Cyclo(Fraction(x))
 
 
+_PHASE_EXPONENTS = {zeta_pow(k): k for k in range(12)}
+
+
 def phase_exponent(c):
     """The k in 0..11 with c = zeta^k; ValueError if there is none."""
-    for k in range(12):
-        if c == zeta_pow(k):
-            return k
-    raise ValueError("not a 12th root of unity: %s" % (c,))
+    k = _PHASE_EXPONENTS.get(c)
+    if k is None:
+        raise ValueError("not a 12th root of unity: %s" % (c,))
+    return k
 
 
 def principal_angle(c):
@@ -418,34 +421,45 @@ def verify_bracket_identity(qmax=8, order=10):
     reached with a, b <= order.  So the carried difference vanishes to the
     caps exactly when D does to theta-degree 2 * order.
 
-    One `exp` per degree: e^{-i d theta/2} is `_conjugate` of e^{i d theta/2},
-    as theta has a rational coefficient and conjugation is a field
-    automorphism.  The wave keeps its own sin/cos Taylor route, so the two
-    sides stay independent.
+    One `exp`, one `sin` and one `cos` per call, none at qmax = 0: degree
+    d's sides are the dilations theta -> d theta of e^{i theta/2}, sin(theta/2)
+    and cos(theta/2), which multiply the theta^k coefficient by d^k.
+    e^{-i theta/2} is `_conjugate` of e^{i theta/2}, as theta has a rational
+    coefficient and conjugation is a field automorphism.  The bracket
+    depends on d only through i^d and (-1)^d, so one undilated difference
+    serves every d with the same d mod 4 and sign(d).  Dilation by d != 0
+    keeps zero and the lowest exponent, so that difference is what is
+    tested.  The wave keeps its own sin/cos Taylor route, so the two sides
+    stay independent.
 
     A failing case still reports the carried, four-variable record: with k
     the lowest theta-degree of D and a = max(0, k - order), the first
-    exponent is (0, a, d, k - a) and both sides there are C(k, a)/d^3
-    times their theta^k coefficients.
+    exponent is (0, a, d, k - a) and both sides there are C(k, a) d^k/d^3
+    times their undilated theta^k coefficients.
     """
+    if not qmax:
+        return SuiteReport("bracket", [])
     vs = VarSet(("theta",), (2 * order,))
-    theta0 = Series.variable(vs, "theta")
+    half = Series.variable(vs, "theta").scale(Fraction(1, 2))
+    plus = exp(half.scale(I))
+    minus = _conjugate(plus)
+    waves = (cos(half), sin(half))
+    sides = {}
     cases = []
     for d in range(1, qmax + 1):
-        theta = theta0.scale(Fraction(d, 2))
-        plus = exp(theta.scale(I))
-        bracket = (
-            _conjugate(plus) + plus.scale((-1) ** d)
-        ).scale(I**d * Fraction(1, 2))
-        wave = (sin(theta) if d % 2 else cos(theta)).scale(quantum_sign(d))
         key = "d=%d" % d
-        diff = bracket - wave
+        sign = quantum_sign(d)
+        if (d % 4, sign) not in sides:
+            bracket = (minus + plus.scale((-1) ** d)).scale(I**d * Fraction(1, 2))
+            wave = waves[d % 2].scale(sign)
+            sides[d % 4, sign] = (bracket, wave, bracket - wave)
+        bracket, wave, diff = sides[d % 4, sign]
         if not diff:
             cases.append(CaseResult(key, True))
             continue
         k = min(e for (e,), _ in diff.terms())
         a = max(0, k - order)
-        carry = Fraction(comb(k, a), d**3)
+        carry = Fraction(comb(k, a) * d**k, d**3)
         info = {"got": str(bracket.coeff((k,)) * carry),
                 "want": str(wave.coeff((k,)) * carry)}
         cases.append(CaseResult(key, False, [0, a, d, k - a], info))

@@ -71,6 +71,48 @@ def test_rational_inverses_are_exact_and_canonical(sign):
             assert hash(got) == hash(Fraction(sign * d, n))
 
 
+def test_rational_operands_give_the_field_product():
+    # x * r, r * x and x / r scale x directly; the field product with Cyclo(r)
+    # and the inverse of Cyclo(r) are the reference
+    rng = random.Random(18)
+    big = 10**30 + 1
+    elements = [Cyclo(), Cyclo(5), Cyclo(Fraction(-7, 12)), Cyclo(Fraction(big, 3)), cy.I,
+                cy.SQRT3 * Fraction(1, 2), Cyclo(Fraction(1, big), 3, 0, Fraction(-2, 10**20 + 7))]
+    elements += [rand_cyclo(rng) for _ in range(30)]
+    operands = [0, 1, -1, True, 12, -30, big, Fraction(-3, 4), Fraction(-big, 7),
+                Fraction(5, 6), Fraction(1, big)]
+    for x in elements:
+        for r in operands:
+            want = x * Cyclo(r)
+            for got in (x * r, r * x):
+                assert (got._n, got._d, hash(got)) == (want._n, want._d, hash(want))
+                assert all(type(n) is int for n in got._n)
+            if r:
+                got, want = x / r, x * Cyclo(r).inv()
+                assert (got._n, got._d, hash(got)) == (want._n, want._d, hash(want))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / r
+        with pytest.raises(TypeError):
+            x * 0.5
+        with pytest.raises(TypeError):
+            0.5 * x
+
+
+def test_constructor_takes_only_ints_and_fractions():
+    for bad in (0.1, 1.0, "1/3", 1j, None):
+        with pytest.raises(TypeError):
+            Cyclo(bad)
+        with pytest.raises(TypeError):
+            Cyclo(0, 0, 0, bad)
+    # repr prints 1/3, which Python reads as a float, not as a Fraction
+    with pytest.raises(TypeError):
+        eval(repr(Cyclo(Fraction(1, 3))), {"Cyclo": Cyclo})
+    x = Cyclo(3, 0, -1, True)
+    assert eval(repr(x), {"Cyclo": Cyclo}) == x
+    assert all(type(n) is int for n in x._n)
+
+
 def test_conjugation():
     assert cy.I.conj() == -cy.I
     assert cy.SQRT3.conj() == cy.SQRT3

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from localp12 import pcrc
-from localp12.cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, ZERO, zeta_pow
+from localp12.cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, SQRT3, ZERO, zeta_pow
 from localp12.mpseries import Series, VarSet, cos, exp, inverse, sin, tan
 from localp12.pcrc import (
     AngleLine,
@@ -30,7 +30,6 @@ from localp12.pcrc import (
     verify_residual_thirdderiv,
 )
 from localp12.localization import (
-    quantum_sign,
     resummation_suite,
     resummed_even,
     resummed_odd,
@@ -55,6 +54,15 @@ def test_principal_angle():
     assert phase_exponent(OMEGA) == 4
     with pytest.raises(ValueError):
         phase_exponent(Cyclo(2))
+
+
+def test_phase_exponent_reads_every_power_of_zeta():
+    for k in range(-12, 24):
+        assert phase_exponent(zeta_pow(k)) == k % 12
+    assert phase_exponent(1) == 0 and phase_exponent(-1) == 6
+    for c in (ZERO, 2, SQRT3, ONE + I):
+        with pytest.raises(ValueError):
+            phase_exponent(c)
 
 
 def test_printed_map_entries():
@@ -315,10 +323,12 @@ def test_rational_coefficients_are_their_own_conjugates():
 
 @pytest.mark.parametrize("qmax, order", [(0, 5), (1, 0), (4, 3), (8, 10)])
 def test_bracket_identity_makes_one_exp_per_degree(monkeypatch, qmax, order):
+    # one exp, sin and cos per call, dilated to every degree; none at qmax = 0
     calls = []
-    monkeypatch.setattr(pcrc, "exp", lambda f: calls.append(f) or exp(f))
+    for name, f in (("exp", exp), ("sin", sin), ("cos", cos)):
+        monkeypatch.setattr(pcrc, name, lambda g, f=f, name=name: calls.append(name) or f(g))
     assert verify_bracket_identity(qmax, order).passed
-    assert len(calls) == qmax
+    assert sorted(calls) == (["cos", "exp", "sin"] if qmax else [])
 
 
 def test_residual_identity():
@@ -413,7 +423,7 @@ def _carried_bracket_records(qmax, order):
         bracket = (
             exp(theta.scale(-I)) + exp(theta.scale(I)).scale((-1) ** d)
         ).scale(I**d * Fraction(1, 2))
-        wave = (pcrc.sin(theta) if d % 2 else pcrc.cos(theta)).scale(quantum_sign(d))
+        wave = (pcrc.sin(theta) if d % 2 else pcrc.cos(theta)).scale(pcrc.quantum_sign(d))
         got, want = carrier * bracket, carrier * wave
         diff = got - want
         if not diff:
@@ -438,6 +448,17 @@ def test_bracket_records_match_the_carried_four_variable_check(monkeypatch, k):
     report = verify_bracket_identity(qmax, order)
     assert report.passed == (k is None or k > 2 * order)
     assert [c.to_json() for c in report.cases] == _carried_bracket_records(qmax, order)
+
+
+@pytest.mark.parametrize("broken", [1, 3, 5, 6])
+def test_a_sign_broken_at_one_degree_fails_that_degree_alone(monkeypatch, broken):
+    # got/want carry d^k beyond d = 2, and the sign is read at every degree:
+    # d = 5 and 6 share d mod 4 with d = 1 and 2
+    sign = pcrc.quantum_sign
+    monkeypatch.setattr(pcrc, "quantum_sign", lambda d: -sign(d) if d == broken else sign(d))
+    report = verify_bracket_identity(6, 4)
+    assert [c.key for c in report.cases if not c.passed] == ["d=%d" % broken]
+    assert [c.to_json() for c in report.cases] == _carried_bracket_records(6, 4)
 
 
 def test_bracket_identity_runs_in_one_variable(monkeypatch):
