@@ -319,7 +319,8 @@ def local_invariant(d, n):
     """Direct formula for the degree-d invariant with n stacky insertions.
 
     Requires n >= 0 with n = d (mod 2); in genus terms n = 2g+1 for odd d
-    and n = 2g+2 (g >= -1) for even d.
+    and n = 2g+2 (g >= -1) for even d.  The value is
+    quantum_sign(d) (-1)^(n//2) 2 d^n / (d^3 2^n).
     """
     if d < 1:
         raise ValueError("degree must be positive, got %r" % (d,))
@@ -327,19 +328,11 @@ def local_invariant(d, n):
         raise ValueError(
             "insertion count %r has the wrong parity for degree %r" % (n, d)
         )
-    if d % 2:
-        g = (n - 1) // 2
-        sign = (-1) ** (g + (d - 1) // 2)
-    else:
-        g = n // 2 - 1
-        sign = (-1) ** (g + 1 + d // 2)
-    return sign * Fraction(2, d**3) * Fraction(d, 2) ** n
+    return Fraction(quantum_sign(d) * (-1) ** (n // 2) * 2 * d**n, d**3 * 2**n)
 
 
 def quantum_sign(d):
     """Sign of the degree-d closed-form term: period four in d."""
-    if d % 2:
-        return (-1) ** ((d - 1) // 2)
     return (-1) ** (d // 2)
 
 

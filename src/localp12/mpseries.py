@@ -26,6 +26,7 @@ Derivatives lower the differentiated variable's cap by one and integrals
 raise it, which keeps the exactness guarantee honest in both directions.
 """
 
+import operator
 from fractions import Fraction
 from operator import add, le
 
@@ -37,7 +38,7 @@ class VarSet:
 
     def __init__(self, names, caps):
         self.names = tuple(names)
-        self.caps = tuple(int(c) for c in caps)
+        self.caps = tuple(operator.index(c) for c in caps)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
         if len(self.caps) != len(self.names):
@@ -83,7 +84,7 @@ class Series:
             n = len(caps)
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, c in items:
-                exp = tuple(int(e) for e in exp)
+                exp = tuple(operator.index(e) for e in exp)
                 if len(exp) != n:
                     raise ValueError("exponent arity %d, expected %d" % (len(exp), n))
                 if any(e < 0 for e in exp):
@@ -294,7 +295,7 @@ class Series:
     # -- views ------------------------------------------------------------
 
     def coeff(self, exp):
-        exp = tuple(int(e) for e in exp)
+        exp = tuple(operator.index(e) for e in exp)
         if len(exp) != len(self.vs.names):
             raise ValueError("exponent arity mismatch")
         if any(e > cap or e < 0 for e, cap in zip(exp, self.vs.caps)):

@@ -20,12 +20,12 @@ one angle theta = z2 + u: the bracket identity is stated on (z1, z2, q, u)
 with the carrier (q e^{z1})^d / d^3, but the carrier's z1^0 q^d coefficient
 is nonzero and z2^a u^b picks up C(a+b, a) times the theta^{a+b}
 coefficient, so checking bracket - wave to theta-degree 2 * order is the
-same check.  The corollary suite checks that inverting the first map and
-composing with the second reproduces the third, entry by entry in the
-coefficient field.
+same check.  The corollary suite makes one composition, the first map
+inverted on branch 0 and chained with the second, checks it against the
+third entry by entry in the coefficient field, and reads the twelve branch
+cases off its u-line.
 """
 
-import functools
 from fractions import Fraction
 from math import comb
 
@@ -255,9 +255,7 @@ def invert(m, branch=0):
     if len(touched) != len(lin_sources):
         raise ValueError("singular linear part: %d variables for %d lines"
                          % (len(touched), len(lin_sources)))
-    inv_rows = _invert_matrix(
-        tuple(tuple(m.line(n).coeff(v) for v in touched) for n in lin_sources)
-    )
+    inv_rows = _invert_matrix([[m.line(n).coeff(v) for v in touched] for n in lin_sources])
 
     out = {}
     for j, v in enumerate(touched):
@@ -268,7 +266,7 @@ def invert(m, branch=0):
         if isinstance(ln, ScalarLine):
             if ln.var in out:
                 raise ValueError("two lines land on %r" % (ln.var,))
-            out[ln.var] = ScalarLine(_inverse(ln.scalar), n)
+            out[ln.var] = ScalarLine(ln.scalar.inv(), n)
         elif isinstance(ln, ExpLine):
             if len(ln.form.terms) != 1:
                 raise ValueError(
@@ -278,7 +276,7 @@ def invert(m, branch=0):
             v, k = ln.form.terms[0]
             if v in out:
                 raise ValueError("two lines land on %r" % (v,))
-            out[v] = LogLine(_inverse(k), _inverse(ln.phase), n, branch)
+            out[v] = LogLine(k.inv(), ln.phase.inv(), n, branch)
         elif isinstance(ln, (LogLine, AngleLine)):
             raise ValueError("cannot invert a logarithm or angle line")
     missing = [v for v in m.target if v not in out]
@@ -287,16 +285,8 @@ def invert(m, branch=0):
     return CovMap(m.target, m.source, tuple((v, out[v]) for v in m.target), branch)
 
 
-@functools.cache
-def _inverse(c):
-    """`c.inv()`, once per process for each scalar; the maps' scalars are constants."""
-    return c.inv()
-
-
-@functools.cache
 def _invert_matrix(rows):
-    """Gauss-Jordan inverse of a tuple of row tuples, once per matrix; the
-    rows come back as tuples, as callers share them."""
+    """Gauss-Jordan inverse of a list of rows."""
     n = len(rows)
     aug = [list(rows[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for col in range(n):
@@ -311,7 +301,7 @@ def _invert_matrix(rows):
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     # row j of the inverse expresses variable j in terms of the sources
-    return tuple(tuple(row[n:]) for row in aug)
+    return [row[n:] for row in aug]
 
 
 def compose(a, b):
@@ -488,52 +478,43 @@ def verify_residual_thirdderiv(order=16):
     return SuiteReport("residual", [CaseResult(key, False, list(first), info)])
 
 
+def _composition_cases(got):
+    want = build_corollary()
+    chain = got.source == want.source and got.target == want.target and got.branch == want.branch
+    return [CaseResult("chain", chain)] + [
+        CaseResult("line %s" % name, got.line(name) == want.line(name)) for name in want.source]
+
+
+def _remark_cases(got):
+    """The branch b enters the composed u-line only as the 2 pi b of its
+    constant, so the branch-0 line is checked once and case b adds 2b."""
+    uline = got.line("u")
+    ok = isinstance(uline, AngleLine) and uline.phase == zeta_pow(10) and uline.branch == 0
+    k = phase_exponent(uline.phase)
+    angles = [uline.constant_in_pi() + 2 * b for b in range(12)]
+    return [CaseResult("branch=%d" % b, ok and a != 0, None,
+                       {"phase_exponent": k, "angle_over_pi": str(a)})
+            for b, a in enumerate(angles)]
+
+
 def verify_corollary_composition():
     """Invert the first printed map, chain the second, compare the third."""
-    want = build_corollary()
-    got = compose(invert(build_cov(), 0), build_covbgp())
-    cases = [
-        CaseResult("chain", got.source == want.source and got.target == want.target
-                   and got.branch == want.branch)
-    ]
-    for name in want.source:
-        cases.append(CaseResult("line %s" % name, got.line(name) == want.line(name)))
-    return SuiteReport("corollary-composition", cases)
+    got = compose(invert(build_cov()), build_covbgp())
+    return SuiteReport("corollary-composition", _composition_cases(got))
 
 
 def verify_corollary_remark():
     """No logarithm branch makes the angle constant vanish.
 
-    The u-line phase after composition is zeta^10 regardless of the branch
-    b, and the constant -pi/3 + 2 pi b is never zero; twelve branches are
-    checked explicitly.
+    One composition, on branch 0: its u-line has phase zeta^10, and on
+    branch b its constant is -pi/3 + 2 pi b, never zero; twelve branches
+    are reported.
     """
-    cov = build_cov()
-    bgp = build_covbgp()
-    cases = []
-    for b in range(12):
-        m = compose(invert(cov, b), bgp)
-        uline = m.line("u")
-        ok = (
-            isinstance(uline, AngleLine)
-            and uline.phase == zeta_pow(10)
-            and uline.phase != ONE
-            and uline.branch == b
-            and uline.constant_in_pi() != 0
-        )
-        cases.append(
-            CaseResult(
-                "branch=%d" % b,
-                ok,
-                None,
-                {"phase_exponent": phase_exponent(uline.phase),
-                 "angle_over_pi": str(uline.constant_in_pi())},
-            )
-        )
-    return SuiteReport("corollary-remark", cases)
+    got = compose(invert(build_cov()), build_covbgp())
+    return SuiteReport("corollary-remark", _remark_cases(got))
 
 
 def corollary_suite():
-    comp = verify_corollary_composition()
-    rem = verify_corollary_remark()
-    return SuiteReport("corollary", comp.cases + rem.cases)
+    """The composition cases and the twelve branch cases, from one composition."""
+    got = compose(invert(build_cov()), build_covbgp())
+    return SuiteReport("corollary", _composition_cases(got) + _remark_cases(got))

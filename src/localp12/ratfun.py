@@ -18,6 +18,7 @@ homogeneous, so gcd(p, q) is the monic Euclid in K[s] of q and each
 homogeneous component of p, times the least power of t2 they share.
 """
 
+import operator
 from fractions import Fraction
 
 from .cyclotomic import (
@@ -44,7 +45,7 @@ class Poly2:
                 c = _scalar(c)
                 if not c:
                     continue
-                exp = (int(exp[0]), int(exp[1]))
+                exp = (operator.index(exp[0]), operator.index(exp[1]))
                 if exp[0] < 0 or exp[1] < 0:
                     raise ValueError("negative exponent %r" % (exp,))
                 acc = t.get(exp)

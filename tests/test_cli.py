@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -530,35 +531,38 @@ def test_table_makes_a_fixed_number_of_ratfun_operations(monkeypatch, capsys, sm
         assert 0 < 5 * seen[2] < len(_record(big).tail.terms())
 
 
-#: Cyclo inverses in one cold `verify` at default caps: 74 in the degree-0
-#: sums, 3 in the one elimination, and 2 for the scalars of `build_cov`'s
-#: scalar and exponential lines, i (in both) and -1, each inverted once for
-#: the thirteen inversions of the map (39 when each inversion made its own)
-_VERIFY_CYCLO_INVERSES = 79
+#: Cyclo inverses in one `verify` at default caps, cold or warm: 74 in the
+#: degree-0 sums, 3 pivots in the one elimination, and the scalars of
+#: `build_cov`'s scalar and exponential lines, i, i and -1
+_VERIFY_CYCLO_INVERSES = 80
 
 
 def test_verify_builds_one_series_per_degree_and_eliminates_once(monkeypatch, capsys):
-    pcrc._invert_matrix.cache_clear()
-    pcrc._inverse.cache_clear()
-    localization._odd_edge.cache_clear()
     builds = []
     for name in ("resummed_odd", "resummed_even"):
         build = getattr(localization, name)
         monkeypatch.setattr(localization, name,
                             lambda d, n, build=build: builds.append(d) or build(d, n))
-    inverses = [0]
-    inv = Cyclo.inv
+    calls = Counter()
 
-    def counting(self):
-        inverses[0] += 1
-        return inv(self)
+    def counting(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
 
-    monkeypatch.setattr(Cyclo, "inv", counting)
-    code, _, _ = _run(capsys, "verify", "--suite", "all")
-    assert code == 0
-    assert sorted(builds) == list(range(1, 10))
-    assert pcrc._invert_matrix.cache_info().misses == 1
-    assert inverses[0] == _VERIFY_CYCLO_INVERSES
+    monkeypatch.setattr(Cyclo, "inv", counting("inv", Cyclo.inv))
+    for name in ("invert", "compose"):
+        monkeypatch.setattr(pcrc, name, counting(name, getattr(pcrc, name)))
+    seen = []
+    for _ in range(2):
+        builds.clear()
+        calls.clear()
+        code, _, _ = _run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        assert sorted(builds) == list(range(1, 10))
+        seen.append(dict(calls))
+    assert seen == [{"inv": _VERIFY_CYCLO_INVERSES, "invert": 1, "compose": 1}] * 2
 
 
 def _series_value(series, at):

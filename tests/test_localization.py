@@ -248,6 +248,25 @@ def test_local_invariant_closed_form():
         local_invariant(1, -1)
 
 
+def _two_branch_local_invariant(d, n):
+    """The invariant as once written, one sign rule per parity of d."""
+    if d % 2:
+        g = (n - 1) // 2
+        sign = (-1) ** (g + (d - 1) // 2)
+    else:
+        g = n // 2 - 1
+        sign = (-1) ** (g + 1 + d // 2)
+    return sign * Fraction(2, d**3) * Fraction(d, 2) ** n
+
+
+def test_local_invariant_equals_the_two_branch_formula():
+    for d in range(1, 30):
+        for n in range(d % 2, 40, 2):
+            v = local_invariant(d, n)
+            assert type(v) is Fraction
+            assert v == _two_branch_local_invariant(d, n)
+
+
 def test_local_invariant_magnitude_and_sign():
     rng = random.Random(404)
     for _ in range(25):

@@ -34,6 +34,25 @@ def test_varset_validation():
         vs.index("c")
 
 
+@pytest.mark.parametrize("bad", [2.9, 2.0, "2", Fraction(2)])
+def test_exponents_and_caps_must_be_integers(bad):
+    with pytest.raises(TypeError):
+        VarSet(("x",), (bad,))
+    vs = VarSet(("x",), (3,))
+    with pytest.raises(TypeError):
+        Series(vs, {(bad,): 1})
+    with pytest.raises(TypeError):
+        Series.variable(vs, "x").coeff((bad,))
+
+
+def test_integer_like_exponents_and_caps_are_kept():
+    vs = VarSet(("x",), (True,))
+    assert vs.caps == (1,) and type(vs.caps[0]) is int
+    s = Series(vs, {(True,): 3})
+    assert s == Series.variable(vs, "x").scale(3)
+    assert s.coeff((True,)) == 3
+
+
 def test_truncating_product():
     vs = VarSet(("z2",), (2,))
     one = Series.constant(vs, 1)

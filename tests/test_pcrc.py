@@ -153,6 +153,39 @@ def test_corollary_remark_branches():
     assert len(suite.cases) == 18
 
 
+@pytest.mark.parametrize("b", range(12))
+def test_the_branch_enters_the_composition_only_through_the_u_line(b):
+    base = compose(invert(build_cov(), 0), build_covbgp())
+    u = base.line("u")
+    lines = tuple((n, AngleLine(u.phase, b, u.form) if n == "u" else ln) for n, ln in base.lines)
+    want = CovMap(base.source, base.target, lines, b)
+    assert compose(invert(build_cov(), b), build_covbgp()) == want
+
+
+def test_a_unit_u_phase_fails_every_branch(monkeypatch):
+    cov = build_cov()
+    q1 = cov.line("q1")
+    lines = tuple((n, ExpLine(OMEGA, q1.form) if n == "q1" else ln) for n, ln in cov.lines)
+    monkeypatch.setattr(pcrc, "build_cov", lambda: CovMap(cov.source, cov.target, lines))
+    assert compose(invert(pcrc.build_cov()), build_covbgp()).line("u").phase == ONE
+    for report in (verify_corollary_remark(), corollary_suite()):
+        branches = [c for c in report.cases if c.key.startswith("branch=")]
+        assert len(branches) == 12
+        for b, case in enumerate(branches):
+            assert not case.passed
+            assert case.info == {"phase_exponent": 0, "angle_over_pi": str(2 * b)}
+
+
+def test_corollary_suite_composes_once(monkeypatch):
+    calls = []
+    for name in ("invert", "compose"):
+        f = getattr(pcrc, name)
+        monkeypatch.setattr(pcrc, name,
+                            lambda *args, f=f, name=name: calls.append(name) or f(*args))
+    assert corollary_suite().passed
+    assert sorted(calls) == ["compose", "invert"]
+
+
 def test_compose_requires_chaining():
     with pytest.raises(ValueError):
         compose(build_cov(), build_cov())
@@ -362,26 +395,6 @@ def test_residual_sides_low_coefficients():
         assert side.coeff((0,)) == rf(I * Fraction(1, 2))
         assert side.coeff((1,)) == rf(Fraction(-1, 4))
     assert lhs == rhs
-
-
-def test_cached_inverse_equals_a_fresh_elimination(monkeypatch):
-    cached = [invert(build_cov(), b) for b in range(12)]
-    monkeypatch.setattr(pcrc, "_invert_matrix", pcrc._invert_matrix.__wrapped__)
-    assert cached == [invert(build_cov(), b) for b in range(12)]
-    monkeypatch.undo()
-    rows = ((ONE, ZERO, ZERO), (ZERO, I, ZERO), (ONE, I * Fraction(-1, 2), ONE))
-    inv = pcrc._invert_matrix(rows)
-    assert inv is pcrc._invert_matrix(rows)
-    assert type(inv) is tuple and all(type(row) is tuple for row in inv)
-    assert inv == pcrc._invert_matrix.__wrapped__(rows)
-
-
-def test_cached_scalar_inverses_leave_invert_unchanged(monkeypatch):
-    cached = [invert(build_cov(), b) for b in range(12)]
-    monkeypatch.setattr(pcrc, "_inverse", lambda c: c.inv())
-    assert cached == [invert(build_cov(), b) for b in range(12)]
-    monkeypatch.undo()
-    assert pcrc._inverse(I) is pcrc._inverse(I) and pcrc._inverse(I) == I.inv()
 
 
 def test_linearform_algebra():

@@ -64,6 +64,15 @@ def test_normalization_collapses_common_factors():
     assert RatFun(num, den) == RF_T1 + RF_T2
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", Fraction(1)])
+def test_poly2_exponents_must_be_integers(bad):
+    with pytest.raises(TypeError):
+        Poly2({(bad, 0): 1})
+    with pytest.raises(TypeError):
+        Poly2({(0, bad): 1})
+    assert Poly2({(True, 0): 1}) == P_T1
+
+
 def test_identities():
     third = RatFun(P_ONE.scale(Fraction(1, 3)), P_T1 * P_T2)
     assert third + RF_ZERO == third
