@@ -10,10 +10,12 @@ A table is written in one pass.  The exponents of the classical cubic and
 of the rational tail (disjoint supports) are sorted together once, by total
 degree and then by exponent; a cubic term is written from the cubic's
 `Series.to_json`, a tail term r from `str(r)` alone, into one JSON template
-per table or one CSV cell.  `eval` sums the tail exactly in integers: with
-x = p/q at each variable, a table of p^k q^(cap-k) per variable turns every
-monomial into an integer product, the coefficients are brought to the lcm
-of their denominators, and the sum is divided once.  `eval` keeps the
+per table or one CSV cell.  `eval` sums exactly in integers: with x = p/q at
+each variable, a table of p^k q^(cap-k) per variable turns every monomial
+into an integer product, the coefficients are brought to the lcm of their
+denominators, and the sum is divided once.  The tail goes through that sum as
+it is, the cubic once its coefficients are evaluated at (t1, t2); only the
+exact total is turned into a float.  `eval` keeps the
 potential of its last caps, so a run of evals at the same caps builds it
 once; `potential` builds every table afresh.  `verify` writes each report
 from one fixed template per case, in the layout of `_dump`, with strings
@@ -35,7 +37,6 @@ import sys
 from fractions import Fraction
 
 from . import localization, pcrc
-from .cyclotomic import ZERO as C_ZERO
 from .potentials import degree0_triple, extended_potential, gw_invariant, potential
 
 #: suite name -> runner; each looks its suite up in its module at call time,
@@ -56,13 +57,6 @@ _EVAL_VARS = ("z0", "z1", "z2", "q", "u")
 
 class UsageError(Exception):
     pass
-
-
-def _nat(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected a nonnegative integer")
-    return value
 
 
 # each check takes a flag's name and merged value and returns the value to run with
@@ -149,17 +143,17 @@ def _too_long(text):
 _FLAGS = {
     "suite": (dict(help="one of %s, or 'all'" % (", ".join(SUITE_NAMES),)), _check_suite),
     "format": (dict(choices=("json", "csv")), _check_format),
-    "qmax": (dict(type=_nat, help="curve-degree cap"), _check_nat),
-    "zorder": (dict(type=_nat, help="cap on each z variable"), _check_nat),
-    "uorder": (dict(type=_nat, help="cap on the angle variable"), _check_nat),
+    "qmax": (dict(type=int, help="curve-degree cap"), _check_nat),
+    "zorder": (dict(type=int, help="cap on each z variable"), _check_nat),
+    "uorder": (dict(type=int, help="cap on the angle variable"), _check_nat),
     "extended": (dict(action="store_true", help="use the u-extended potential"),
                  _check_type(bool, "true or false")),
     "at": (dict(help="comma-separated k=v rational assignments"), _parse_at),
     "out": (dict(help="write output to this path instead of stdout"),
             _check_type(str, "a path")),
-    "d": (dict(type=_nat, help="curve degree"), _check_nat),
-    "n1": (dict(type=_nat, help="divisor insertions"), _check_nat),
-    "n2": (dict(type=_nat, help="twisted insertions"), _check_nat),
+    "d": (dict(type=int, help="curve degree"), _check_nat),
+    "n1": (dict(type=int, help="divisor insertions"), _check_nat),
+    "n2": (dict(type=int, help="twisted insertions"), _check_nat),
     "classes": (dict(help="three comma-separated classes for d=0, e.g. 1,H,H"),
                 _check_type(str, "a comma-separated string")),
 }
@@ -230,6 +224,9 @@ def _merge(args):
             if value is None:
                 value = cfg.get(name, reads[name])
             setattr(merged, name, check(name, value))
+    # the plain potential has no u, so a cap on it would go unread
+    if "uorder" in reads and not merged.extended and (args.uorder is not None or "uorder" in cfg):
+        raise UsageError("--uorder is only for the --extended potential")
     return merged
 
 
@@ -393,8 +390,8 @@ def cmd_verify(cfg):
     return text + "\n", 0 if ok else 1
 
 
-def _tail_sum(terms, values, caps):
-    """The sum of r * prod(x_i^e_i) over the (e, r) of a tail, exact, in integers.
+def _rational_sum(terms, values, caps):
+    """The sum of r * prod(x_i^e_i) over rational (e, r) terms, exact, in integers.
 
     With x_i = p_i/q_i, the table A_i[k] = p_i^k q_i^(cap_i - k) turns each
     monomial into prod A_i[e_i] / prod q_i^cap_i; with L the lcm of the
@@ -429,19 +426,12 @@ def cmd_eval(cfg):
     for name in pot.vs.names:
         point[name] = cfg.at.get(name, Fraction(0))
     values = [point[name] for name in pot.vs.names]
-
-    def monomial(e):
-        m = 1
-        for x, ev in zip(values, e):
-            if ev:
-                m = m * x**ev
-        return m
-
-    # the value is exact, so its embedding does not depend on the summation order
-    cubic = sum((c.eval(t1, t2) * monomial(e) for e, c in pot.cubic.terms()), C_ZERO)
-    tail = _tail_sum(pot.tail.terms(), values, pot.vs.caps)
+    # every cubic coefficient is rational at rational (t1, t2); a pole raises
+    cubic = [(e, c.eval(t1, t2).rational()) for e, c in pot.cubic.terms()]
+    exact = (_rational_sum(cubic, values, pot.vs.caps)
+             + (t1 + t2) * _rational_sum(pot.tail.terms(), values, pot.vs.caps))
     try:
-        value = (cubic + (t1 + t2) * tail).embed()
+        value = float(exact)
     except OverflowError:
         raise OverflowError("the value at this point is too large for a float")
     record = {
@@ -449,7 +439,7 @@ def cmd_eval(cfg):
         "extended": cfg.extended,
         "qmax": cfg.qmax,
         "zorder": cfg.zorder,
-        "value": {"re": format(value.real, ".15g"), "im": format(value.imag, ".15g")},
+        "value": {"re": format(value, ".15g"), "im": "0"},
     }
     if cfg.extended:
         record["uorder"] = cfg.uorder

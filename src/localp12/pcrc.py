@@ -41,9 +41,7 @@ INV_SQRT3 = I_OVER_SQRT3 * -I
 
 
 def _cyclo(x):
-    if isinstance(x, Cyclo):
-        return x
-    return Cyclo(Fraction(x))
+    return x if isinstance(x, Cyclo) else Cyclo(x)
 
 
 _PHASE_EXPONENTS = {zeta_pow(k): k for k in range(12)}
@@ -487,10 +485,14 @@ def _composition_cases(got):
 
 def _remark_cases(got):
     """The branch b enters the composed u-line only as the 2 pi b of its
-    constant, so the branch-0 line is checked once and case b adds 2b."""
+    constant, so the branch-0 line is checked once and case b adds 2b; a
+    u-line that is no angle of a 12th root of unity fails every case."""
     uline = got.line("u")
-    ok = isinstance(uline, AngleLine) and uline.phase == zeta_pow(10) and uline.branch == 0
-    k = phase_exponent(uline.phase)
+    k = _PHASE_EXPONENTS.get(uline.phase) if isinstance(uline, AngleLine) else None
+    if k is None:
+        info = {"got": repr(uline), "want": "an AngleLine of phase zeta^10 on branch 0"}
+        return [CaseResult("branch=%d" % b, False, None, info) for b in range(12)]
+    ok = k == 10 and uline.branch == 0
     angles = [uline.constant_in_pi() + 2 * b for b in range(12)]
     return [CaseResult("branch=%d" % b, ok and a != 0, None,
                        {"phase_exponent": k, "angle_over_pi": str(a)})

@@ -6,7 +6,8 @@ The potential splits by curve degree into three layers:
     invariant of the classes 1, H, S, each a rational function of the
     torus weights t1, t2;
   * stacky: the degree-zero tail in the twisted variable alone, the triple
-    antiderivative of half the tangent of z2/2, weighted by -(t1+t2);
+    antiderivative of half the tangent of z2/2 (`g_series`), weighted by
+    -(t1+t2); it is the q^0 row of the rational tail below;
   * quantum: for each positive degree d, the coefficient of z1^a z2^b q^d
     is the invariant <H^a S^b>_d / (a! b!): (t1+t2) times d^a from the
     divisor class and `local_invariant(d, b)` from the stacky insertions.
@@ -27,9 +28,10 @@ u: the cubic by substitution, the tail written from its coefficients in
 theta = z2 + u.  `gw_invariant` exposes the underlying numbers directly,
 with the divisor class H accounted for by degree factors.
 
-The degree-zero values and the classical cubic depend on no input, so each
-is computed once per process and the same object is handed to every caller;
-`Series` and `RatFun` have no mutators, so sharing them is safe.
+The classical cubic depends on no input, so it is computed once per process
+and the same series is handed to every caller; `Series` and `RatFun` have no
+mutators, so sharing it is safe.  `degree0_triple` reads its values off that
+cubic: the package keeps no other degree-zero cache.
 """
 
 import functools
@@ -46,26 +48,23 @@ _LEVEL = RF_T1 + RF_T2
 
 
 def degree0_triple(classes):
-    """Three-point degree-zero invariant, including the vanishing ones."""
-    return _degree0_value(tuple(sorted(degree0_classes(classes))))
-
-
-@functools.cache
-def _degree0_value(classes):
-    """`degree0_triple` of a sorted, checked class tuple, once per process."""
-    if classes.count("S") % 2:
-        return RF_ZERO
-    return degree0_fixed_point_sum(classes)
+    """Three-point degree-zero invariant: the classical cubic's coefficient at
+    the class counts times their factorials, `RF_ZERO` where it has none."""
+    counts = tuple(map(degree0_classes(classes).count, _CLASSES))
+    value = classical_part().coeff(counts)
+    return value * math.prod(map(math.factorial, counts)) if value else RF_ZERO
 
 
 @functools.cache
 def classical_part():
     """Degree-zero cubic in (z0, z1, z2), one variable per insertion class."""
     terms = {}
-    for picks in itertools.combinations_with_replacement(range(3), 3):
-        counts = (picks.count(0), picks.count(1), picks.count(2))
-        weight = Fraction(1, math.prod(map(math.factorial, counts)))
-        terms[counts] = degree0_triple(_CLASSES[i] for i in picks) * weight
+    for picks in itertools.combinations_with_replacement(_CLASSES, 3):
+        counts = tuple(map(picks.count, _CLASSES))
+        # an odd number of twisted insertions vanishes
+        if counts[2] % 2 == 0:
+            weight = Fraction(1, math.prod(map(math.factorial, counts)))
+            terms[counts] = degree0_fixed_point_sum(picks) * weight
     # the vanishing triples are dropped by the constructor
     return Series(VarSet(("z0", "z1", "z2"), (3, 3, 3)), terms)
 
@@ -83,11 +82,6 @@ def g_series(order):
         Fraction(1, 2)
     )
     return integrand.integrate("z2").integrate("z2").integrate("z2")
-
-
-def stacky_part(order):
-    """Degree-zero tail in z2: -(t1+t2) times `g_series`."""
-    return g_series(order).scale(-_LEVEL)
 
 
 def _plain_caps(qmax, zorder):

@@ -45,6 +45,8 @@ class Poly2:
                 c = _scalar(c)
                 if not c:
                     continue
+                if len(exp) != 2:
+                    raise ValueError("exponent arity %d, expected 2" % (len(exp),))
                 exp = (operator.index(exp[0]), operator.index(exp[1]))
                 if exp[0] < 0 or exp[1] < 0:
                     raise ValueError("negative exponent %r" % (exp,))

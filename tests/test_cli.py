@@ -617,9 +617,33 @@ def _eval_points(arity, seed):
 def test_integer_tail_sum_equals_the_fraction_sum(caps):
     pot = _record(caps)
     for values in _eval_points(len(pot.vs.names), sum(caps)):
-        got = cli._tail_sum(pot.tail.terms(), values, pot.vs.caps)
+        got = cli._rational_sum(pot.tail.terms(), values, pot.vs.caps)
         assert type(got) is Fraction
         assert got == _fraction_tail_sum(pot.tail, values)
+
+
+def test_warm_eval_makes_no_embed_call(monkeypatch, capsys):
+    argv = ("eval", "--at", "t1=3/2,t2=5,z0=1/3,z1=-1/5,z2=2/7,q=1/2")
+    assert _run(capsys, *argv)[0] == 0
+    counts = _count_calls(monkeypatch, Cyclo, ("embed",))
+    code, out, _ = _run(capsys, *argv)
+    assert (code, counts) == (0, {"embed": 0})
+    assert json.loads(out)["value"]["im"] == "0"
+
+
+@pytest.mark.parametrize("caps, spec", [
+    ((3, 6), "t1=1,t2=-1,z0=1/3,z1=1/5,z2=-2/7,q=1/2"),
+    ((0, 3), "t1=-5/2,t2=5/2,z0=2,z1=-3,z2=7/3"),
+    ((2, 4, 3), "t1=2/3,t2=-2/3,z0=1/2,z1=1/7,z2=1/4,q=2,u=-1/3"),
+])
+def test_eval_at_opposite_weights_is_the_exact_sum(capsys, caps, spec):
+    """At t1 + t2 = 0 the tail drops out and the cubic alone is summed."""
+    code, out, err = _run(capsys, "eval", "--at", spec, *_cap_argv(caps))
+    assert (code, err) == (0, "")
+    at = {k: Fraction(v) for k, v in (kv.split("=") for kv in spec.split(","))}
+    exact = _series_value(_record(caps).series(), at).rational()
+    assert exact
+    assert json.loads(out)["value"] == {"re": format(float(exact), ".15g"), "im": "0"}
 
 
 def _old_level_cell(r):
@@ -722,6 +746,37 @@ def test_argparse_errors_are_one_line(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "--qmax", "1", "--zorder", "2"],
+    ["eval", "--at", "t1=1,t2=2,z2=1/3"],
+])
+def test_uorder_needs_the_extended_potential(tmp_path, capsys, argv):
+    want = (2, "", "error: --uorder is only for the --extended potential\n")
+    assert _run(capsys, *argv, "--uorder", "6") == want
+    cfg = tmp_path / "run.json"
+    for values in ({"uorder": 6}, {"uorder": 3, "extended": False}):
+        cfg.write_text(json.dumps(values))
+        assert _run(capsys, *argv, "--config", str(cfg)) == want
+    cfg.write_text(json.dumps({"extended": True}))
+    assert _run(capsys, *argv, "--uorder", "6", "--config", str(cfg))[0] == 0
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("potential", "qmax"), ("potential", "zorder"), ("eval", "uorder"),
+    ("verify", "qmax"), ("invariants", "d"), ("invariants", "n2"),
+])
+def test_a_negative_cap_reads_the_same_from_a_flag_and_a_config(tmp_path, capsys, command, flag):
+    argv = [command, "--extended"] if flag == "uorder" else [command]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({flag: -1}))
+    want = (2, "", "error: %s must be a nonnegative integer, got -1\n" % flag)
+    assert _run(capsys, *argv, "--" + flag, "-1") == want
+    assert _run(capsys, *argv, "--config", str(cfg)) == want
+    code, out, err = _run(capsys, *argv, "--" + flag, "abc")
+    assert (code, out, err) == (2, "", "error: argument --%s: invalid int value: 'abc'\n" % flag)
+    assert "_nat" not in err
 
 
 def test_help_still_prints_and_exits_zero(capsys):

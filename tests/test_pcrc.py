@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from localp12 import pcrc
+from localp12.cli import main
 from localp12.cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, SQRT3, ZERO, zeta_pow
 from localp12.mpseries import Series, VarSet, cos, exp, inverse, sin, tan
 from localp12.pcrc import (
@@ -174,6 +176,42 @@ def test_a_unit_u_phase_fails_every_branch(monkeypatch):
         for b, case in enumerate(branches):
             assert not case.passed
             assert case.info == {"phase_exponent": 0, "angle_over_pi": str(2 * b)}
+
+
+@pytest.mark.parametrize("patch", ["q1 scalar", "s1 scalar"])
+def test_a_malformed_u_line_fails_every_branch_through_the_cli(monkeypatch, capsys, patch):
+    """An `ExpLine` or `LogLine` in place of the composed u-line's angle is
+    reported as twelve failing branch cases, not raised."""
+    if patch == "q1 scalar":
+        name, build, line = "build_cov", build_cov, ScalarLine(I, "u")
+    else:
+        name, build, line = "build_covbgp", build_covbgp, ScalarLine(ONE, "s1")
+    m = build()
+    lines = tuple((n, line if n == "q1" else ln) for n, ln in m.lines)
+    monkeypatch.setattr(pcrc, name, lambda: CovMap(m.source, m.target, lines))
+    uline = compose(invert(pcrc.build_cov()), pcrc.build_covbgp()).line("u")
+    assert isinstance(uline, ExpLine if patch == "q1 scalar" else LogLine)
+    code = main(["verify", "--suite", "corollary"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["suite"] == "corollary"
+    branches = [c for c in report["cases"] if c["key"].startswith("branch=")]
+    assert len(branches) == 12
+    for case in branches:
+        assert not case["pass"]
+        assert case["info"] == {"got": repr(uline),
+                                "want": "an AngleLine of phase zeta^10 on branch 0"}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LinearForm.of({"z0": 0.1}),
+    lambda: LinearForm.of({"z0": "1/3"}),
+    lambda: LinearForm.of({"z0": 1}).scaled(0.5),
+])
+def test_map_coefficients_take_no_floats_or_strings(make):
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_corollary_suite_composes_once(monkeypatch):

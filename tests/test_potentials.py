@@ -22,7 +22,6 @@ from localp12.potentials import (
     gw_invariant,
     potential,
     quantum_part,
-    stacky_part,
 )
 from localp12.ratfun import RF_T1, RF_T2, RF_ZERO, RatFun, rf
 
@@ -68,9 +67,9 @@ def test_degree0_values_come_from_the_cache_unchanged():
         want = RF_ZERO if classes.count("S") % 2 else degree0_fixed_point_sum(classes)
         got = degree0_triple(classes)
         assert got == want
-        # one cached value per class multiset, whatever the order
-        assert got is degree0_triple(reversed(classes))
-        assert got is degree0_triple(sorted(classes))
+        # one value per class multiset, whatever the order
+        assert got == degree0_triple(reversed(classes))
+        assert got == degree0_triple(sorted(classes))
     assert classical_part() is classical_part()
     assert classical_part() == classical_part.__wrapped__()
 
@@ -120,9 +119,20 @@ def test_g_series_is_odd_free():
 
 
 def test_stacky_part_weight():
-    s = stacky_part(6)
-    assert s.coeff((4,)) == _LEVEL * Fraction(-1, 96)
-    assert s.coeff((6,)) == _LEVEL * Fraction(-1, 5760)
+    s = potential(0, 6).series()
+    assert s.coeff((0, 0, 4, 0)) == _LEVEL * Fraction(-1, 96)
+    assert s.coeff((0, 0, 6, 0)) == _LEVEL * Fraction(-1, 5760)
+
+
+def test_degree0_triple_reads_the_fixed_point_sum_off_the_cubic():
+    ordered = list(itertools.product(("1", "H", "S"), repeat=3))
+    even = [c for c in ordered if c.count("S") % 2 == 0]
+    assert len(even) == 14
+    for classes in ordered:
+        if classes in even:
+            assert degree0_triple(classes) == degree0_fixed_point_sum(classes)
+        else:
+            assert degree0_triple(classes) is RF_ZERO
 
 
 def test_quantum_sign_period_four():

@@ -73,6 +73,12 @@ def test_poly2_exponents_must_be_integers(bad):
     assert Poly2({(True, 0): 1}) == P_T1
 
 
+@pytest.mark.parametrize("exp", [(1, 0, 5), (1,), ()])
+def test_poly2_exponents_must_be_pairs(exp):
+    with pytest.raises(ValueError, match="exponent arity %d, expected 2" % len(exp)):
+        Poly2({exp: 1})
+
+
 def test_identities():
     third = RatFun(P_ONE.scale(Fraction(1, 3)), P_T1 * P_T2)
     assert third + RF_ZERO == third
