@@ -9,13 +9,15 @@ byte-identical bytes, with terms sorted and rationals in canonical form.
 A table is written in one pass.  The exponents of the classical cubic and
 of the rational tail (disjoint supports) are sorted together once, by total
 degree and then by exponent; a cubic term is written from the cubic's
-`Series.to_json`, a tail term r from `str(r)` alone, into one JSON template
-per table or one CSV cell.  `eval` sums exactly in integers: with x = p/q at
-each variable, a table of p^k q^(cap-k) per variable turns every monomial
-into an integer product, the coefficients are brought to the lcm of their
-denominators, and the sum is divided once.  The tail goes through that sum as
-it is, the cubic once its coefficients are evaluated at (t1, t2); only the
-exact total is turned into a float.  `eval` keeps the
+`Series.to_json`, a tail term n/m from the text of its integer pair alone
+(`str(n)` when m is 1, else "n/m", as `str(Fraction(n, m))` writes it),
+into one JSON template per table or one `%` row template per CSV row.
+`eval` sums exactly in integers: with x = p/q at each variable, a table of
+p^k q^(cap-k) per variable turns every monomial into an integer product, the
+coefficients are brought to the lcm of their denominators, and the sum is
+divided once.  The tail's pairs go through that sum as they are, the cubic
+once its coefficients are evaluated at (t1, t2); only the exact total is
+turned into a float.  `eval` keeps the
 potential of its last caps, so a run of evals at the same caps builds it
 once; `potential` builds every table afresh.  `verify` writes each report
 from one fixed template per case, in the layout of `_dump`, with strings
@@ -27,9 +29,7 @@ verification failure, an evaluation pole or a value too large for a float,
 """
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import re
@@ -51,6 +51,9 @@ _SUITES = {
 }
 
 SUITE_NAMES = tuple(_SUITES)
+
+#: the --suite values that read --qmax and --zorder; the other suites take no cap
+_CAPPED_SUITES = ("all", "bracket", "residual")
 
 _EVAL_VARS = ("z0", "z1", "z2", "q", "u")
 
@@ -224,9 +227,14 @@ def _merge(args):
             if value is None:
                 value = cfg.get(name, reads[name])
             setattr(merged, name, check(name, value))
-    # the plain potential has no u, so a cap on it would go unread
-    if "uorder" in reads and not merged.extended and (args.uorder is not None or "uorder" in cfg):
+    # a cap that would go unread is refused: the plain potential has no u,
+    # and only some suites take caps
+    given = [cap for cap in ("qmax", "zorder", "uorder")
+             if cap in reads and (getattr(args, cap) is not None or cap in cfg)]
+    if "uorder" in given and not merged.extended:
         raise UsageError("--uorder is only for the --extended potential")
+    if args.command == "verify" and merged.suite not in _CAPPED_SUITES and given:
+        raise UsageError("--%s is only for the suites %s" % (given[0], ", ".join(_CAPPED_SUITES)))
     return merged
 
 
@@ -271,26 +279,26 @@ def cmd_potential(cfg):
     """The table in one pass: the cubic's and the tail's exponents sorted
     together (their supports are disjoint), each term written from its part."""
     pot = _the_potential(cfg.extended, cfg.qmax, cfg.zorder, cfg.uorder)
-    cubic, tail = dict(pot.cubic.terms()), dict(pot.tail.terms())
+    cubic = dict(pot.cubic.terms())
+    # each tail coefficient n/m as str(Fraction(n, m)) writes it
+    tail = {e: str(n) if m == 1 else "%d/%d" % (n, m) for e, (n, m) in pot.pairs.items()}
     exps = [*cubic, *tail]
     exps.sort()
     exps.sort(key=sum)  # stable: by total degree, then by exponent, as `Series.sorted_terms`
     if cfg.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(pot.vs.names) + ["num", "den"])
-        writer.writerows(
-            (*e, _level_cell(str(tail[e])), "1") if e in tail
-            else (*e, str(cubic[e].num), str(cubic[e].den))
-            for e in exps)
-        return buf.getvalue(), 0
+        # rows as the csv module writes them: no cell holds a comma, a quote
+        # or a line break, so none is quoted
+        row = ",".join(["%d"] * len(pot.vs.names)) + ",%s,%s\n"
+        rows = [row % (*e, _level_cell(tail[e]), 1) if e in tail
+                else row % (*e, cubic[e].num, cubic[e].den) for e in exps]
+        return ",".join(pot.vs.names) + ",num,den\n" + "".join(rows), 0
     coeffs = {tuple(t["exp"]): _nested_json(t["coeff"]) for t in pot.cubic.to_json()["terms"]}
     # one term of `Series.to_json` as `_dump` lays it out in a table: %s for the
-    # coefficient's text (twice str(r) in a tail term), %d for each exponent
+    # coefficient's text (twice that of r in a tail term), %d for each exponent
     term = '    {\n      "coeff": %%s,\n      "exp": [\n        %s\n      ]\n    }' % (
         ",\n        ".join(["%d"] * len(pot.vs.names)),)
     level = term.replace("%s", _LEVEL_JSON)
-    terms = [level % ((s := str(tail[e])), s, *e) if e in tail else term % (coeffs[e], *e)
+    terms = [level % ((s := tail[e]), s, *e) if e in tail else term % (coeffs[e], *e)
              for e in exps]
     # the table as `_dump` writes it, with the term list written in place
     table = _dump({"caps": list(pot.vs.caps), "terms": [], "vars": list(pot.vs.names)})
@@ -391,19 +399,19 @@ def cmd_verify(cfg):
 
 
 def _rational_sum(terms, values, caps):
-    """The sum of r * prod(x_i^e_i) over rational (e, r) terms, exact, in integers.
+    """The sum of (n/d) * prod(x_i^e_i) over (e, (n, d)) terms, d > 0, exact,
+    in integers.
 
     With x_i = p_i/q_i, the table A_i[k] = p_i^k q_i^(cap_i - k) turns each
     monomial into prod A_i[e_i] / prod q_i^cap_i; with L the lcm of the
-    denominators d of the coefficients n/d, the sum is
-    sum(n (L/d) prod A_i[e_i]) / (L prod q_i^cap_i), one division in all.
+    denominators d, the sum is sum(n (L/d) prod A_i[e_i]) / (L prod q_i^cap_i),
+    one division in all.
     """
     tables = [[x.numerator**k * x.denominator**(cap - k) for k in range(cap + 1)]
               for x, cap in zip(values, caps)]
-    lcm = math.lcm(*(r.denominator for _, r in terms))
-    total = sum(math.prod(map(list.__getitem__, tables, e),
-                          start=r.numerator * (lcm // r.denominator))
-                for e, r in terms)
+    lcm = math.lcm(*(d for _, (n, d) in terms))
+    total = sum(math.prod(map(list.__getitem__, tables, e), start=n * (lcm // d))
+                for e, (n, d) in terms)
     return Fraction(total, lcm * math.prod(x.denominator**cap for x, cap in zip(values, caps)))
 
 
@@ -427,9 +435,10 @@ def cmd_eval(cfg):
         point[name] = cfg.at.get(name, Fraction(0))
     values = [point[name] for name in pot.vs.names]
     # every cubic coefficient is rational at rational (t1, t2); a pole raises
-    cubic = [(e, c.eval(t1, t2).rational()) for e, c in pot.cubic.terms()]
+    cubic = [(e, (r.numerator, r.denominator))
+             for e, c in pot.cubic.terms() for r in (c.eval(t1, t2).rational(),)]
     exact = (_rational_sum(cubic, values, pot.vs.caps)
-             + (t1 + t2) * _rational_sum(pot.tail.terms(), values, pot.vs.caps))
+             + (t1 + t2) * _rational_sum(pot.pairs.items(), values, pot.vs.caps))
     try:
         value = float(exact)
     except OverflowError:

@@ -10,7 +10,8 @@ A VarSet fixes an ordered tuple of variable names and one truncation cap
 per variable. A Series stores only exponents within the caps; arithmetic
 silently discards anything beyond a cap and never corrupts what is kept,
 so a result is exact to its caps whenever its inputs were.  `Series(vs,
-terms)` is the one public constructor and checks every exponent; the
+terms)` is the one public constructor and checks every exponent, and it and
+`scale` refuse a float or complex coefficient with TypeError; the
 package's own results, whose dicts are already within the caps and free of
 zeros, are wrapped by the internal `Series._of` without a second check.
 
@@ -73,6 +74,12 @@ class VarSet:
         return "VarSet(%r, %r)" % (self.names, self.caps)
 
 
+def _exact(c):
+    """Refuse a float or complex coefficient: a series holds exact numbers."""
+    if isinstance(c, (float, complex)):
+        raise TypeError("a Series coefficient must be exact, not %r" % (c,))
+
+
 class Series:
     __slots__ = ("vs", "_t")
 
@@ -84,6 +91,7 @@ class Series:
             n = len(caps)
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, c in items:
+                _exact(c)
                 exp = tuple(operator.index(e) for e in exp)
                 if len(exp) != n:
                     raise ValueError("exponent arity %d, expected %d" % (len(exp), n))
@@ -179,6 +187,7 @@ class Series:
         return Series._of(self.vs, out)
 
     def scale(self, c):
+        _exact(c)
         if not c:
             return Series._of(self.vs, {})
         return Series._of(self.vs, {e: v * c for e, v in self._t.items()})

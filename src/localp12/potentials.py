@@ -16,17 +16,20 @@ The potential splits by curve degree into three layers:
     that checks the closed form.
 
 Outside the classical cubic every coefficient is (t1+t2) times a rational
-number, so the stacky and quantum layers are built together as one series
-over Q, the rational tail.  `potential` and `extended_potential` return a
-`Potential`: the cubic as a `RatFun` series and the tail over Q, on shared
-per-variable caps.  The two never share an exponent: the cubic has q-degree
-0 and total degree at most 3, the tail q-degree at least 1 or z2/u-degree at
-least 4.  A writer can therefore print each term from exactly one part, and
-`Potential.series()` attaches (t1+t2) to the tail and adds the cubic when a
-`RatFun` series is wanted.  `extended_potential` shifts z2 by a formal angle
-u: the cubic by substitution, the tail written from its coefficients in
-theta = z2 + u.  `gw_invariant` exposes the underlying numbers directly,
-with the divisor class H accounted for by degree factors.
+number, so the stacky and quantum layers are built together, the rational
+tail.  Each of its coefficients is a ratio of two integer products, held as
+the integer pair (n, m) in lowest terms, m > 0, with no `Fraction` per
+term.  `potential` and `extended_potential` return a `Potential`: the cubic
+as a `RatFun` series and the tail's pairs, on shared per-variable caps; its
+`tail` is the same tail as a `Series` over Q.  The two never share an
+exponent: the cubic has q-degree 0 and total degree at most 3, the tail
+q-degree at least 1 or z2/u-degree at least 4.  A writer can therefore print
+each term from exactly one part, and `Potential.series()` attaches (t1+t2)
+to the tail and adds the cubic when a `RatFun` series is wanted.
+`extended_potential` shifts z2 by a formal angle u: the cubic by
+substitution, the tail written from its coefficients in theta = z2 + u.
+`gw_invariant` exposes the underlying numbers directly, with the divisor
+class H accounted for by degree factors.
 
 The classical cubic depends on no input, so it is computed once per process
 and the same series is handed to every caller; `Series` and `RatFun` have no
@@ -88,8 +91,9 @@ def _plain_caps(qmax, zorder):
     return VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax))
 
 
-def _rational_tail(vs):
-    """The potential minus its classical cubic, divided by (t1+t2): over Q.
+def _tail_pairs(vs):
+    """The potential minus its classical cubic, divided by (t1+t2), as
+    {exponent: (n, m)}: each coefficient n/m of Q in lowest terms, m > 0.
 
     Built on vs, caps for (z0, z1, z2, q) or, extended, (z0, z1, z2, q, u),
     where u enters only through theta = z2 + u and theta^n/n! is the sum of
@@ -103,43 +107,53 @@ def _rational_tail(vs):
     fact = [math.factorial(k) for k in range(max(top, z1_cap) + 1)]
     out = {}
     for d in range(qmax + 1):
-        # n! times the coefficient of theta^n q^d at z1 = 0
+        # n! times the coefficient of theta^n q^d at z1 = 0, as numerator and
+        # denominator
         if d:
-            row = [(n, local_invariant(d, n)) for n in range(d % 2, top + 1, 2)]
+            row = [(n, v.numerator, v.denominator) for n in range(d % 2, top + 1, 2)
+                   for v in (local_invariant(d, n),)]
         else:
-            row = [(n, -c * fact[n]) for (n,), c in g_series(top).terms()]
-        # theta^n split into z2^b u^c, each weight as its numerator and
-        # denominator; the exponents end (z2, q) or (z2, q, u)
-        row = [((b, d, n - b)[:len(vs.caps) - 2],
-                v.numerator, v.denominator * fact[b] * fact[n - b])
-               for n, v in row for b in range(max(0, n - u_cap), min(n, z2_cap) + 1)]
-        # z1^a takes the divisor factor d^a/a!, reduced to p/f (1 at a = 0):
-        # each coefficient is one Fraction of two integer products
+            row = [(n, -c.numerator * fact[n], c.denominator)
+                   for (n,), c in g_series(top).terms()]
+        # theta^n split into z2^b u^c; the exponents end (z2, q) or (z2, q, u)
+        row = [((b, d, n - b)[:len(vs.caps) - 2], v, w * fact[b] * fact[n - b])
+               for n, v, w in row for b in range(max(0, n - u_cap), min(n, z2_cap) + 1)]
+        # z1^a takes the divisor factor d^a/a! (1 at a = 0): each coefficient
+        # is a ratio of two integer products, reduced by one gcd
         for a in range(z1_cap + 1 if d else 1):
-            divisor = Fraction(d**a, fact[a])
-            p, f = divisor.numerator, divisor.denominator
-            out.update(((0, a) + e, Fraction(p * n, f * m)) for e, n, m in row)
-    return Series._of(vs, out)
+            p, f = d**a, fact[a]
+            for e, n, m in row:
+                n, m = p * n, f * m
+                g = math.gcd(n, m)
+                out[(0, a) + e] = (n // g, m // g)
+    return out
 
 
 def quantum_part(qmax, zorder):
     """All positive-degree terms up to q^qmax, z-variables capped at zorder."""
-    tail = _rational_tail(_plain_caps(qmax, zorder))
+    vs = _plain_caps(qmax, zorder)
     # the terms of positive q-degree; those of q-degree 0 are -G
-    return Series(tail.vs, {e: c * _LEVEL for e, c in tail.terms() if e[3]})
+    return Series(vs, {e: Fraction(n, m) * _LEVEL for e, (n, m) in _tail_pairs(vs).items()
+                       if e[3]})
 
 
 class Potential:
     """The potential on `vs` as cubic + (t1+t2) * tail, supports disjoint.
 
-    `cubic` is the classical cubic as a `RatFun` series, `tail` the rest
-    divided by (t1+t2), over Q; both live on `vs`.
+    `cubic` is the classical cubic as a `RatFun` series on `vs`.  `pairs`
+    holds the rest divided by (t1+t2) as {exponent: (n, m)}, each
+    coefficient n/m in lowest terms with m > 0; `tail` is the same as a
+    `Series` over Q, made from the pairs on each read.
     """
 
-    __slots__ = ("vs", "cubic", "tail")
+    __slots__ = ("vs", "cubic", "pairs")
 
-    def __init__(self, vs, cubic, tail):
-        self.vs, self.cubic, self.tail = vs, cubic, tail
+    def __init__(self, vs, cubic, pairs):
+        self.vs, self.cubic, self.pairs = vs, cubic, pairs
+
+    @property
+    def tail(self):
+        return Series._of(self.vs, {e: Fraction(n, m) for e, (n, m) in self.pairs.items()})
 
     def series(self):
         """The potential as one `RatFun` series."""
@@ -150,8 +164,8 @@ def potential(qmax, zorder):
     """Full potential in (z0, z1, z2, q) with per-variable caps, as a `Potential`."""
     if qmax < 0 or zorder < 0:
         raise ValueError("caps must be nonnegative")
-    tail = _rational_tail(_plain_caps(qmax, zorder))
-    return Potential(tail.vs, classical_part().into(tail.vs), tail)
+    vs = _plain_caps(qmax, zorder)
+    return Potential(vs, classical_part().into(vs), _tail_pairs(vs))
 
 
 def extended_potential(qmax, zorder, uorder):
@@ -167,7 +181,7 @@ def extended_potential(qmax, zorder, uorder):
     )
     shift = {"z2": Series.variable(target, "z2") + Series.variable(target, "u")}
     cubic = classical_part().substitute(shift, target)
-    return Potential(target, cubic, _rational_tail(target))
+    return Potential(target, cubic, _tail_pairs(target))
 
 
 def gw_invariant(n1, n2, d):

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from localp12 import cli, localization, pcrc
+from localp12 import cli, localization, pcrc, potentials
 from localp12.cli import main
 from localp12.cyclotomic import ZERO, Cyclo
 from localp12.mpseries import Series
@@ -122,8 +123,26 @@ def test_verify_writes_the_reports_as_dump_would(capsys, suite, qmax, zorder):
     names = cli.SUITE_NAMES if suite == "all" else (suite,)
     reports = [cli._SUITES[n](SimpleNamespace(qmax=qmax, zorder=zorder)) for n in names]
     payload = [r.to_json() for r in reports] if suite == "all" else reports[0].to_json()
-    got = _run(capsys, "verify", "--suite", suite, "--qmax", str(qmax), "--zorder", str(zorder))
+    caps = ("--qmax", str(qmax), "--zorder", str(zorder)) if suite in cli._CAPPED_SUITES else ()
+    got = _run(capsys, "verify", "--suite", suite, *caps)
     assert got == (0, cli._dump(payload), "")
+
+
+@pytest.mark.parametrize("suite", sorted(set(cli.SUITE_NAMES) - set(cli._CAPPED_SUITES)))
+def test_verify_refuses_caps_its_suite_ignores(tmp_path, capsys, suite):
+    cfg = tmp_path / "run.json"
+    for cap in ("qmax", "zorder"):
+        want = (2, "", "error: --%s is only for the suites all, bracket, residual\n" % (cap,))
+        assert _run(capsys, "verify", "--suite", suite, "--" + cap, "3") == want
+        cfg.write_text(json.dumps({"suite": suite, cap: 3}))
+        assert _run(capsys, "verify", "--config", str(cfg)) == want
+        cfg.write_text(json.dumps({cap: 3}))
+        assert _run(capsys, "verify", "--suite", suite, "--config", str(cfg)) == want
+    # the capped suites still read them, from either path
+    for capped in cli._CAPPED_SUITES[1:]:
+        cfg.write_text(json.dumps({"suite": capped, "qmax": 1, "zorder": 2}))
+        assert _run(capsys, "verify", "--config", str(cfg))[0] == 0
+        assert _run(capsys, "verify", "--suite", capped, "--qmax", "1", "--zorder", "2")[0] == 0
 
 
 #: reports no suite makes, each written by the verify writer: failing
@@ -617,7 +636,7 @@ def _eval_points(arity, seed):
 def test_integer_tail_sum_equals_the_fraction_sum(caps):
     pot = _record(caps)
     for values in _eval_points(len(pot.vs.names), sum(caps)):
-        got = cli._rational_sum(pot.tail.terms(), values, pot.vs.caps)
+        got = cli._rational_sum(pot.pairs.items(), values, pot.vs.caps)
         assert type(got) is Fraction
         assert got == _fraction_tail_sum(pot.tail, values)
 
@@ -713,8 +732,9 @@ def test_eval_builds_the_potential_once_per_run_of_caps(monkeypatch, capsys):
 
 
 def test_importing_the_cli_loads_no_introspection_machinery():
-    """The records are plain classes: `import localp12.cli` brings in neither
-    `dataclasses` nor what it pulls in."""
+    """The records are plain classes and tables are written from templates:
+    `import localp12.cli` brings in neither `dataclasses`, nor what it pulls
+    in, nor `csv`."""
     code = ("import sys; before = set(sys.modules); import localp12.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -722,18 +742,29 @@ def test_importing_the_cli_loads_no_introspection_machinery():
                           capture_output=True, text=True, check=True)
     added = set(done.stdout.split())
     assert {"localp12.cli", "localp12.pcrc", "argparse", "json"} <= added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "csv"}
 
 
 @pytest.mark.parametrize("fmt, to_json", [("json", 1), ("csv", 0)])
 def test_table_writes_the_tail_from_text_alone(monkeypatch, capsys, fmt, to_json):
-    """A tail term costs no `Fraction` sign test; only a JSON table's cubic
-    goes through `Series.to_json`."""
-    fractions = _count_calls(monkeypatch, Fraction, ("__abs__", "__lt__"))
+    """A tail term costs no `Fraction`, not even a sign test: with the weights
+    local_invariant(d, n) and G_n held fixed, a table makes as many Fractions
+    at any cap.  Only a JSON table's cubic goes through `Series.to_json`."""
+    # the weights are Fractions, one per (d, n) and not per term
+    for name in ("local_invariant", "g_series"):
+        monkeypatch.setattr(potentials, name, functools.cache(getattr(potentials, name)))
+    fractions = _count_calls(monkeypatch, Fraction, ("__new__", "__abs__", "__lt__"))
     series = _count_calls(monkeypatch, Series, ("to_json",))
-    code, _, _ = _run(capsys, "potential", "--qmax", "5", "--zorder", "6", "--format", fmt)
-    assert code == 0
-    assert (fractions, series) == ({"__abs__": 0, "__lt__": 0}, {"to_json": to_json})
+    seen = []
+    for qmax, zorder in ((5, 6), (16, 12)):
+        argv = ("potential", "--qmax", str(qmax), "--zorder", str(zorder), "--format", fmt)
+        assert _run(capsys, *argv)[0] == 0  # fills the weights' caches
+        before = {**fractions, **series}
+        assert _run(capsys, *argv)[0] == 0
+        seen.append({k: v - before[k] for k, v in {**fractions, **series}.items()})
+    assert len(potential(16, 12).pairs) > 10 * len(potential(5, 6).pairs)
+    assert seen[0] == seen[1]
+    assert (seen[0]["__abs__"], seen[0]["__lt__"], seen[0]["to_json"]) == (0, 0, to_json)
 
 
 @pytest.mark.parametrize("argv", [
@@ -848,18 +879,14 @@ _GOLDEN = [
     (["invariants", "--d", "4", "--n1", "2", "--n2", "2"], "ddb3f545d06b", "da39a3ee5e6b", 0),
     (["invariants", "--d", "1", "--n2", "0"], "da39a3ee5e6b", "b7957c26198e", 2),
     (["eval", "--at", "t1=0,t2=1"], "da39a3ee5e6b", "d066406546db", 1),
-    (["verify", "--suite", "degree0", "--qmax", "5", "--zorder", "13"],
-     "ee66bc168da7", "da39a3ee5e6b", 0),
-    (["verify", "--suite", "resummation", "--qmax", "5", "--zorder", "13"],
-     "e279001b9771", "da39a3ee5e6b", 0),
-    (["verify", "--suite", "assembly", "--qmax", "5", "--zorder", "13"],
-     "6c0a6657c994", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "degree0"], "ee66bc168da7", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "resummation"], "e279001b9771", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "assembly"], "6c0a6657c994", "da39a3ee5e6b", 0),
     (["verify", "--suite", "bracket", "--qmax", "5", "--zorder", "13"],
      "e168a922582d", "da39a3ee5e6b", 0),
     (["verify", "--suite", "residual", "--qmax", "5", "--zorder", "13"],
      "5b59d5d90a3f", "da39a3ee5e6b", 0),
-    (["verify", "--suite", "corollary", "--qmax", "5", "--zorder", "13"],
-     "33a7e9565ae3", "da39a3ee5e6b", 0),
+    (["verify", "--suite", "corollary"], "33a7e9565ae3", "da39a3ee5e6b", 0),
     (["verify", "--suite", "all", "--qmax", "12", "--zorder", "8"],
      "50872b5bd310", "da39a3ee5e6b", 0),
     (["potential", "--qmax", "16", "--zorder", "12"], "a1128b5d3b06", "da39a3ee5e6b", 0),

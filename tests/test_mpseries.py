@@ -45,6 +45,23 @@ def test_exponents_and_caps_must_be_integers(bad):
         Series.variable(vs, "x").coeff((bad,))
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, 0.0, 1j, complex(1, 0)])
+def test_inexact_coefficients_are_refused(bad):
+    vs = VarSet(("x",), (2,))
+    with pytest.raises(TypeError):
+        Series(vs, {(1,): bad})
+    with pytest.raises(TypeError):
+        Series.constant(vs, bad)
+    x = Series.variable(vs, "x")
+    with pytest.raises(TypeError):
+        x.scale(bad)
+    with pytest.raises(TypeError):
+        x * bad
+    # exact coefficients in each field still pass
+    for good in (2, Fraction(1, 2), I, rf(3)):
+        assert Series(vs, {(1,): good}) == x.scale(good)
+
+
 def test_integer_like_exponents_and_caps_are_kept():
     vs = VarSet(("x",), (True,))
     assert vs.caps == (1,) and type(vs.caps[0]) is int

@@ -343,18 +343,20 @@ def test_tail_from_integer_products_equals_the_fraction_products(caps):
     q, z, *u = caps
     names = ("z0", "z1", "z2", "q", "u")[:4 + len(u)]
     vs = VarSet(names, (z, z, z, q, *u))
-    got = potentials._rational_tail(vs)
-    assert dict(got.terms()) == dict(_divisor_times_weight_tail(vs).terms())
-    for _, r in got.terms():
-        assert type(r) is Fraction and r
-        assert r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
+    got = potentials._tail_pairs(vs)
+    want = dict(_divisor_times_weight_tail(vs).terms())
+    assert got.keys() == want.keys()
+    for e, (n, m) in got.items():
+        assert type(n) is int and type(m) is int
+        assert n and m > 0 and math.gcd(n, m) == 1
+        assert (n, m) == (want[e].numerator, want[e].denominator)
 
 
 def test_extended_potential_shifts_only_the_cubic(monkeypatch):
     """The tail is written on the target caps; `substitute` sees the cubic alone."""
     tails, shifted = [], []
-    build, substitute = potentials._rational_tail, Series.substitute
-    monkeypatch.setattr(potentials, "_rational_tail", lambda vs: tails.append(vs) or build(vs))
+    build, substitute = potentials._tail_pairs, Series.substitute
+    monkeypatch.setattr(potentials, "_tail_pairs", lambda vs: tails.append(vs) or build(vs))
     monkeypatch.setattr(
         Series, "substitute", lambda self, *a: shifted.append(self.vs) or substitute(self, *a)
     )
