@@ -52,8 +52,8 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-#: the --suite values that read --qmax and --zorder; the other suites take no cap
-_CAPPED_SUITES = ("all", "bracket", "residual")
+#: cap -> the --suite values that read it; the other suites refuse it
+_CAP_SUITES = {"qmax": ("all", "bracket"), "zorder": ("all", "bracket", "residual")}
 
 _EVAL_VARS = ("z0", "z1", "z2", "q", "u")
 
@@ -233,8 +233,11 @@ def _merge(args):
              if cap in reads and (getattr(args, cap) is not None or cap in cfg)]
     if "uorder" in given and not merged.extended:
         raise UsageError("--uorder is only for the --extended potential")
-    if args.command == "verify" and merged.suite not in _CAPPED_SUITES and given:
-        raise UsageError("--%s is only for the suites %s" % (given[0], ", ".join(_CAPPED_SUITES)))
+    if args.command == "verify":
+        for cap in given:
+            if merged.suite not in _CAP_SUITES[cap]:
+                raise UsageError("--%s is only for the suites %s"
+                                 % (cap, ", ".join(_CAP_SUITES[cap])))
     return merged
 
 

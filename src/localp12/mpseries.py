@@ -233,7 +233,9 @@ class Series:
         for name in images:
             if name not in self.vs._pos:
                 raise ValueError("image given for unknown variable %r" % (name,))
-        imgs = []
+        one = Series.constant(target, 1)
+        # powers[i][e]: the e-th power of variable i's image, each made once
+        powers = []
         for name in self.vs.names:
             s = images.get(name)
             if s is None:
@@ -243,18 +245,7 @@ class Series:
                     raise ValueError("image of %s lives on %r, expected %r" % (name, s.vs, target))
                 if s.constant_term():
                     raise ValueError("image of %s has a nonzero constant term" % name)
-            imgs.append(s)
-        return self.expand(imgs, target)
-
-    def expand(self, images, target):
-        """Sum of c * images[0]^e0 * images[1]^e1 * ... over the terms.
-
-        images lists one series on target per variable, in variable order,
-        and is not checked: this is the image of the polynomial self
-        retains, whatever the constant terms of the images are.
-        """
-        one = Series.constant(target, 1)
-        powers = [[one, s] for s in images]
+            powers.append([one, s])
 
         def power(i, e):
             seq = powers[i]

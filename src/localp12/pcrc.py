@@ -16,8 +16,10 @@ e^{-i pi/3}) for every b.
 
 `verify_bracket_identity` and `verify_residual_thirdderiv` check the two
 series identities that drive the specialization argument.  Both run in the
-one angle theta = z2 + u: the bracket identity is stated on (z1, z2, q, u)
-with the carrier (q e^{z1})^d / d^3, but the carrier's z1^0 q^d coefficient
+one angle theta = z2 + u.  The residual identity reads G''' off the
+potential's own degree-zero tail, `potentials.g_series`, against an
+independent exp/inverse right side.  The bracket identity is stated on
+(z1, z2, q, u) with the carrier (q e^{z1})^d / d^3, but the carrier's z1^0 q^d coefficient
 is nonzero and z2^a u^b picks up C(a+b, a) times the theta^{a+b}
 coefficient, so checking bracket - wave to theta-degree 2 * order is the
 same check.  The corollary suite makes one composition, the first map
@@ -31,7 +33,8 @@ from math import comb
 
 from .cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, ZERO, zeta_pow
 from .localization import quantum_sign
-from .mpseries import Series, VarSet, cos, exp, inverse, sin, tan
+from .mpseries import Series, VarSet, cos, exp, inverse, sin
+from .potentials import g_series
 from .reports import CaseResult, FrozenRecord, SuiteReport, setfield
 
 #: i / sqrt(3) = (2 zeta^2 - 1) / 3
@@ -100,12 +103,6 @@ class LinearForm(FrozenRecord):
         for n, c in other.terms:
             acc[n] = acc.get(n, ZERO) + c
         return LinearForm.of(acc)
-
-    def to_series(self, target):
-        out = Series.zero(target)
-        for n, c in self.terms:
-            out = out + Series.variable(target, n).scale(c)
-        return out
 
 
 class ScalarLine(FrozenRecord):
@@ -344,42 +341,6 @@ def _push(ln, b):
 
 
 # --------------------------------------------------------------------------
-# substitution into series
-
-
-def apply(m, f, target):
-    """Transform the polynomial f retains through the map, to the target caps.
-
-    Every variable of f must have a line in m.  An exponential line's image
-    is phase * e^(form), whose constant term is the phase, so the result is
-    the image of f's retained polynomial, not a truncation of the image of
-    the series f stands for.  Logarithm and angle lines carry
-    transcendental constants and are rejected.
-    """
-    images = []
-    for name in f.vs.names:
-        try:
-            ln = m.line(name)
-        except KeyError:
-            raise ValueError("variable %r not covered by the map" % (name,))
-        images.append(_line_series(ln, target))
-    return f.expand(images, target)
-
-
-def _line_series(ln, target):
-    if isinstance(ln, LinearForm):
-        return ln.to_series(target)
-    if isinstance(ln, ScalarLine):
-        return Series.variable(target, ln.var).scale(ln.scalar)
-    if isinstance(ln, ExpLine):
-        return exp(ln.form.to_series(target)).scale(ln.phase)
-    raise ValueError(
-        "line %r has a transcendental constant and is no series substitution"
-        % (ln,)
-    )
-
-
-# --------------------------------------------------------------------------
 # identity verification
 
 
@@ -459,13 +420,14 @@ def verify_residual_thirdderiv(order=16):
 
     The right side is what the degree sum collapses to after three
     derivatives, which is why no analytic continuation is needed at the
-    derivative level; theta stands for z2 + u.
+    derivative level; theta stands for z2 + u.  G is the potential's own
+    `g_series(order + 3)`, written in z2, so both sides run in z2 to
+    z2^order; the right side keeps its own `exp`/`inverse` route.
     """
-    vs = VarSet(("theta",), (order,))
-    theta = Series.variable(vs, "theta")
-    third = tan(theta.scale(Fraction(1, 2))).scale(Fraction(1, 2))
+    third = g_series(order + 3).differentiate("z2").differentiate("z2").differentiate("z2")
+    vs = third.vs
     lhs = Series.constant(vs, I * Fraction(1, 2)) - third
-    e = exp(theta.scale(I))
+    e = exp(Series.variable(vs, "z2").scale(I))
     rhs = (e * inverse(Series.constant(vs, 1) + e)).scale(I)
     key = "theta-order=%d" % order
     diff = lhs - rhs

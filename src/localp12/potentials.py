@@ -6,8 +6,10 @@ The potential splits by curve degree into three layers:
     invariant of the classes 1, H, S, each a rational function of the
     torus weights t1, t2;
   * stacky: the degree-zero tail in the twisted variable alone, the triple
-    antiderivative of half the tangent of z2/2 (`g_series`), weighted by
-    -(t1+t2); it is the q^0 row of the rational tail below;
+    antiderivative G of half the tangent of z2/2 (`g_series`, written from
+    tan's Taylor coefficients), weighted by -(t1+t2); it is the q^0 row of
+    the rational tail below and the G whose third derivative the `residual`
+    suite checks;
   * quantum: for each positive degree d, the coefficient of z1^a z2^b q^d
     is the invariant <H^a S^b>_d / (a! b!): (t1+t2) times d^a from the
     divisor class and `local_invariant(d, b)` from the stacky insertions.
@@ -43,7 +45,7 @@ import math
 from fractions import Fraction
 
 from .localization import _CLASSES, degree0_classes, degree0_fixed_point_sum, local_invariant
-from .mpseries import Series, VarSet, tan
+from .mpseries import Series, VarSet, _tan_coeff
 from .ratfun import RF_T1, RF_T2, RF_ZERO
 
 #: the weight (t1+t2) carried by every term outside the classical cubic
@@ -73,18 +75,17 @@ def classical_part():
 
 
 def g_series(order):
-    """Triple antiderivative of (1/2) tan(z2/2), all constants zero.
+    """G, the triple antiderivative of (1/2) tan(z2/2) with all constants
+    zero, to z2^order.
 
-    Starts at z2^4 with coefficient 1/96; odd and low-order coefficients
-    vanish.
+    Written straight from tan's Taylor coefficients T_m: three integrations
+    of T_m z2^m / 2^(m+1) give G_n = T_(n-3) / (2^(n-2) n (n-1) (n-2)) at
+    every even n >= 4, and the other coefficients vanish.  It starts at z2^4
+    with coefficient 1/96.
     """
-    if order < 4:
-        return Series.zero(VarSet(("z2",), (order,)))
-    vs = VarSet(("z2",), (order - 3,))
-    integrand = tan(Series.variable(vs, "z2").scale(Fraction(1, 2))).scale(
-        Fraction(1, 2)
-    )
-    return integrand.integrate("z2").integrate("z2").integrate("z2")
+    return Series._of(VarSet(("z2",), (order,)), {
+        (n,): _tan_coeff(n - 3) / (2 ** (n - 2) * n * (n - 1) * (n - 2))
+        for n in range(4, order + 1, 2)})
 
 
 def _plain_caps(qmax, zorder):

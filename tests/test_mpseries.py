@@ -7,7 +7,7 @@ import pytest
 from localp12 import mpseries as mp
 from localp12.cyclotomic import I, Cyclo
 from localp12.mpseries import Series, VarSet
-from localp12.potentials import classical_part, extended_potential, potential
+from localp12.potentials import classical_part, extended_potential, g_series, potential
 from localp12.ratfun import RF_ONE, RF_T1, RF_T2, rf
 
 
@@ -234,6 +234,13 @@ def test_triple_antiderivative_of_half_tan():
     assert g.coeff((4,)) == rf(Fraction(1, 96))
     for k in range(4):
         assert g.coeff((k,)) == rf(0)
+    # g_series writes G from tan's Taylor coefficients; the reference is the
+    # triple z2-antiderivative of the tan series, truncated to each order
+    for order in range(31):
+        ref = VarSet(("z2",), (max(order - 3, 0),))
+        half_tan = mp.tan(Series.variable(ref, "z2").scale(Fraction(1, 2))).scale(Fraction(1, 2))
+        want = half_tan.integrate("z2").integrate("z2").integrate("z2")
+        assert g_series(order) == want.into(VarSet(("z2",), (order,)))
 
 
 def test_substitute_addition_formula():
@@ -464,7 +471,7 @@ def test_unchecked_results_are_canonical():
     vs = VarSet(("a", "b", "c"), (3, 2, 4))
     target = VarSet(("x", "y"), (3, 2))
     x, y = Series.variable(target, "x"), Series.variable(target, "y")
-    images = [x + y, x * y.scale(Fraction(1, 3)) - y, y.scale(I) + Series.constant(target, 2)]
+    images = {"a": x + y, "b": x * y.scale(Fraction(1, 3)) - y, "c": y.scale(I)}
     results = [
         classical_part().into(VarSet(("q", "z2", "z1", "z0"), (1, 1, 2, 3))),
         classical_part().into(VarSet(("z0", "z1", "z2"), (1, 2, 2))),
@@ -473,7 +480,7 @@ def test_unchecked_results_are_canonical():
         f, g = rand_series(rng, vs), rand_series(rng, vs)
         results += [f + g, f - f, f - g, -f, f * g, f.scale(Fraction(-2, 3)), f.scale(0)]
         results.append(f.into(VarSet(("c", "b", "a", "d"), (2, 2, 1, 1))))
-        results.append(f.expand(images, target))
+        results.append(f.substitute(images, target))
         for name in vs.names:
             results.append(f.differentiate(name))
             results.append(f.integrate(name))

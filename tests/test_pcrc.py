@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,6 @@ from localp12.pcrc import (
     LinearForm,
     LogLine,
     ScalarLine,
-    apply,
     build_corollary,
     build_cov,
     build_covbgp,
@@ -36,7 +34,7 @@ from localp12.localization import (
     resummed_even,
     resummed_odd,
 )
-from localp12.potentials import extended_potential
+from localp12.potentials import extended_potential, g_series
 from localp12.ratfun import RF_ONE, RF_T1, RF_T2, RatFun, rf
 from localp12.reports import CaseResult
 
@@ -227,80 +225,6 @@ def test_corollary_suite_composes_once(monkeypatch):
 def test_compose_requires_chaining():
     with pytest.raises(ValueError):
         compose(build_cov(), build_cov())
-
-
-def test_apply_q1_power():
-    cov = build_cov()
-    target = VarSet(("z0", "z1", "z2", "q", "u"), (0, 0, 0, 0, 6))
-    u = Series.variable(target, "u")
-    for d in (1, 2, 3):
-        fvs = VarSet(("q1",), (d,))
-        f = Series(fvs, {(d,): RF_ONE})
-        got = apply(cov, f, target)
-        assert got == exp(u.scale(I * d)).scale((-1) ** d)
-
-
-def test_apply_exp_y1_q2():
-    cov = build_cov()
-    fvs = VarSet(("y1", "q2"), (6, 1))
-    f = exp(Series.variable(fvs, "y1")) * Series.variable(fvs, "q2")
-    target = VarSet(("z0", "z1", "z2", "q", "u"), (0, 0, 6, 1, 0))
-    got = apply(cov, f, target)
-    want = exp(Series.variable(target, "z2").scale(I)).scale(I) * Series.variable(
-        target, "q"
-    )
-    assert got == want
-
-
-def test_apply_is_multiplicative():
-    rng = random.Random(1209)
-    cov = build_cov()
-    # caps roomy enough that f*g is exact, so the property holds on the nose
-    fvs = VarSet(("y0", "y1", "y2"), (4, 4, 4))
-    target = VarSet(("z0", "z1", "z2", "q", "u"), (4, 4, 4, 0, 0))
-
-    def rand_poly():
-        out = Series.zero(fvs)
-        for _ in range(3):
-            e = (rng.randrange(3), rng.randrange(3), rng.randrange(3))
-            out = out + Series(fvs, {e: rf(rng.randrange(-3, 4))})
-        return out
-
-    for _ in range(6):
-        f, g = rand_poly(), rand_poly()
-        assert apply(cov, f * g, target) == apply(cov, f, target) * apply(
-            cov, g, target
-        )
-
-
-@pytest.mark.parametrize("zcap, qcap", [(0, 0), (2, 1), (3, 3)])
-def test_apply_is_cap_exact(zcap, qcap):
-    # apply maps the polynomial f retains, so for one f the image at caps C
-    # is the image at larger caps truncated to C, exponential lines included
-    rng = random.Random(2024)
-    fvs = VarSet(("y0", "y1", "y2", "q1", "q2"), (2, 2, 2, 2, 2))
-    f = Series.zero(fvs)
-    for _ in range(8):
-        e = tuple(rng.randrange(3) for _ in range(5))
-        f = f + Series(fvs, {e: Cyclo(rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2))})
-    for cov, names in ((build_cov(), ("z0", "z1", "z2", "q", "u")),
-                       (build_covbgp(), ("x0", "x1", "x2", "s1", "s2"))):
-        caps = (zcap, zcap, zcap, qcap, qcap)
-        small = apply(cov, f, VarSet(names, caps))
-        big = apply(cov, f, VarSet(names, tuple(c + 2 for c in caps)))
-        assert small == big.into(VarSet(names, caps))
-
-
-def test_apply_validation():
-    cov = build_cov()
-    target = VarSet(("z0", "z1", "z2", "q", "u"), (2, 2, 2, 2, 2))
-    stray = Series.variable(VarSet(("w",), (1,)), "w")
-    with pytest.raises(ValueError):
-        apply(cov, stray, target)
-    xside = VarSet(("x0", "x1", "x2", "s1", "s2"), (1, 1, 1, 1, 1))
-    f = Series.variable(VarSet(("u",), (1,)), "u")
-    with pytest.raises(ValueError):
-        apply(build_corollary(), f, xside)
 
 
 def test_bracket_identity_passes():
@@ -535,8 +459,9 @@ def test_bracket_records_at_the_edge_caps():
 
 
 def test_failing_residual_case_names_both_sides(monkeypatch):
-    monkeypatch.setattr(pcrc, "tan", lambda f: tan(f).scale(2))
+    # the check reads the production G: doubling it doubles G''' = tan(theta/2)/2,
+    # so the theta coefficient -1/4 of the left side becomes -1/2
+    monkeypatch.setattr(pcrc, "g_series", lambda order: g_series(order).scale(2))
     (case,) = verify_residual_thirdderiv(6).cases
-    # -tan(theta/2)/2 doubled: the theta coefficient -1/4 becomes -1/2
     assert case.to_json() == {"key": "theta-order=6", "pass": False, "first_mismatch": [1],
                               "info": {"got": "-1/2", "want": "-1/4"}}
