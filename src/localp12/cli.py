@@ -6,12 +6,13 @@ the verification suites, and `eval` embeds the truncated potential at a
 numeric point.  Output is deterministic: identical configuration yields
 byte-identical bytes, with terms sorted and rationals in canonical form.
 
-A table is written in one pass.  The exponents of the classical cubic and
-of the rational tail (disjoint supports) are sorted together once, by total
-degree and then by exponent; a cubic term is written from the cubic's
-`Series.to_json`, a tail term n/m from the text of its integer pair alone
-(`str(n)` when m is 1, else "n/m", as `str(Fraction(n, m))` writes it),
-into one JSON template per table or one `%` row template per CSV row.
+A table is written in one ordered pass: the rational tail's pairs come in
+table order, by total degree and then by exponent, and only the classical
+cubic's few terms (disjoint from the tail's) are sorted in among them.  A
+cubic term is written from the cubic's `Series.to_json`, a tail term n/m
+from the text of its integer pair alone (`str(n)` when m is 1, else "n/m",
+as `str(Fraction(n, m))` writes it), into one JSON term template or one of
+four CSV row templates, by the sign of n/m and whether it is 1 or -1.
 `eval` sums exactly in integers: with x = p/q at each variable, a table of
 p^k q^(cap-k) per variable turns every monomial into an integer product, the
 coefficients are brought to the lcm of their denominators, and the sum is
@@ -256,57 +257,93 @@ def _the_potential(extended, qmax, zorder, uorder):
 _eval_potential = functools.lru_cache(maxsize=1)(_the_potential)
 
 
-def _nested_json(obj):
-    """`_dump` of obj, indented to sit at the coefficient of a table term."""
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n      ")
+_STR = json.encoder.encode_basestring_ascii
 
 
-#: `_nested_json` of the `RatFun.to_json` of (t1+t2)*r, with %s for str(r)
-_LEVEL_JSON = _nested_json({
+def _token(v, pad):
+    """`json.dumps(v, indent=2, sort_keys=True)` with pad after each newline:
+    a str, None, bool, int, or non-empty list or str-keyed dict of them
+    written directly, any other value through `json.dumps`."""
+    t = type(v)
+    if t is str:
+        return _STR(v)
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
+    if t is int:
+        return int.__repr__(v)
+    if t is list and v:
+        inner = pad + "  "
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join([_token(x, inner) for x in v]), pad)
+    if t is dict and v and all(type(k) is str for k in v):
+        inner = pad + "  "
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(
+            [_STR(k) + ": " + (_STR(x) if type(x) is str else _token(x, inner))
+             for k, x in sorted(v.items())]), pad)
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+#: `_token` of the `RatFun.to_json` of (t1+t2)*r at the coefficient of a
+#: table term, with %s for str(r)
+_LEVEL_JSON = _token({
     "num": [[1, 0, ["%s", "0", "0", "0"]], [0, 1, ["%s", "0", "0", "0"]]],
     "den": [[0, 0, ["1", "0", "0", "0"]]],
-})
+}, "      ")
 
-
-def _level_cell(s):
-    """`str` of the polynomial r*t1 + r*t2, from s = str(r) for a nonzero rational r."""
-    if s[0] == "-":
-        a, form = s[1:], "-%st1 - %st2"
-    else:
-        a, form = s, "%st1 + %st2"
-    m = "" if a == "1" else a + "*"
-    return form % (m, m)
+#: the CSV cell of the polynomial r*t1 + r*t2, by r < 0 and then by |r| == 1,
+#: with %s for the text of |r| where |r| != 1
+_LEVEL_CELLS = (("%s*t1 + %s*t2", "t1 + t2"), ("-%s*t1 - %s*t2", "-t1 - t2"))
 
 
 def cmd_potential(cfg):
-    """The table in one pass: the cubic's and the tail's exponents sorted
-    together (their supports are disjoint), each term written from its part."""
+    """The table in one ordered pass: the tail's pairs come in table order,
+    and the cubic's terms (all of total degree 3, none at a tail exponent)
+    are merged in among the tail's first ones; each term is written from its
+    part."""
     pot = _the_potential(cfg.extended, cfg.qmax, cfg.zorder, cfg.uorder)
-    cubic = dict(pot.cubic.terms())
-    # each tail coefficient n/m as str(Fraction(n, m)) writes it
-    tail = {e: str(n) if m == 1 else "%d/%d" % (n, m) for e, (n, m) in pot.pairs.items()}
-    exps = [*cubic, *tail]
-    exps.sort()
-    exps.sort(key=sum)  # stable: by total degree, then by exponent, as `Series.sorted_terms`
+    exps = ",".join(["%d"] * len(pot.vs.names))
+    # a cubic term is (exponent, (its CSV cells or JSON coefficient, None)),
+    # a tail term (exponent, (n, m))
+    if cfg.format == "csv":
+        cubic = [(e, ("%s,%s" % (c.num, c.den), None)) for e, c in pot.cubic.terms()]
+    else:
+        cubic = [(tuple(t["exp"]), (_token(t["coeff"], "      "), None))
+                 for t in pot.cubic.to_json()["terms"]]
+    terms = list(pot.pairs.items())
+    hi = 0
+    while hi < len(terms) and sum(terms[hi][0]) <= 3:
+        hi += 1
+    terms[:hi] = sorted(terms[:hi] + cubic, key=lambda t: (sum(t[0]), t[0]))
     if cfg.format == "csv":
         # rows as the csv module writes them: no cell holds a comma, a quote
         # or a line break, so none is quoted
-        row = ",".join(["%d"] * len(pot.vs.names)) + ",%s,%s\n"
-        rows = [row % (*e, _level_cell(tail[e]), 1) if e in tail
-                else row % (*e, cubic[e].num, cubic[e].den) for e in exps]
-        return ",".join(pot.vs.names) + ",num,den\n" + "".join(rows), 0
-    coeffs = {tuple(t["exp"]): _nested_json(t["coeff"]) for t in pot.cubic.to_json()["terms"]}
+        cells = [[exps + "," + cell + ",1\n" for cell in pair] for pair in _LEVEL_CELLS]
+        rows = [",".join(pot.vs.names) + ",num,den\n"]
+        for e, (n, m) in terms:
+            if m is None:
+                rows.append(exps % e + "," + n + "\n")
+            elif m == 1 and (n == 1 or n == -1):
+                rows.append(cells[n < 0][1] % e)
+            else:
+                s = str(abs(n)) if m == 1 else "%d/%d" % (abs(n), m)
+                rows.append(cells[n < 0][0] % (*e, s, s))
+        return "".join(rows), 0
     # one term of `Series.to_json` as `_dump` lays it out in a table: %s for the
     # coefficient's text (twice that of r in a tail term), %d for each exponent
     term = '    {\n      "coeff": %%s,\n      "exp": [\n        %s\n      ]\n    }' % (
-        ",\n        ".join(["%d"] * len(pot.vs.names)),)
+        exps.replace(",", ",\n        "),)
     level = term.replace("%s", _LEVEL_JSON)
-    terms = [level % ((s := tail[e]), s, *e) if e in tail else term % (coeffs[e], *e)
-             for e in exps]
-    # the table as `_dump` writes it, with the term list written in place
+    out = [term % (n, *e) if m is None
+           else level % ((s := str(n) if m == 1 else "%d/%d" % (n, m)), s, *e)
+           for e, (n, m) in terms]
+    # the table as `_dump` writes it, joined once with the terms in place
     table = _dump({"caps": list(pot.vs.caps), "terms": [], "vars": list(pot.vs.names)})
-    if terms:
-        table = table.replace('"terms": []', '"terms": [\n%s\n  ]' % ",\n".join(terms))
+    if out:
+        head, _, foot = table.partition('"terms": []')
+        out[0] = head + '"terms": [\n' + out[0]
+        out[-1] += "\n  ]" + foot
+        table = ",\n".join(out)
     return table, 0
 
 
@@ -345,30 +382,6 @@ def cmd_invariants(cfg):
     record = {"d": d, "n1": n1, "n2": cfg.n2, "value": value.to_json(),
               "pretty": str(value)}
     return _dump(record), 0
-
-
-_STR = json.encoder.encode_basestring_ascii
-
-
-def _token(v, pad):
-    """`json.dumps(v, indent=2, sort_keys=True)` with pad after each newline:
-    a str, None, bool, int or non-empty str-keyed dict of them written
-    directly, any other value through `json.dumps`."""
-    t = type(v)
-    if t is str:
-        return _STR(v)
-    if v is None:
-        return "null"
-    if t is bool:
-        return "true" if v else "false"
-    if t is int:
-        return int.__repr__(v)
-    if t is dict and v and all(type(k) is str for k in v):
-        inner = pad + "  "
-        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(
-            [_STR(k) + ": " + (_STR(x) if type(x) is str else _token(x, inner))
-             for k, x in sorted(v.items())]), pad)
-    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 #: `CaseResult.to_json` as `_dump` lays it out in a single-suite report, its

@@ -21,13 +21,16 @@ Outside the classical cubic every coefficient is (t1+t2) times a rational
 number, so the stacky and quantum layers are built together, the rational
 tail.  Each of its coefficients is a ratio of two integer products, held as
 the integer pair (n, m) in lowest terms, m > 0, with no `Fraction` per
-term.  `potential` and `extended_potential` return a `Potential`: the cubic
+term.  The pairs are built in table order, by total degree and then by
+exponent as `Series.sorted_terms` orders them, so a writer sorts none of
+them.  `potential` and `extended_potential` return a `Potential`: the cubic
 as a `RatFun` series and the tail's pairs, on shared per-variable caps; its
 `tail` is the same tail as a `Series` over Q.  The two never share an
-exponent: the cubic has q-degree 0 and total degree at most 3, the tail
-q-degree at least 1 or z2/u-degree at least 4.  A writer can therefore print
-each term from exactly one part, and `Potential.series()` attaches (t1+t2)
-to the tail and adds the cubic when a `RatFun` series is wanted.
+exponent: the cubic has q-degree 0 and total degree 3, the tail q-degree at
+least 1 or z2/u-degree at least 4.  A writer can therefore print each term
+from exactly one part, merging the cubic's few terms into the tail's, and
+`Potential.series()` attaches (t1+t2) to the tail and adds the cubic when a
+`RatFun` series is wanted.
 `extended_potential` shifts z2 by a formal angle u: the cubic by
 substitution, the tail written from its coefficients in theta = z2 + u.
 `gw_invariant` exposes the underlying numbers directly, with the divisor
@@ -94,7 +97,9 @@ def _plain_caps(qmax, zorder):
 
 def _tail_pairs(vs):
     """The potential minus its classical cubic, divided by (t1+t2), as
-    {exponent: (n, m)}: each coefficient n/m of Q in lowest terms, m > 0.
+    {exponent: (n, m)}: each coefficient n/m of Q in lowest terms, m > 0, in
+    table order, by total degree and then by exponent as `Series.sorted_terms`
+    orders them.
 
     Built on vs, caps for (z0, z1, z2, q) or, extended, (z0, z1, z2, q, u),
     where u enters only through theta = z2 + u and theta^n/n! is the sum of
@@ -104,29 +109,40 @@ def _tail_pairs(vs):
     """
     z1_cap, z2_cap, qmax = vs.caps[1:4]
     u_cap = sum(vs.caps[4:])  # 0 on the plain caps
-    top = z2_cap + u_cap
+    top, arity = z2_cap + u_cap, len(vs.caps) - 2
     fact = [math.factorial(k) for k in range(max(top, z1_cap) + 1)]
+    # weight[d][n]: n! times the coefficient of theta^n q^d at z1 = 0, as
+    # numerator and denominator, or None where there is no term
+    weight = [[None] * (top + 1) for _ in range(qmax + 1)]
+    for (n,), c in g_series(top).terms():
+        weight[0][n] = (-c.numerator * fact[n], c.denominator)
+    for d in range(1, qmax + 1):
+        for n in range(d % 2, top + 1, 2):
+            weight[d][n] = local_invariant(d, n).as_integer_ratio()
+    # parts[t]: the terms z2^b q^d u^c of total t as (exponent, d, numerator,
+    # denominator), appended in lexicographic order; n = b + c has the parity
+    # of d, so t is even
+    parts = [[] for _ in range(top + qmax + 1)]
+    for b, fb in enumerate(fact[:z2_cap + 1]):
+        for d, row in enumerate(weight):
+            for c in range((b + d) % 2, u_cap + 1, 2):
+                if w := row[b + c]:
+                    parts[b + d + c].append(((b, d, c)[:arity], d, w[0], w[1] * fb * fact[c]))
+    # per a: the exponent's head, the divisor factor d^a/a! and the parts by
+    # total degree a + t, those with d = 0 only at a = 0
+    positive = [[p for p in part if p[1]] for part in parts]
+    factors = [((0, a), [d**a for d in range(qmax + 1)], fact[a],
+                [[]] * a + (positive if a else parts) + [[]] * (z1_cap - a))
+               for a in range(z1_cap + 1)]
     out = {}
-    for d in range(qmax + 1):
-        # n! times the coefficient of theta^n q^d at z1 = 0, as numerator and
-        # denominator
-        if d:
-            row = [(n, v.numerator, v.denominator) for n in range(d % 2, top + 1, 2)
-                   for v in (local_invariant(d, n),)]
-        else:
-            row = [(n, -c.numerator * fact[n], c.denominator)
-                   for (n,), c in g_series(top).terms()]
-        # theta^n split into z2^b u^c; the exponents end (z2, q) or (z2, q, u)
-        row = [((b, d, n - b)[:len(vs.caps) - 2], v, w * fact[b] * fact[n - b])
-               for n, v, w in row for b in range(max(0, n - u_cap), min(n, z2_cap) + 1)]
-        # z1^a takes the divisor factor d^a/a! (1 at a = 0): each coefficient
-        # is a ratio of two integer products, reduced by one gcd
-        for a in range(z1_cap + 1 if d else 1):
-            p, f = d**a, fact[a]
-            for e, n, m in row:
-                n, m = p * n, f * m
+    # by total degree s, then a (of the parity of s), then part: each
+    # coefficient is a ratio of two integer products, reduced by one gcd
+    for s in range(z1_cap + len(parts)):
+        for head, p, f, part in factors[s % 2:s + 1:2]:
+            for e, d, n, m in part[s]:
+                n, m = p[d] * n, f * m
                 g = math.gcd(n, m)
-                out[(0, a) + e] = (n // g, m // g)
+                out[head + e] = (n // g, m // g)
     return out
 
 
@@ -143,8 +159,9 @@ class Potential:
 
     `cubic` is the classical cubic as a `RatFun` series on `vs`.  `pairs`
     holds the rest divided by (t1+t2) as {exponent: (n, m)}, each
-    coefficient n/m in lowest terms with m > 0; `tail` is the same as a
-    `Series` over Q, made from the pairs on each read.
+    coefficient n/m in lowest terms with m > 0, in table order (by total
+    degree, then by exponent); `tail` is the same as a `Series` over Q, made
+    from the pairs on each read.
     """
 
     __slots__ = ("vs", "cubic", "pairs")

@@ -338,11 +338,14 @@ _TABLE_CAPS = [(8, 17), (9, 16), (12, 14), (13, 13), (14, 13), (16, 12), (18, 11
                (2, 0, 5), (3, 1, 6)]
 
 
+def _table_vs(caps):
+    q, z, *u = caps
+    return VarSet(("z0", "z1", "z2", "q", "u")[:4 + len(u)], (z, z, z, q, *u))
+
+
 @pytest.mark.parametrize("caps", _TABLE_CAPS)
 def test_tail_from_integer_products_equals_the_fraction_products(caps):
-    q, z, *u = caps
-    names = ("z0", "z1", "z2", "q", "u")[:4 + len(u)]
-    vs = VarSet(names, (z, z, z, q, *u))
+    vs = _table_vs(caps)
     got = potentials._tail_pairs(vs)
     want = dict(_divisor_times_weight_tail(vs).terms())
     assert got.keys() == want.keys()
@@ -350,6 +353,14 @@ def test_tail_from_integer_products_equals_the_fraction_products(caps):
         assert type(n) is int and type(m) is int
         assert n and m > 0 and math.gcd(n, m) == 1
         assert (n, m) == (want[e].numerator, want[e].denominator)
+
+
+@pytest.mark.parametrize("caps", _TABLE_CAPS + [(0, 0), (0, 4), (1, 1), (4, 0), (0, 0, 2)])
+def test_tail_pairs_come_in_table_order(caps):
+    """The table writer sorts no tail term: the pairs are built by total
+    degree and then by exponent, as `Series.sorted_terms` orders them."""
+    pairs = potentials._tail_pairs(_table_vs(caps))
+    assert list(pairs) == sorted(pairs, key=lambda e: (sum(e), e))
 
 
 def test_extended_potential_shifts_only_the_cubic(monkeypatch):
