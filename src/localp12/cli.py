@@ -38,6 +38,7 @@ import sys
 from fractions import Fraction
 
 from . import localization, pcrc
+from .cyclotomic import _signed_sum
 from .potentials import degree0_triple, extended_potential, gw_invariant, potential
 
 #: suite name -> runner; each looks its suite up in its module at call time,
@@ -146,7 +147,7 @@ def _too_long(text):
 #: order the checks run
 _FLAGS = {
     "suite": (dict(help="one of %s, or 'all'" % (", ".join(SUITE_NAMES),)), _check_suite),
-    "format": (dict(choices=("json", "csv")), _check_format),
+    "format": (dict(metavar="{json,csv}"), _check_format),
     "qmax": (dict(type=int, help="curve-degree cap"), _check_nat),
     "zorder": (dict(type=int, help="cap on each z variable"), _check_nat),
     "uorder": (dict(type=int, help="cap on the angle variable"), _check_nat),
@@ -293,7 +294,9 @@ _LEVEL_JSON = _token({
 
 #: the CSV cell of the polynomial r*t1 + r*t2, by r < 0 and then by |r| == 1,
 #: with %s for the text of |r| where |r| != 1
-_LEVEL_CELLS = (("%s*t1 + %s*t2", "t1 + t2"), ("-%s*t1 - %s*t2", "-t1 - t2"))
+_LEVEL_CELLS = tuple((_signed_sum([(sign + "%s", "t1"), (sign + "%s", "t2")]),
+                      _signed_sum([(sign + "1", "t1"), (sign + "1", "t2")]))
+                     for sign in ("", "-"))
 
 
 def cmd_potential(cfg):

@@ -24,6 +24,12 @@ An int or Fraction operand of `*` or `/` takes the rational route,
 no field product and no inverse.  `coords` gives the four coordinates as
 reduced Fractions; the constructor takes ints and Fractions and raises
 TypeError for anything else, a float included.
+
+The module also holds the package's shared routines: `repeated_squaring`;
+`_accumulate`, which adds a dict of nonzero terms into another (the sums of
+`Poly2` and `Series`, substitution and the Taylor sums); and `_signed_sum`,
+the one text rule for a signed sum of monomials (`Cyclo`, `Poly2` and the
+CLI's CSV cells).
 """
 
 import math
@@ -250,26 +256,8 @@ class Cyclo:
         return "Cyclo(%s, %s, %s, %s)" % tuple(self.to_strings())
 
     def __str__(self):
-        if not self:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.to_strings()):
-            if c == "0":
-                continue
-            if k == 0:
-                parts.append(c)
-            else:
-                mon = "z" if k == 1 else "z^%d" % k
-                if c == "1":
-                    parts.append(mon)
-                elif c == "-1":
-                    parts.append("-" + mon)
-                else:
-                    parts.append("%s*%s" % (c, mon))
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
+        return _signed_sum([(c, m) for c, m in zip(self.to_strings(), ("", "z", "z^2", "z^3"))
+                            if c != "0"])
 
 
 def _raw(n, d):
@@ -309,6 +297,32 @@ def repeated_squaring(base, n, one):
         if n:
             base = base * base
     return out
+
+
+def _accumulate(out, terms):
+    """Add the nonzero terms of a dict into out, in place."""
+    for exp, c in terms.items():
+        acc = out.get(exp)
+        if acc is None:
+            out[exp] = c
+        else:
+            acc += c
+            if acc:
+                out[exp] = acc
+            else:
+                del out[exp]
+
+
+def _signed_sum(terms):
+    """The text c1*m1 + c2*m2 - ... of (coefficient text, monomial text) pairs,
+    "0" for none: an empty monomial keeps its coefficient, a coefficient 1 or
+    -1 before a monomial is dropped, and a negative term is joined with " - "."""
+    parts = [c if not m else m if c == "1" else "-" + m if c == "-1" else c + "*" + m
+             for c, m in terms]
+    if not parts:
+        return "0"
+    return parts[0] + "".join([(" - " + p[1:]) if p.startswith("-") else (" + " + p)
+                               for p in parts[1:]])
 
 
 def zeta_pow(k):

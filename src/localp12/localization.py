@@ -26,7 +26,9 @@ s-exponent of -1/2 and never cancels (see `even_literal_assembly`, which
 records the imbalance exactly instead of hiding it).  `assemble_even`
 therefore extracts the invariant from the resummed generating function,
 and `local_invariant` provides the direct formula both parities share.
-The `resummation` suite reads every genus of a degree from one series.
+`resummed` builds that generating function for both parities, a sine at
+odd d and a cosine at even d, and the `resummation` suite reads every genus
+of a degree from one such series.
 """
 
 import functools
@@ -336,23 +338,15 @@ def quantum_sign(d):
     return (-1) ** (d // 2)
 
 
-def resummed_odd(d, order):
-    """Generating function of the odd-degree invariants: the coefficient of
-    z2^(2g+1) times (2g+1)! is the (d, 2g+1) invariant."""
-    if d < 1 or d % 2 == 0:
-        raise ValueError("degree must be odd and positive, got %r" % (d,))
+def resummed(d, order):
+    """Generating function of the degree-d invariants, 2 quantum_sign(d)/d^3
+    times sin(d z2/2) at odd d and cos(d z2/2) at even d: the coefficient of
+    z2^n times n! is the (d, n) invariant."""
+    if d < 1:
+        raise ValueError("degree must be positive, got %r" % (d,))
     vs = VarSet(("z2",), (order,))
     arg = Series.variable(vs, "z2").scale(Fraction(d, 2))
-    return sin(arg).scale(Fraction(2 * quantum_sign(d), d**3))
-
-
-def resummed_even(d, order):
-    """Even-degree companion of `resummed_odd`, built on cosine."""
-    if d < 2 or d % 2:
-        raise ValueError("degree must be even and positive, got %r" % (d,))
-    vs = VarSet(("z2",), (order,))
-    arg = Series.variable(vs, "z2").scale(Fraction(d, 2))
-    return cos(arg).scale(Fraction(2 * quantum_sign(d), d**3))
+    return (sin if d % 2 else cos)(arg).scale(Fraction(2 * quantum_sign(d), d**3))
 
 
 def assemble_even(d, g):
@@ -362,10 +356,12 @@ def assemble_even(d, g):
     which the potential is built from; the literal fixed-locus product does
     not close up (see `even_literal_assembly`).
     """
+    if d % 2:
+        raise ValueError("degree must be even, got %r" % (d,))
     if g < -1:
         raise ValueError("genus must be at least -1, got %r" % (g,))
     n = 2 * g + 2
-    series = resummed_even(d, n)
+    series = resummed(d, n)
     return math.factorial(n) * series.coeff((n,))
 
 
@@ -494,21 +490,20 @@ _ODD_GRID = [(d, g) for d in range(1, 10, 2) for g in range(0, 5)]
 _EVEN_GRID = [(d, g) for d in range(2, 9, 2) for g in range(-1, 5)]
 
 
-def _per_degree(build, grid, shift):
-    """build(d, n) per degree d of grid at its top count n = 2g + shift;
+def _per_degree(grid, shift):
+    """`resummed(d, n)` per degree d of grid at its top count n = 2g + shift;
     cap exactness makes its lower coefficients those of a smaller build."""
     top = {}
     for d, g in grid:
         top[d] = max(top.get(d, 0), 2 * g + shift)
-    return {d: build(d, n) for d, n in top.items()}
+    return {d: resummed(d, n) for d, n in top.items()}
 
 
 def resummation_suite():
     """Compare series extraction against the direct closed form."""
     cases = []
-    for label, build, grid, shift in (("odd", resummed_odd, _ODD_GRID, 1),
-                                      ("even", resummed_even, _EVEN_GRID, 2)):
-        series = _per_degree(build, grid, shift)
+    for label, grid, shift in (("odd", _ODD_GRID, 1), ("even", _EVEN_GRID, 2)):
+        series = _per_degree(grid, shift)
         for d, g in grid:
             n = 2 * g + shift
             got = math.factorial(n) * series[d].coeff((n,))

@@ -15,9 +15,11 @@ terms)` is the one public constructor and checks every exponent, and it and
 package's own results, whose dicts are already within the caps and free of
 zeros, are wrapped by the internal `Series._of` without a second check.
 
-Products and the Taylor sums of exp, sin, cos and tan add their terms into
-one dict.  `inverse` is no Taylor sum but the graded recurrence of f * g = 1,
-one product per pair of a result term and a term of f.
+Sums, substitution and the Taylor sums of exp, sin, cos and tan add their
+terms into one dict through `cyclotomic._accumulate`, as `Poly2` sums do; a
+product keeps its own inline loop.  `inverse` is no Taylor sum but the
+graded recurrence of f * g = 1, one product per pair of a result term and a
+term of f.
 
 Caps are per variable rather than total degree: the curve-degree variable
 q wants its own bound independent of the analytic orders in the z and u
@@ -31,7 +33,7 @@ import operator
 from fractions import Fraction
 from operator import add, le
 
-from .cyclotomic import repeated_squaring
+from .cyclotomic import _accumulate, repeated_squaring
 
 
 class VarSet:
@@ -259,14 +261,8 @@ class Series:
             for i, e in enumerate(exp):
                 if e:
                     prod = power(i, e) if prod is one else prod * power(i, e)
-            for pe, pc in prod._t.items():
-                v = c * pc
-                got = acc.get(pe)
-                v = v if got is None else got + v
-                if v:
-                    acc[pe] = v
-                elif pe in acc:
-                    del acc[pe]
+            # products of nonzero field elements are nonzero
+            _accumulate(acc, {pe: c * pc for pe, pc in prod._t.items()})
         return Series._of(target, acc)
 
     def into(self, target):
@@ -338,20 +334,6 @@ class Series:
 def _require_no_constant(f, what):
     if f.constant_term():
         raise ValueError("%s of a series with a nonzero constant term" % what)
-
-
-def _accumulate(out, terms):
-    """Add the nonzero terms of a dict into out, in place."""
-    for exp, c in terms.items():
-        acc = out.get(exp)
-        if acc is None:
-            out[exp] = c
-        else:
-            acc += c
-            if acc:
-                out[exp] = acc
-            else:
-                del out[exp]
 
 
 def _taylor(out, term, step, ratio):

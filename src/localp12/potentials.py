@@ -180,8 +180,6 @@ class Potential:
 
 def potential(qmax, zorder):
     """Full potential in (z0, z1, z2, q) with per-variable caps, as a `Potential`."""
-    if qmax < 0 or zorder < 0:
-        raise ValueError("caps must be nonnegative")
     vs = _plain_caps(qmax, zorder)
     return Potential(vs, classical_part().into(vs), _tail_pairs(vs))
 
@@ -192,8 +190,6 @@ def extended_potential(qmax, zorder, uorder):
     The tail is written straight from its theta = z2 + u coefficients; only
     the classical cubic, a polynomial, goes through the shift.
     """
-    if qmax < 0 or zorder < 0 or uorder < 0:
-        raise ValueError("caps must be nonnegative")
     target = VarSet(
         ("z0", "z1", "z2", "q", "u"), (zorder, zorder, zorder, qmax, uorder)
     )
@@ -209,8 +205,6 @@ def gw_invariant(n1, n2, d):
     match the parity of d.  Positive degrees only; degree zero is handled
     point by point in the degree-zero layer.
     """
-    if d < 1:
-        raise ValueError("degree must be positive, got %r" % (d,))
     if n1 < 0 or n2 < 0:
         raise ValueError("insertion counts must be nonnegative")
     base = local_invariant(d, n2)

@@ -25,7 +25,9 @@ from .cyclotomic import (
     Cyclo,
     ONE as C_ONE,
     ZERO as C_ZERO,
+    _accumulate,
     _coerce,
+    _signed_sum,
     repeated_squaring,
 )
 
@@ -80,13 +82,7 @@ class Poly2:
 
     def __add__(self, other):
         out = dict(self._t)
-        for exp, c in other._t.items():
-            acc = out.get(exp)
-            c = c if acc is None else acc + c
-            if c:
-                out[exp] = c
-            elif exp in out:
-                del out[exp]
+        _accumulate(out, other._t)
         p = Poly2.__new__(Poly2)
         p._t = out
         return p
@@ -141,31 +137,13 @@ class Poly2:
         return "Poly2(%r)" % (self._t,)
 
     def __str__(self):
-        if not self._t:
-            return "0"
-        parts = []
+        terms = []
         for exp in sorted(self._t, key=_GRLEX, reverse=True):
-            c = self._t[exp]
-            mon = "*".join(
-                n if e == 1 else "%s^%d" % (n, e)
-                for n, e in zip(("t1", "t2"), exp)
-                if e
-            )
-            cs = str(c)
-            if " " in cs:
-                cs = "(%s)" % cs
-            if not mon:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mon)
-            elif cs == "-1":
-                parts.append("-" + mon)
-            else:
-                parts.append("%s*%s" % (cs, mon))
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
+            cs = str(self._t[exp])
+            terms.append(("(%s)" % cs if " " in cs else cs,
+                          "*".join(n if e == 1 else "%s^%d" % (n, e)
+                                   for n, e in zip(("t1", "t2"), exp) if e)))
+        return _signed_sum(terms)
 
 
 def _scalar(c):

@@ -21,7 +21,7 @@ from localp12.localization import (
     even_literal_assembly,
     local_invariant,
     odd_assembly,
-    resummed_odd,
+    resummed,
 )
 from localp12.mpseries import Series, VarSet, exp, inverse
 from localp12.pcrc import (
@@ -149,7 +149,7 @@ def test_criterion_3_odd_assembly_matches_resummation():
                 a = odd_assembly(d, g)
                 assert a.total.is_constant
                 n = 2 * g + 1
-                target = resummed_odd(d, n).coeff((n,))
+                target = resummed(d, n).coeff((n,))
                 assert a.value == math.factorial(n) * target
 
 

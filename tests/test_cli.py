@@ -563,10 +563,8 @@ _VERIFY_CYCLO_INVERSES = 80
 
 def test_verify_builds_one_series_per_degree_and_eliminates_once(monkeypatch, capsys):
     builds = []
-    for name in ("resummed_odd", "resummed_even"):
-        build = getattr(localization, name)
-        monkeypatch.setattr(localization, name,
-                            lambda d, n, build=build: builds.append(d) or build(d, n))
+    build = localization.resummed
+    monkeypatch.setattr(localization, "resummed", lambda d, n: builds.append(d) or build(d, n))
     calls = Counter()
 
     def counting(name, f):
@@ -824,6 +822,58 @@ def test_a_negative_cap_reads_the_same_from_a_flag_and_a_config(tmp_path, capsys
     code, out, err = _run(capsys, *argv, "--" + flag, "abc")
     assert (code, out, err) == (2, "", "error: argument --%s: invalid int value: 'abc'\n" % flag)
     assert "_nat" not in err
+
+
+def test_a_bad_format_reads_the_same_from_a_flag_and_a_config(tmp_path, capsys):
+    want = (2, "", "error: format must be json or csv\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    assert _run(capsys, "potential", "--format", "xml") == want
+    assert _run(capsys, "potential", "--config", str(cfg)) == want
+    code, out, err = _run(capsys, "potential", "--help")
+    assert (code, err) == (0, "") and "--format {json,csv}" in out
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["eval", "--at", "t1=x,t2=1"], None, "cannot parse 'x' as a rational"),
+    (["eval", "--at", "t1=1/0,t2=1"], None, "cannot parse '1/0' as a rational"),
+    (["eval"], "[1]", "config must be a JSON object"),
+    (["invariants", "--d", "0"], None, "degree 0 needs --classes, e.g. --classes 1,H,H"),
+    (["invariants", "--d", "3"], None, "positive degree needs --n2 (twisted insertion count)"),
+    (["eval"], None, "--at must set t1 and t2"),
+])
+def test_refusals_print_their_one_line(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert _run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("text", [None, "{", '{"qmax": 1,}'])
+def test_an_unreadable_config_is_refused(tmp_path, capsys, text):
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = _run(capsys, "eval", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: cannot read config %s: " % cfg)
+
+
+def test_empty_at_chunks_and_an_at_object_read_as_the_plain_spec(tmp_path, capsys):
+    want = _run(capsys, "eval", "--at", "t1=1,t2=2", "--qmax", "1", "--zorder", "2")
+    assert want[0] == 0 and want[1]
+    assert _run(capsys, "eval", "--at", "t1=1,,t2=2", "--qmax", "1", "--zorder", "2") == want
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"at": {"t1": "1", "t2": 2}, "qmax": 1, "zorder": 2}))
+    assert _run(capsys, "eval", "--config", str(cfg)) == want
+
+
+def test_no_digit_limit_makes_no_literal_too_long(monkeypatch):
+    assert cli._too_long("1" * (sys.get_int_max_str_digits() + 1))
+    monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 0)
+    assert not cli._too_long("1" * 10000)
+    assert not cli._too_long("1e100000")
 
 
 def test_help_still_prints_and_exits_zero(capsys):

@@ -24,8 +24,7 @@ from localp12.localization import (
     odd_assembly,
     odd_weight_families,
     resummation_suite,
-    resummed_even,
-    resummed_odd,
+    resummed,
 )
 from localp12.localization import _EVEN_GRID, _ODD_GRID, _odd_edge, _per_degree
 from localp12.mpseries import VarSet
@@ -204,16 +203,13 @@ def test_edge_from_integer_products_equals_the_factor_by_factor_product():
         assert odd_assembly(d, 2).edge == edge
 
 
-@pytest.mark.parametrize("build, grid, shift", [
-    (resummed_odd, _ODD_GRID, 1),
-    (resummed_even, _EVEN_GRID, 2),
-])
-def test_one_series_per_degree_equals_a_build_at_each_cap(build, grid, shift):
-    series = _per_degree(build, grid, shift)
+@pytest.mark.parametrize("grid, shift", [(_ODD_GRID, 1), (_EVEN_GRID, 2)], ids=["odd", "even"])
+def test_one_series_per_degree_equals_a_build_at_each_cap(grid, shift):
+    series = _per_degree(grid, shift)
     assert sorted(series) == sorted({d for d, _ in grid})
     for d, g in grid:
         n = 2 * g + shift
-        at_n = build(d, n)
+        at_n = resummed(d, n)
         assert series[d].coeff((n,)) == at_n.coeff((n,))
         assert series[d].into(VarSet(("z2",), (n,))) == at_n
 
@@ -224,7 +220,7 @@ def test_odd_assembly_matches_resummation():
         d = rng.choice((1, 3, 5, 7, 9))
         g = rng.randrange(0, 5)
         n = 2 * g + 1
-        series = resummed_odd(d, n)
+        series = resummed(d, n)
         extracted = math.factorial(n) * series.coeff((n,))
         assert assemble_odd(d, g) == extracted
 
@@ -281,29 +277,27 @@ def test_local_invariant_magnitude_and_sign():
             assert (v > 0) == (w > 0)
 
 
-def test_resummed_odd_series():
-    s = resummed_odd(1, 7)
+def test_resummed_at_odd_degree():
+    s = resummed(1, 7)
     # 2 sin(z/2) = z - z^3/24 + z^5/1920 - ...
     assert s.coeff((1,)) == 1
     assert s.coeff((3,)) == Fraction(-1, 24)
     assert s.coeff((5,)) == Fraction(1, 1920)
     assert s.coeff((2,)) == 0
-    s3 = resummed_odd(3, 3)
+    s3 = resummed(3, 3)
     assert s3.coeff((1,)) == Fraction(-1, 9)
     assert math.factorial(3) * s3.coeff((3,)) == local_invariant(3, 3)
     with pytest.raises(ValueError):
-        resummed_odd(2, 4)
+        resummed(0, 4)
 
 
-def test_resummed_even_series():
-    s = resummed_even(2, 6)
+def test_resummed_at_even_degree():
+    s = resummed(2, 6)
     # -cos(z)/4 resummed: constant -1/4, then +z^2/8, ...
     assert s.coeff((0,)) == Fraction(-1, 4)
     assert math.factorial(2) * s.coeff((2,)) == local_invariant(2, 2)
     assert math.factorial(4) * s.coeff((4,)) == local_invariant(2, 4)
     assert s.coeff((1,)) == 0
-    with pytest.raises(ValueError):
-        resummed_even(3, 4)
 
 
 def test_assemble_even_oracles():
@@ -313,6 +307,8 @@ def test_assemble_even_oracles():
     assert assemble_even(4, 0) == Fraction(-1, 8)
     with pytest.raises(ValueError):
         assemble_even(2, -2)
+    with pytest.raises(ValueError):
+        assemble_even(3, 0)
 
 
 def test_even_literal_bookkeeping():
@@ -392,3 +388,21 @@ def test_failing_degree0_case_names_both_sides(monkeypatch):
     failed = [c.to_json() for c in degree0_suite().cases if not c.passed]
     assert [c["key"] for c in failed] == ["<1,H,H>"]
     assert failed[0]["info"] == {"value": "1/3", "got": "1/3", "want": "-2/3"}
+
+
+def _record(rational, s_exponent, root2d_exponent, rootd_exponent, closed_form):
+    return EvenLiteralAssembly(d=2, g=0, rational=rational, s_exponent=s_exponent,
+                               root2d_exponent=root2d_exponent, rootd_exponent=rootd_exponent,
+                               closed_form=closed_form)
+
+
+def test_a_product_that_closes_up_is_matched_on_its_value():
+    # at d = 2: 1/16 * 4^1 * 2^-1 = 1/8
+    assert _record(Fraction(1, 16), Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 8)).matches
+    assert not _record(Fraction(1, 16), Fraction(0), Fraction(1), Fraction(-1),
+                       Fraction(1, 4)).matches
+    # a half-integer root exponent is no rational value, whatever the rest
+    assert not _record(Fraction(1, 16), Fraction(0), Fraction(1, 2), Fraction(-1),
+                       Fraction(1, 8)).matches
+    assert not _record(Fraction(1, 16), Fraction(0), Fraction(1), Fraction(-1, 2),
+                       Fraction(1, 8)).matches

@@ -29,11 +29,7 @@ from localp12.pcrc import (
     verify_corollary_remark,
     verify_residual_thirdderiv,
 )
-from localp12.localization import (
-    resummation_suite,
-    resummed_even,
-    resummed_odd,
-)
+from localp12.localization import resummation_suite, resummed
 from localp12.potentials import extended_potential, g_series
 from localp12.ratfun import RF_ONE, RF_T1, RF_T2, RatFun, rf
 from localp12.reports import CaseResult
@@ -341,8 +337,8 @@ def test_identity_checks_build_no_rational_function(monkeypatch):
     assert verify_bracket_identity(3, 6).passed
     assert verify_residual_thirdderiv(8).passed
     assert resummation_suite().passed
-    assert resummed_odd(3, 7).coeff((1,)) == Fraction(-1, 9)
-    assert resummed_even(2, 6).coeff((0,)) == Fraction(-1, 4)
+    assert resummed(3, 7).coeff((1,)) == Fraction(-1, 9)
+    assert resummed(2, 6).coeff((0,)) == Fraction(-1, 4)
 
 
 def test_residual_sides_low_coefficients():

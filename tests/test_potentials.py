@@ -10,8 +10,7 @@ from localp12.localization import (
     degree0_fixed_point_sum,
     local_invariant,
     quantum_sign,
-    resummed_even,
-    resummed_odd,
+    resummed,
 )
 from localp12.mpseries import Series, VarSet, exp
 from localp12.potentials import (
@@ -211,6 +210,8 @@ def test_extended_potential_caps_and_validation():
         extended_potential(1, 2, -1)
     with pytest.raises(ValueError):
         potential(-1, 2)
+    with pytest.raises(ValueError):
+        quantum_part(-1, 2)
 
 
 @pytest.mark.parametrize("qmax, zorder", [(0, 2), (1, 4), (3, 5)])
@@ -286,7 +287,7 @@ def _resummed_tail(qmax, zorder, uorder=None):
     out = {(0, 0, b, 0): -c for (b,), c in g_series(work).terms()}
     z1 = Series.variable(VarSet(("z1",), (work,)), "z1")
     for d in range(1, qmax + 1):
-        wave = (resummed_odd if d % 2 else resummed_even)(d, work).terms()
+        wave = resummed(d, work).terms()
         for (a,), ca in exp(z1.scale(d)).terms():
             for (b,), cb in wave:
                 out[(0, a, b, d)] = ca * cb

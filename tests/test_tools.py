@@ -1,0 +1,20 @@
+import importlib.util
+import os
+
+from localp12 import cli
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
+    spec = importlib.util.spec_from_file_location(
+        "cli_digests", os.path.join(ROOT, "tools", "cli_digests.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    argvs = tool.requests(ROOT)
+    assert {a[0] for a in argvs if a[0] != "--help"} == set(cli._COMMANDS)
+    assert {a[a.index("--suite") + 1] for a in argvs if "--suite" in a} >= set(cli.SUITE_NAMES)
+    assert {a[a.index("--format") + 1] for a in argvs if "--format" in a} >= {"json", "csv"}
+    first = tool.digest_lines(argvs[:20])
+    assert len(first) == 20
+    assert tool.digest_lines(argvs[:20]) == first

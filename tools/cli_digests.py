@@ -1,0 +1,123 @@
+"""Digests of the CLI's bytes over a fixed set of requests, for comparing trees.
+
+    python3 tools/cli_digests.py [ROOT] > digests.txt
+
+Imports `localp12` from ROOT/src (default: the checkout holding this file)
+and reads the benchmark's request rounds from ROOT/perfbench/workloads.py,
+which it only calls.  Every request runs through `localp12.cli.main` in this
+one process, in a temporary directory that holds the config files some of the
+requests name, so the output does not depend on where it runs.  Each request
+prints one line,
+
+    sha1(stdout)[:12] sha1(stderr)[:12] exit argv
+
+and the last line gives the sha1 of all the lines before it and their count.
+Two trees print the same CLI bytes on these requests when `diff` of their
+two outputs is empty.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+SUITES = ("degree0", "resummation", "assembly", "bracket", "residual", "corollary")
+
+#: config file name -> its text, written into the temporary directory; a name
+#: that is not here is a missing file
+CONFIGS = {
+    "format-xml.json": json.dumps({"format": "xml"}),
+    "malformed.json": "{",
+    "list.json": "[1]",
+    "at-object.json": json.dumps({"at": {"t1": "1", "t2": 2}}),
+}
+
+
+def requests(root):
+    """The request list: the workloads' rounds of seeds 1-5, every degree-0
+    class triple, an invariant grid, every suite, small tables in both
+    formats, help texts, and refusals of bad input."""
+    bench = os.path.join(root, "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    out = [argv for name in ("verify", "table", "lookup") for seed in range(1, 6)
+           for argv in workloads.WORKLOADS[name](seed)]
+    out += [["invariants", "--d", "0", "--classes", ",".join(c)]
+            for c in itertools.product("1HS", repeat=3)]
+    out += [["invariants", "--d", str(d), "--n1", str(n1), "--n2", str(n2)]
+            for d in range(1, 9) for n1 in range(4) for n2 in range(7)]
+    out += [["verify", "--suite", s] for s in SUITES + ("all",)]
+    for fmt, q, z in itertools.product(("json", "csv"), range(4), range(7)):
+        caps = ["--qmax", str(q), "--zorder", str(z), "--format", fmt]
+        out.append(["potential"] + caps)
+        out += [["potential", "--extended", "--uorder", str(u)] + caps for u in range(4)]
+    out += [argv + ["--help"] for argv in ([], ["potential"], ["invariants"], ["verify"],
+                                           ["eval"])]
+    out += [
+        ["potential", "--format", "xml"],
+        ["potential", "--config", "format-xml.json"],
+        ["eval", "--at", "t1=x,t2=1"],
+        ["eval", "--at", "t1=1/0,t2=1"],
+        ["eval", "--config", "missing.json"],
+        ["eval", "--config", "malformed.json"],
+        ["eval", "--config", "list.json"],
+        ["invariants", "--d", "0"],
+        ["invariants", "--d", "3"],
+        ["eval"],
+        ["eval", "--at", "t1=1,t2=2"],
+        ["eval", "--at", "t1=1,,t2=2"],
+        ["eval", "--config", "at-object.json"],
+        ["potential", "--qmax", "-1"],
+    ]
+    return out
+
+
+def _sha(text):
+    return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
+
+
+def digest_lines(argvs):
+    """One digest line per request, each run through `cli.main` in a temporary
+    directory holding `CONFIGS`."""
+    from localp12 import cli
+
+    lines = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in CONFIGS.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        os.chdir(tmp)
+        try:
+            for argv in argvs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(list(argv))
+                lines.append("%s %s %s %s" % (_sha(out.getvalue()), _sha(err.getvalue()),
+                                              code, " ".join(argv)))
+        finally:
+            os.chdir(cwd)
+    return lines
+
+
+def main(argv):
+    root = os.path.abspath(argv[0] if argv else os.path.dirname(HERE))
+    # help texts wrap at the terminal width
+    os.environ["COLUMNS"] = "80"
+    sys.path.insert(0, os.path.join(root, "src"))
+    lines = digest_lines(requests(root))
+    total = hashlib.sha1("".join(line + "\n" for line in lines).encode("utf-8")).hexdigest()
+    print("\n".join(lines))
+    print("total %s %d requests" % (total, len(lines)))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
