@@ -11,8 +11,9 @@ table order, by total degree and then by exponent, and only the classical
 cubic's few terms (disjoint from the tail's) are sorted in among them.  A
 cubic term is written from the cubic's `Series.to_json`, a tail term n/m
 from the text of its integer pair alone (`str(n)` when m is 1, else "n/m",
-as `str(Fraction(n, m))` writes it), into one JSON term template or one of
-four CSV row templates, by the sign of n/m and whether it is 1 or -1.
+as `str(Fraction(n, m))` writes it), between the fixed pieces of one JSON
+term or of one of two CSV rows by its sign, cut once per table, so `%` fills
+only the exponents (a row of n/m = 1 or -1 is one of two fixed templates).
 `eval` sums exactly in integers: with x = p/q at each variable, a table of
 p^k q^(cap-k) per variable turns every monomial into an integer product, the
 coefficients are brought to the lcm of their denominators, and the sum is
@@ -303,7 +304,7 @@ def cmd_potential(cfg):
     """The table in one ordered pass: the tail's pairs come in table order,
     and the cubic's terms (all of total degree 3, none at a tail exponent)
     are merged in among the tail's first ones; each term is written from its
-    part."""
+    part, a tail term's text between template pieces cut once per call."""
     pot = _the_potential(cfg.extended, cfg.qmax, cfg.zorder, cfg.uorder)
     exps = ",".join(["%d"] * len(pot.vs.names))
     # a cubic term is (exponent, (its CSV cells or JSON coefficient, None)),
@@ -322,6 +323,8 @@ def cmd_potential(cfg):
         # rows as the csv module writes them: no cell holds a comma, a quote
         # or a line break, so none is quoted
         cells = [[exps + "," + cell + ",1\n" for cell in pair] for pair in _LEVEL_CELLS]
+        # a row of |r| != 1 cut at its two %s: (exponents and sign, middle, end)
+        cut = [pair[0].split("%s") for pair in cells]
         rows = [",".join(pot.vs.names) + ",num,den\n"]
         for e, (n, m) in terms:
             if m is None:
@@ -329,16 +332,18 @@ def cmd_potential(cfg):
             elif m == 1 and (n == 1 or n == -1):
                 rows.append(cells[n < 0][1] % e)
             else:
-                s = str(abs(n)) if m == 1 else "%d/%d" % (abs(n), m)
-                rows.append(cells[n < 0][0] % (*e, s, s))
+                head, mid, end = cut[n < 0]
+                s = str(abs(n)) if m == 1 else f"{abs(n)}/{m}"
+                rows.append(f"{head % e}{s}{mid}{s}{end}")
         return "".join(rows), 0
     # one term of `Series.to_json` as `_dump` lays it out in a table: %s for the
-    # coefficient's text (twice that of r in a tail term), %d for each exponent
+    # coefficient's text, %d for each exponent
     term = '    {\n      "coeff": %%s,\n      "exp": [\n        %s\n      ]\n    }' % (
         exps.replace(",", ",\n        "),)
-    level = term.replace("%s", _LEVEL_JSON)
+    # a tail term cut at the two places of the text of r: the end keeps the %d
+    a, b, c = term.replace("%s", _LEVEL_JSON).split("%s")
     out = [term % (n, *e) if m is None
-           else level % ((s := str(n) if m == 1 else "%d/%d" % (n, m)), s, *e)
+           else f"{a}{(s := str(n) if m == 1 else f'{n}/{m}')}{b}{s}{c % e}"
            for e, (n, m) in terms]
     # the table as `_dump` writes it, joined once with the terms in place
     table = _dump({"caps": list(pot.vs.caps), "terms": [], "vars": list(pot.vs.names)})

@@ -324,13 +324,21 @@ def local_invariant(d, n):
     and n = 2g+2 (g >= -1) for even d.  The value is
     quantum_sign(d) (-1)^(n//2) 2 d^n / (d^3 2^n).
     """
+    return Fraction(*invariant_pair(d, n))
+
+
+def invariant_pair(d, n):
+    """`local_invariant(d, n)` as (numerator, denominator) in lowest terms,
+    denominator > 0, made with one gcd and no `Fraction`."""
     if d < 1:
         raise ValueError("degree must be positive, got %r" % (d,))
     if n < 0 or (n - d) % 2:
         raise ValueError(
             "insertion count %r has the wrong parity for degree %r" % (n, d)
         )
-    return Fraction(quantum_sign(d) * (-1) ** (n // 2) * 2 * d**n, d**3 * 2**n)
+    num, den = quantum_sign(d) * (-1) ** (n // 2) * 2 * d**n, d**3 * 2**n
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def quantum_sign(d):

@@ -47,7 +47,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .localization import _CLASSES, degree0_classes, degree0_fixed_point_sum, local_invariant
+from .localization import (_CLASSES, degree0_classes, degree0_fixed_point_sum, invariant_pair,
+                           local_invariant)
 from .mpseries import Series, VarSet, _tan_coeff
 from .ratfun import RF_T1, RF_T2, RF_ZERO
 
@@ -105,7 +106,8 @@ def _tail_pairs(vs):
     where u enters only through theta = z2 + u and theta^n/n! is the sum of
     z2^b u^c/(b! c!) over b + c = n.  The q^0 row is -G_n n!/(b! c!); at d >= 1
     the coefficient of z1^a z2^b u^c q^d is <H^a S^n>_d/(a! b! c!) without its
-    (t1+t2), that is d^a/a! * local_invariant(d, n)/(b! c!) when n = d (mod 2).
+    (t1+t2), d^a/a! times local_invariant(d, n), read as `invariant_pair(d, n)`,
+    over b! c! when n = d (mod 2).
     """
     z1_cap, z2_cap, qmax = vs.caps[1:4]
     u_cap = sum(vs.caps[4:])  # 0 on the plain caps
@@ -118,7 +120,7 @@ def _tail_pairs(vs):
         weight[0][n] = (-c.numerator * fact[n], c.denominator)
     for d in range(1, qmax + 1):
         for n in range(d % 2, top + 1, 2):
-            weight[d][n] = local_invariant(d, n).as_integer_ratio()
+            weight[d][n] = invariant_pair(d, n)
     # parts[t]: the terms z2^b q^d u^c of total t as (exponent, d, numerator,
     # denominator), appended in lexicographic order; n = b + c has the parity
     # of d, so t is even

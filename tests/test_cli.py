@@ -509,7 +509,8 @@ def _generic_table(series, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("caps", _PLAIN_CAPS + _EXTENDED_CAPS)
+# benchmark caps: (16, 12) reaches q^16 and 75-bit numerators, (5, 8, 4) all five variables
+@pytest.mark.parametrize("caps", _PLAIN_CAPS + _EXTENDED_CAPS + [(16, 12), (5, 8, 4)])
 def test_table_bytes_equal_the_generic_rendering(capsys, caps, fmt):
     code, out, err = _run(capsys, "potential", *_cap_argv(caps), "--format", fmt)
     assert (code, err) == (0, "")
@@ -762,10 +763,10 @@ def test_importing_the_cli_loads_no_introspection_machinery():
 @pytest.mark.parametrize("fmt, to_json", [("json", 1), ("csv", 0)])
 def test_table_writes_the_tail_from_text_alone(monkeypatch, capsys, fmt, to_json):
     """A tail term costs no `Fraction`, not even a sign test: with the weights
-    local_invariant(d, n) and G_n held fixed, a table makes as many Fractions
+    invariant_pair(d, n) and G_n held fixed, a table makes as many Fractions
     at any cap.  Only a JSON table's cubic goes through `Series.to_json`."""
-    # the weights are Fractions, one per (d, n) and not per term
-    for name in ("local_invariant", "g_series"):
+    # the weights are made once per (d, n) and not per term
+    for name in ("invariant_pair", "g_series"):
         monkeypatch.setattr(potentials, name, functools.cache(getattr(potentials, name)))
     fractions = _count_calls(monkeypatch, Fraction, ("__new__", "__abs__", "__lt__"))
     series = _count_calls(monkeypatch, Series, ("to_json",))

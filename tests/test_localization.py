@@ -20,6 +20,7 @@ from localp12.localization import (
     degree0_fixed_point_sum,
     degree0_suite,
     even_literal_assembly,
+    invariant_pair,
     local_invariant,
     odd_assembly,
     odd_weight_families,
@@ -261,6 +262,24 @@ def test_local_invariant_equals_the_two_branch_formula():
             v = local_invariant(d, n)
             assert type(v) is Fraction
             assert v == _two_branch_local_invariant(d, n)
+
+
+def test_invariant_pair_is_the_local_invariant_in_lowest_terms():
+    for d in range(1, 21):
+        for n in range(d % 2, 31, 2):
+            pair = invariant_pair(d, n)
+            assert type(pair) is tuple and all(type(x) is int for x in pair)
+            assert pair == local_invariant(d, n).as_integer_ratio()
+            assert pair[1] > 0 and math.gcd(*pair) == 1
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (3, 2), (0, 0), (-1, 1), (1, -1), (2, -2)])
+def test_invariant_pair_refuses_what_local_invariant_refuses(d, n):
+    with pytest.raises(ValueError) as pair_err:
+        invariant_pair(d, n)
+    with pytest.raises(ValueError) as value_err:
+        local_invariant(d, n)
+    assert str(pair_err.value) == str(value_err.value)
 
 
 def test_local_invariant_magnitude_and_sign():

@@ -12,9 +12,17 @@ def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     argvs = tool.requests(ROOT)
+    workloads = importlib.import_module("workloads")  # on sys.path once requests has run
     assert {a[0] for a in argvs if a[0] != "--help"} == set(cli._COMMANDS)
     assert {a[a.index("--suite") + 1] for a in argvs if "--suite" in a} >= set(cli.SUITE_NAMES)
     assert {a[a.index("--format") + 1] for a in argvs if "--format" in a} >= {"json", "csv"}
+    # a table in both formats at every cap the benchmark's table workload draws
+    tables = {(tuple(a[a.index(flag) + 1] for flag in ("--qmax", "--zorder", "--uorder")
+                     if flag in a), a[a.index("--format") + 1])
+              for a in argvs if a[0] == "potential" and "--format" in a}
+    for caps in workloads.PLAIN_CAPS + workloads.EXTENDED_CAPS:
+        for fmt in ("json", "csv"):
+            assert (tuple(map(str, caps)), fmt) in tables
     first = tool.digest_lines(argvs[:20])
     assert len(first) == 20
     assert tool.digest_lines(argvs[:20]) == first

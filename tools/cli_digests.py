@@ -40,9 +40,10 @@ CONFIGS = {
 
 
 def requests(root):
-    """The request list: the workloads' rounds of seeds 1-5, every degree-0
-    class triple, an invariant grid, every suite, small tables in both
-    formats, help texts, and refusals of bad input."""
+    """The request list: the workloads' rounds of seeds 1-5, a table in both
+    formats at every cap the table workload draws from, every degree-0 class
+    triple, an invariant grid, every suite, small tables in both formats, help
+    texts, and refusals of bad input."""
     bench = os.path.join(root, "perfbench")
     if bench not in sys.path:
         sys.path.insert(0, bench)
@@ -50,6 +51,11 @@ def requests(root):
 
     out = [argv for name in ("verify", "table", "lookup") for seed in range(1, 6)
            for argv in workloads.WORKLOADS[name](seed)]
+    for fmt in ("json", "csv"):
+        out += [["potential", "--qmax", str(q), "--zorder", str(z), "--format", fmt]
+                for q, z in workloads.PLAIN_CAPS]
+        out += [["potential", "--extended", "--qmax", str(q), "--zorder", str(z),
+                 "--uorder", str(u), "--format", fmt] for q, z, u in workloads.EXTENDED_CAPS]
     out += [["invariants", "--d", "0", "--classes", ",".join(c)]
             for c in itertools.product("1HS", repeat=3)]
     out += [["invariants", "--d", str(d), "--n1", str(n1), "--n2", str(n2)]
