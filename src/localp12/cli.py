@@ -21,9 +21,10 @@ divided once.  The tail's pairs go through that sum as they are, the cubic
 once its coefficients are evaluated at (t1, t2); only the exact total is
 turned into a float.  `eval` keeps the
 potential of its last caps, so a run of evals at the same caps builds it
-once; `potential` builds every table afresh.  `verify` writes each report
-from one fixed template per case, in the layout of `_dump`, with strings
-through `json.encoder.encode_basestring_ascii`.
+once; `potential` builds every table afresh.  Every JSON document goes
+through `_token`, which writes the stdlib's indented, key-sorted layout
+itself: `_dump` is `_token` and a newline, and `verify` fills one fixed
+template per case with `_token`'s texts.
 
 Exit codes: 0 on success (all suites passing for `verify`), 1 on a
 verification failure, an evaluation pole or a value too large for a float,
@@ -81,6 +82,13 @@ def _check_type(kind, what):
             raise UsageError("%s must be %s, got %r" % (name, what, value))
         return value
     return check
+
+
+def _check_path(name, value):
+    # open would refuse a NUL only after the command has done its work
+    if _check_type(str, "a path")(name, value) is not None and "\0" in value:
+        raise UsageError("%s must not contain a NUL character, got %r" % (name, value))
+    return value
 
 
 def _check_suite(name, value):
@@ -155,8 +163,7 @@ _FLAGS = {
     "extended": (dict(action="store_true", help="use the u-extended potential"),
                  _check_type(bool, "true or false")),
     "at": (dict(help="comma-separated k=v rational assignments"), _parse_at),
-    "out": (dict(help="write output to this path instead of stdout"),
-            _check_type(str, "a path")),
+    "out": (dict(help="write output to this path instead of stdout"), _check_path),
     "d": (dict(type=int, help="curve degree"), _check_nat),
     "n1": (dict(type=int, help="divisor insertions"), _check_nat),
     "n2": (dict(type=int, help="twisted insertions"), _check_nat),
@@ -203,7 +210,7 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=_unique_keys)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise UsageError("cannot read config %s: %s" % (path, err))
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
@@ -480,7 +487,7 @@ def cmd_eval(cfg):
 
 
 def _dump(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _token(obj, "") + "\n"
 
 
 #: command -> (help, the flags it reads besides --config and --out, with their

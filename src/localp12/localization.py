@@ -138,8 +138,9 @@ def odd_weight_families(d, table=None):
 # node smoothing
 
 
-class NodeSmoothing:
-    """Expansion of the factor smoothing the node joining cover and vertex.
+def node_coefficient(d, k, stacky):
+    """The psi^k coefficient of the factor smoothing the node joining cover
+    and vertex, at degree d.
 
     The stacky node contributes -(s/d) / (s/(2d) - psi/2), whose psi^k
     coefficient is -2 (d/s)^k; the untwisted variant -(s/d) / (s/d - psi)
@@ -147,18 +148,10 @@ class NodeSmoothing:
     the genus-zero (k = -1) and below cases are defined by the same
     formula, which is what makes the closed forms uniform in g.
     """
-
-    def __init__(self, degree, stacky=True):
-        if degree < 1:
-            raise ValueError("degree must be positive")
-        self.degree = degree
-        self.stacky = stacky
-
-    def psi_coefficient(self, k):
-        base = Fraction(self.degree) ** k
-        if self.stacky:
-            return SMonomial(-2 * base, Fraction(-k))
-        return SMonomial(-base, Fraction(-k))
+    if d < 1:
+        raise ValueError("degree must be positive")
+    base = Fraction(d) ** k
+    return SMonomial(-2 * base if stacky else -base, Fraction(-k))
 
 
 #: integral of psi^(2g-1) over the space of genus-g hyperelliptic covers
@@ -211,7 +204,7 @@ def odd_assembly(d, g):
         raise ValueError("genus must be nonnegative, got %r" % (g,))
     edge = _odd_edge(d)
     vertex = SMonomial(Fraction((-1) ** g, 4**g), Fraction(2 * g))
-    node = NodeSmoothing(d, stacky=True).psi_coefficient(2 * g - 1)
+    node = node_coefficient(d, 2 * g - 1, stacky=True)
     return OddAssembly(d, g, edge, vertex, node, Fraction(1, d), COVER_INTEGRAL)
 
 
@@ -222,14 +215,6 @@ def assemble_odd(d, g):
 
 # --------------------------------------------------------------------------
 # even-degree literal product
-
-
-def _double_factorial(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 class EvenLiteralAssembly(FrozenRecord):
@@ -277,7 +262,7 @@ def even_literal_assembly(d, g):
     # the rational is num / den; every exponent is counted in halves
     num, den, s2, e2d2, ed2 = 1, 1, 0, 0, 0
     # first edge bundle: (d-1)!! s^((d-1)/2) / (2d)^((d-1)/2)
-    num *= _double_factorial(d - 1)
+    num *= math.prod(range(d - 1, 0, -2))
     s2 += d - 1
     e2d2 -= d - 1
     # second edge bundle: (d-1)! (s/d)^(d-1)
@@ -285,7 +270,7 @@ def even_literal_assembly(d, g):
     s2 += 2 * (d - 1)
     ed2 -= 2 * (d - 1)
     # tangent denominator: 2 d! d!! s^(3d/2) / ((2d)^(d/2) d^d)
-    den *= 2 * math.factorial(d) * _double_factorial(d)
+    den *= 2 * math.factorial(d) * math.prod(range(d, 0, -2))
     s2 -= 3 * d
     e2d2 += d
     ed2 += 2 * d
@@ -299,7 +284,7 @@ def even_literal_assembly(d, g):
         den *= 4**g
     s2 += 4 * g
     # untwisted node smoothing, psi^(2g) coefficient
-    node = NodeSmoothing(d, stacky=False).psi_coefficient(2 * g)
+    node = node_coefficient(d, 2 * g, stacky=False)
     num *= node.coeff.numerator
     den *= node.coeff.denominator
     s2 += 2 * int(node.s_exp)
@@ -454,11 +439,7 @@ def degree0_fixed_point_sum(classes, weights=None):
         (w.point_0, w.fiber_0, w.base_0, w.auto_0),
         (w.point_inf, w.fiber_inf, w.base_inf, w.auto_inf),
     ):
-        num = RF_ONE
-        for c in classes:
-            if c == "H":
-                num = num * point
-        out = out + num * auto / (fiber * base)
+        out = out + point ** classes.count("H") * auto / (fiber * base)
     return out
 
 

@@ -351,7 +351,7 @@ def _conjugate(f):
                              for e, c in f.terms()})
 
 
-def verify_bracket_identity(qmax=8, order=10):
+def verify_bracket_identity(qmax, order):
     """Per-degree check that the specialized exponential bracket closes up.
 
     For each degree d, the carried bracket
@@ -415,7 +415,7 @@ def verify_bracket_identity(qmax=8, order=10):
     return SuiteReport("bracket", cases)
 
 
-def verify_residual_thirdderiv(order=16):
+def verify_residual_thirdderiv(order):
     """The angle-variable identity -G'''(theta) + i/2 = i e^{i theta}/(1 + e^{i theta}).
 
     The right side is what the degree sum collapses to after three
@@ -439,10 +439,15 @@ def verify_residual_thirdderiv(order=16):
 
 
 def _composition_cases(got):
+    """The chain and each line of the composed map against the printed one;
+    a failing case names both sides as text."""
     want = build_corollary()
-    chain = got.source == want.source and got.target == want.target and got.branch == want.branch
-    return [CaseResult("chain", chain)] + [
-        CaseResult("line %s" % name, got.line(name) == want.line(name)) for name in want.source]
+    sides = [("chain", (got.source, got.target, got.branch),
+              (want.source, want.target, want.branch))]
+    sides += [("line %s" % name, got.line(name), want.line(name)) for name in want.source]
+    return [CaseResult(key, True) if g == w
+            else CaseResult(key, False, None, {"got": repr(g), "want": repr(w)})
+            for key, g, w in sides]
 
 
 def _remark_cases(got):

@@ -29,6 +29,11 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _stdlib(obj):
+    """The layout every JSON document of the CLI has, from the stdlib encoder."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def test_potential_two_term_table(capsys):
     code, out, _ = _run(capsys, "potential", "--qmax", "1", "--zorder", "1")
     assert code == 0
@@ -127,7 +132,7 @@ def test_verify_writes_the_reports_as_dump_would(capsys, suite, qmax, zorder):
     caps = [arg for cap, value in (("qmax", qmax), ("zorder", zorder))
             if suite in cli._CAP_SUITES[cap] for arg in ("--" + cap, str(value))]
     got = _run(capsys, "verify", "--suite", suite, *caps)
-    assert got == (0, cli._dump(payload), "")
+    assert got == (0, _stdlib(payload), "")
 
 
 @pytest.mark.parametrize("suite", sorted(set(cli.SUITE_NAMES) - set(cli._CAP_SUITES["qmax"])))
@@ -178,7 +183,7 @@ _HAND_BUILT = [
 def test_verify_writes_hand_built_reports_as_dump_would(monkeypatch, capsys, report):
     monkeypatch.setitem(cli._SUITES, "bracket", lambda cfg: report)
     got = _run(capsys, "verify", "--suite", "bracket")
-    assert got == (0 if report.passed else 1, cli._dump(report.to_json()), "")
+    assert got == (0 if report.passed else 1, _stdlib(report.to_json()), "")
 
 
 def test_verify_all_writes_hand_built_reports_as_dump_would(monkeypatch, capsys):
@@ -186,7 +191,33 @@ def test_verify_all_writes_hand_built_reports_as_dump_would(monkeypatch, capsys)
     for name, report in zip(cli.SUITE_NAMES, reports):
         monkeypatch.setitem(cli._SUITES, name, lambda cfg, report=report: report)
     got = _run(capsys, "verify")
-    assert got == (1, cli._dump([r.to_json() for r in reports]), "")
+    assert got == (1, _stdlib([r.to_json() for r in reports]), "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--d", "0", "--classes", "1,1,H"],
+    ["invariants", "--d", "0", "--classes", "1,1,1"],
+    ["invariants", "--d", "0", "--classes", "H,H,H"],
+    ["invariants", "--d", "0", "--classes", "S,S,H"],
+    ["invariants", "--d", "3", "--n1", "2", "--n2", "3"],
+    ["invariants", "--d", "4", "--n2", "0"],
+    ["invariants", "--d", "7", "--n1", "3", "--n2", "41"],
+    ["eval", "--at", "t1=1,t2=2,z2=1/3"],
+    ["eval", "--at", "t1=1,t2=2,z0=-1/2,z1=3,q=1/7", "--qmax", "2", "--zorder", "3"],
+    ["eval", "--extended", "--at", "t1=1,t2=2,z2=1/3,u=5", "--uorder", "2"],
+    ["potential", "--qmax", "0", "--zorder", "0"],
+    ["potential", "--qmax", "1", "--zorder", "1"],
+])
+def test_dump_writes_the_records_as_the_stdlib_does(capsys, argv):
+    # the record as the command wrote it, read back: the same str, int and
+    # bool values, so the stdlib writes it in the layout `_dump` must have
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert out == _stdlib(record)
+    assert cli._dump(record) == _stdlib(record)
+    if argv[-1] == "1,1,H":  # a zero value: its numerator is the empty list
+        assert record["value"]["num"] == []
 
 
 def test_invariants_degree_zero(capsys):
@@ -393,6 +424,29 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys, values):
     assert err.count("\n") == 1 and next(iter(values)) in err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"at": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["top", "at"])
+def test_a_deeply_nested_config_is_a_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(text)
+    code, out, err = _run(capsys, "eval", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read config %s: " % cfg) and err.count("\n") == 1
+
+
+def test_an_out_path_holding_a_nul_is_refused_before_any_work(monkeypatch, tmp_path, capsys):
+    built = []
+    monkeypatch.setattr(cli, "potential", lambda *caps: built.append(caps))
+    want = (2, "", "error: out must not contain a NUL character, got 'a\\x00b'\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"out": "a\u0000b"}))
+    assert _run(capsys, "potential", "--config", str(cfg)) == want
+    assert _run(capsys, "potential", "--out", "a\x00b") == want
+    assert built == []
+
+
 def test_config_extended_false_is_plain(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"qmax": 1, "zorder": 1, "extended": False}))
@@ -499,7 +553,7 @@ def _record(caps):
 def _generic_table(series, fmt):
     """The table as the series' own JSON and sorted terms render it."""
     if fmt == "json":
-        return json.dumps(series.to_json(), indent=2, sort_keys=True) + "\n"
+        return _stdlib(series.to_json())
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(series.vs.names) + ["num", "den"])

@@ -10,7 +10,6 @@ from localp12.localization import (
     TORUS_WEIGHTS,
     AssemblyInconsistencyError,
     EvenLiteralAssembly,
-    NodeSmoothing,
     SMonomial,
     TorusWeights,
     WeightTable,
@@ -22,6 +21,7 @@ from localp12.localization import (
     even_literal_assembly,
     invariant_pair,
     local_invariant,
+    node_coefficient,
     odd_assembly,
     odd_weight_families,
     resummation_suite,
@@ -154,16 +154,14 @@ def test_bad_lift_detected():
 
 
 def test_node_smoothing_coefficients():
-    node = NodeSmoothing(3, stacky=True)
-    assert node.psi_coefficient(0) == SMonomial(Fraction(-2), Fraction(0))
-    assert node.psi_coefficient(2) == SMonomial(Fraction(-18), Fraction(-2))
+    assert node_coefficient(3, 0, stacky=True) == SMonomial(Fraction(-2), Fraction(0))
+    assert node_coefficient(3, 2, stacky=True) == SMonomial(Fraction(-18), Fraction(-2))
     # formal continuation below the geometric range
-    assert node.psi_coefficient(-1) == SMonomial(Fraction(-2, 3), Fraction(1))
-    plain = NodeSmoothing(5, stacky=False)
-    assert plain.psi_coefficient(1) == SMonomial(Fraction(-5), Fraction(-1))
-    assert plain.psi_coefficient(-2) == SMonomial(Fraction(-1, 25), Fraction(2))
-    with pytest.raises(ValueError):
-        NodeSmoothing(0)
+    assert node_coefficient(3, -1, stacky=True) == SMonomial(Fraction(-2, 3), Fraction(1))
+    assert node_coefficient(5, 1, stacky=False) == SMonomial(Fraction(-5), Fraction(-1))
+    assert node_coefficient(5, -2, stacky=False) == SMonomial(Fraction(-1, 25), Fraction(2))
+    with pytest.raises(ValueError, match="degree must be positive"):
+        node_coefficient(0, 1, stacky=True)
 
 
 def test_odd_assembly_oracles():

@@ -198,6 +198,31 @@ def test_a_malformed_u_line_fails_every_branch_through_the_cli(monkeypatch, caps
                                 "want": "an AngleLine of phase zeta^10 on branch 0"}
 
 
+def test_a_failing_composition_line_names_both_sides(monkeypatch):
+    passing = corollary_suite().cases
+    bgp = build_covbgp()
+    lines = tuple((n, LinearForm.of({"x0": 2}) if n == "y0" else ln) for n, ln in bgp.lines)
+    monkeypatch.setattr(pcrc, "build_covbgp", lambda: CovMap(bgp.source, bgp.target, lines))
+    got = compose(invert(build_cov()), pcrc.build_covbgp()).line("z0")
+    want = build_corollary().line("z0")
+    assert got != want
+    failing = CaseResult("line z0", False, None, {"got": repr(got), "want": repr(want)})
+    assert verify_corollary_composition().cases == [
+        failing if c.key == "line z0" else c for c in passing[:6]]
+    assert corollary_suite().cases == [failing if c.key == "line z0" else c for c in passing]
+
+
+def test_a_failing_chain_names_both_sides(monkeypatch):
+    printed = build_corollary()
+    monkeypatch.setattr(pcrc, "build_corollary", lambda: CovMap(
+        printed.source, printed.target, printed.lines, 1))
+    (chain, *lines) = verify_corollary_composition().cases
+    assert chain == CaseResult("chain", False, None, {
+        "got": repr((printed.source, printed.target, 0)),
+        "want": repr((printed.source, printed.target, 1))})
+    assert all(c.passed and c.info is None for c in lines) and len(lines) == 5
+
+
 @pytest.mark.parametrize("make", [
     lambda: LinearForm.of({"z0": 0.1}),
     lambda: LinearForm.of({"z0": "1/3"}),

@@ -6,11 +6,16 @@ from localp12 import cli
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
+def _digest_tool():
     spec = importlib.util.spec_from_file_location(
         "cli_digests", os.path.join(ROOT, "tools", "cli_digests.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
+    tool = _digest_tool()
     argvs = tool.requests(ROOT)
     workloads = importlib.import_module("workloads")  # on sys.path once requests has run
     assert {a[0] for a in argvs if a[0] != "--help"} == set(cli._COMMANDS)
@@ -23,6 +28,28 @@ def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
     for caps in workloads.PLAIN_CAPS + workloads.EXTENDED_CAPS:
         for fmt in ("json", "csv"):
             assert (tuple(map(str, caps)), fmt) in tables
+    # the config refusals, the bracket's empty report and the per-suite cap refusals
+    for argv in (["eval", "--config", "deep.json"], ["eval", "--config", "deep-at.json"],
+                 ["potential", "--config", "nul-out.json"],
+                 ["verify", "--suite", "bracket", "--qmax", "0"],
+                 ["verify", "--suite", "degree0", "--qmax", "3"],
+                 ["verify", "--suite", "residual", "--qmax", "3"]):
+        assert argv in argvs
+    assert {"deep.json", "deep-at.json", "nul-out.json"} <= set(tool.CONFIGS)
     first = tool.digest_lines(argvs[:20])
     assert len(first) == 20
     assert tool.digest_lines(argvs[:20]) == first
+
+
+def test_cli_digests_record_an_escaped_exception_and_go_on(monkeypatch):
+    tool = _digest_tool()
+    main = cli.main
+
+    def flaky(argv):
+        if argv == ["boom"]:
+            raise RecursionError("deep")
+        return main(argv)
+    monkeypatch.setattr(cli, "main", flaky)
+    boom, after = tool.digest_lines([["boom"], ["invariants", "--d", "1", "--n2", "1"]])
+    assert boom.split()[2:] == ["RecursionError", "boom"]
+    assert after.split()[2] == "0"

@@ -11,7 +11,8 @@ prints one line,
 
     sha1(stdout)[:12] sha1(stderr)[:12] exit argv
 
-and the last line gives the sha1 of all the lines before it and their count.
+where exit is the exit code, or the type name of an exception that escaped
+`main`.  The last line gives the sha1 of all the lines before it and their count.
 Two trees print the same CLI bytes on these requests when `diff` of their
 two outputs is empty.
 """
@@ -36,6 +37,9 @@ CONFIGS = {
     "malformed.json": "{",
     "list.json": "[1]",
     "at-object.json": json.dumps({"at": {"t1": "1", "t2": 2}}),
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+    "deep-at.json": '{"at": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "nul-out.json": json.dumps({"out": "a\0b"}),
 }
 
 
@@ -43,7 +47,7 @@ def requests(root):
     """The request list: the workloads' rounds of seeds 1-5, a table in both
     formats at every cap the table workload draws from, every degree-0 class
     triple, an invariant grid, every suite, small tables in both formats, help
-    texts, and refusals of bad input."""
+    texts, refusals of bad input, and the suites' empty and refused caps."""
     bench = os.path.join(root, "perfbench")
     if bench not in sys.path:
         sys.path.insert(0, bench)
@@ -82,6 +86,12 @@ def requests(root):
         ["eval", "--at", "t1=1,,t2=2"],
         ["eval", "--config", "at-object.json"],
         ["potential", "--qmax", "-1"],
+        ["eval", "--config", "deep.json"],
+        ["eval", "--config", "deep-at.json"],
+        ["potential", "--config", "nul-out.json"],
+        ["verify", "--suite", "bracket", "--qmax", "0"],
+        ["verify", "--suite", "degree0", "--qmax", "3"],
+        ["verify", "--suite", "residual", "--qmax", "3"],
     ]
     return out
 
@@ -92,7 +102,8 @@ def _sha(text):
 
 def digest_lines(argvs):
     """One digest line per request, each run through `cli.main` in a temporary
-    directory holding `CONFIGS`."""
+    directory holding `CONFIGS`; an exception that escapes `main` is recorded
+    by its type name in the exit field, and the next request runs."""
     from localp12 import cli
 
     lines = []
@@ -106,7 +117,10 @@ def digest_lines(argvs):
             for argv in argvs:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(list(argv))
+                    try:
+                        code = cli.main(list(argv))
+                    except Exception as exc:
+                        code = type(exc).__name__
                 lines.append("%s %s %s %s" % (_sha(out.getvalue()), _sha(err.getvalue()),
                                               code, " ".join(argv)))
         finally:
