@@ -85,9 +85,12 @@ def _check_type(kind, what):
 
 
 def _check_path(name, value):
-    # open would refuse a NUL only after the command has done its work
-    if _check_type(str, "a path")(name, value) is not None and "\0" in value:
-        raise UsageError("%s must not contain a NUL character, got %r" % (name, value))
+    # open would refuse these only after the command has done its work
+    if _check_type(str, "a path")(name, value) is not None:
+        if not value:
+            raise UsageError("%s must not be an empty path" % (name,))
+        if "\0" in value:
+            raise UsageError("%s must not contain a NUL character, got %r" % (name, value))
     return value
 
 
@@ -223,7 +226,7 @@ def _merge(args):
     The result holds the command, `out` and the flags that command reads.
     """
     reads = dict(_COMMANDS[args.command][1], out=None)
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = {} if args.config is None else _load_config(args.config)
     for key, value in cfg.items():
         if key not in reads:
             raise UsageError("config key %r is not read by %s" % (key, args.command))
@@ -270,9 +273,9 @@ _STR = json.encoder.encode_basestring_ascii
 
 
 def _token(v, pad):
-    """`json.dumps(v, indent=2, sort_keys=True)` with pad after each newline:
-    a str, None, bool, int, or non-empty list or str-keyed dict of them
-    written directly, any other value through `json.dumps`."""
+    """A str, None, bool, int, or list or str-keyed dict of them, as the
+    stdlib's `json` writes it with indent=2 and sorted keys, with pad after
+    each newline; TypeError for any other value."""
     t = type(v)
     if t is str:
         return _STR(v)
@@ -282,15 +285,20 @@ def _token(v, pad):
         return "true" if v else "false"
     if t is int:
         return int.__repr__(v)
-    if t is list and v:
+    if t is list:
+        if not v:
+            return "[]"
         inner = pad + "  "
         return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join([_token(x, inner) for x in v]), pad)
-    if t is dict and v and all(type(k) is str for k in v):
+    if t is dict:
+        if not v:
+            return "{}"
         inner = pad + "  "
+        # `_STR` of a key that is no str raises TypeError
         return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(
             [_STR(k) + ": " + (_STR(x) if type(x) is str else _token(x, inner))
              for k, x in sorted(v.items())]), pad)
-    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    raise TypeError("cannot write %r as JSON" % (v,))
 
 
 #: `_token` of the `RatFun.to_json` of (t1+t2)*r at the coefficient of a
@@ -512,7 +520,7 @@ def main(argv=None):
     try:
         cfg = _merge(args)
         text, code = _COMMANDS[cfg.command][2](cfg)
-        if cfg.out:
+        if cfg.out is not None:
             try:
                 with open(cfg.out, "w", encoding="utf-8") as fh:
                     fh.write(text)

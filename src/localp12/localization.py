@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .mpseries import Series, VarSet, cos, sin
 from .ratfun import P_ONE, P_T1, P_T2, RF_ONE, RF_T1, RF_T2, RF_ZERO, RatFun, rf
-from .reports import CaseResult, FrozenRecord, SuiteReport, setfield
+from .reports import FrozenRecord, SuiteReport, case
 
 
 class AssemblyInconsistencyError(ArithmeticError):
@@ -52,10 +52,6 @@ class SMonomial(FrozenRecord):
     """A rational multiple of an integer or half-integer power of s."""
 
     __slots__ = ("coeff", "s_exp")
-
-    def __init__(self, coeff, s_exp):
-        setfield(self, "coeff", coeff)
-        setfield(self, "s_exp", s_exp)
 
     def __mul__(self, other):
         return SMonomial(self.coeff * other.coeff, self.s_exp + other.s_exp)
@@ -91,12 +87,8 @@ class WeightTable(FrozenRecord):
     """
 
     __slots__ = ("o_one", "o_half", "tangent")
-
-    def __init__(self, o_one=(Fraction(0), Fraction(1)), o_half=(Fraction(-1, 2), Fraction(0)),
-                 tangent=(Fraction(1, 2), Fraction(0))):
-        setfield(self, "o_one", o_one)
-        setfield(self, "o_half", o_half)
-        setfield(self, "tangent", tangent)
+    _defaults = ((Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(0)),
+                 (Fraction(1, 2), Fraction(0)))
 
 
 DEFAULT_WEIGHTS = WeightTable()
@@ -167,15 +159,6 @@ class OddAssembly(FrozenRecord):
 
     __slots__ = ("d", "g", "edge", "vertex", "node", "automorphisms", "cover_integral")
 
-    def __init__(self, d, g, edge, vertex, node, automorphisms, cover_integral):
-        setfield(self, "d", d)
-        setfield(self, "g", g)
-        setfield(self, "edge", edge)
-        setfield(self, "vertex", vertex)
-        setfield(self, "node", node)
-        setfield(self, "automorphisms", automorphisms)
-        setfield(self, "cover_integral", cover_integral)
-
     @property
     def total(self):
         return (self.edge * self.vertex * self.node).scaled(
@@ -228,16 +211,6 @@ class EvenLiteralAssembly(FrozenRecord):
 
     __slots__ = ("d", "g", "rational", "s_exponent", "root2d_exponent", "rootd_exponent",
                  "closed_form")
-
-    def __init__(self, d, g, rational, s_exponent, root2d_exponent, rootd_exponent,
-                 closed_form):
-        setfield(self, "d", d)
-        setfield(self, "g", g)
-        setfield(self, "rational", rational)
-        setfield(self, "s_exponent", s_exponent)
-        setfield(self, "root2d_exponent", root2d_exponent)
-        setfield(self, "rootd_exponent", rootd_exponent)
-        setfield(self, "closed_form", closed_form)
 
     @property
     def matches(self):
@@ -373,19 +346,6 @@ class TorusWeights(FrozenRecord):
     __slots__ = ("base_0", "fiber_0", "auto_0", "base_inf", "fiber_inf", "auto_inf",
                  "point_0", "point_inf", "point_twisted", "auto_twisted")
 
-    def __init__(self, base_0, fiber_0, auto_0, base_inf, fiber_inf, auto_inf,
-                 point_0, point_inf, point_twisted, auto_twisted):
-        setfield(self, "base_0", base_0)
-        setfield(self, "fiber_0", fiber_0)
-        setfield(self, "auto_0", auto_0)
-        setfield(self, "base_inf", base_inf)
-        setfield(self, "fiber_inf", fiber_inf)
-        setfield(self, "auto_inf", auto_inf)
-        setfield(self, "point_0", point_0)
-        setfield(self, "point_inf", point_inf)
-        setfield(self, "point_twisted", point_twisted)
-        setfield(self, "auto_twisted", auto_twisted)
-
 
 TORUS_WEIGHTS = TorusWeights(
     base_0=RF_T2 - RF_T1 * Fraction(1, 2),
@@ -447,14 +407,6 @@ def degree0_fixed_point_sum(classes, weights=None):
 # suites
 
 
-def _case(key, passed, info, got, want, order=None):
-    """A case record; a failing one also names both sides and the order."""
-    if passed:
-        return CaseResult(key, True, None, info)
-    mismatch = None if order is None else [order]
-    return CaseResult(key, False, mismatch, dict(info, got=str(got), want=str(want)))
-
-
 def degree0_suite():
     """Check the six degree-zero three-point values against frozen targets."""
     expected = (
@@ -469,7 +421,7 @@ def degree0_suite():
     for classes, want in expected:
         got = degree0_fixed_point_sum(classes)
         cases.append(
-            _case("<%s>" % ",".join(classes), got == want, {"value": str(got)}, got, want)
+            case("<%s>" % ",".join(classes), got == want, {"value": str(got)}, got, want)
         )
     return SuiteReport("degree0", cases)
 
@@ -497,8 +449,8 @@ def resummation_suite():
             n = 2 * g + shift
             got = math.factorial(n) * series[d].coeff((n,))
             want = local_invariant(d, n)
-            cases.append(_case("%s d=%d g=%d" % (label, d, g), got == want,
-                               {"value": str(want)}, got, want, n))
+            cases.append(case("%s d=%d g=%d" % (label, d, g), got == want,
+                              {"value": str(want)}, got, want, (n,)))
     return SuiteReport("resummation", cases)
 
 
@@ -516,7 +468,7 @@ def assembly_suite():
         want = local_invariant(d, n)
         ok = total.is_constant and total.coeff == want
         info = {"s_exponent": str(total.s_exp), "value": str(total.coeff)}
-        cases.append(_case("odd d=%d g=%d" % (d, g), ok, info, total.coeff, want, n))
+        cases.append(case("odd d=%d g=%d" % (d, g), ok, info, total.coeff, want, (n,)))
     for d, g in _EVEN_GRID:
         report = even_literal_assembly(d, g)
         expected_imbalance = (
@@ -532,7 +484,7 @@ def assembly_suite():
         }
         # what is compared is the net s-exponent, which must stay -1/2
         cases.append(
-            _case("even-literal d=%d g=%d" % (d, g), expected_imbalance, info,
-                  report.s_exponent, Fraction(-1, 2), 2 * g + 2)
+            case("even-literal d=%d g=%d" % (d, g), expected_imbalance, info,
+                 report.s_exponent, Fraction(-1, 2), (2 * g + 2,))
         )
     return SuiteReport("assembly", cases)

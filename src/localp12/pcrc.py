@@ -35,7 +35,7 @@ from .cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, ZERO, zeta_pow
 from .localization import quantum_sign
 from .mpseries import Series, VarSet, cos, exp, inverse, sin
 from .potentials import g_series
-from .reports import CaseResult, FrozenRecord, SuiteReport, setfield
+from .reports import FrozenRecord, SuiteReport, case
 
 #: i / sqrt(3) = (2 zeta^2 - 1) / 3
 I_OVER_SQRT3 = Cyclo(Fraction(-1, 3), 0, Fraction(2, 3), 0)
@@ -73,9 +73,6 @@ class LinearForm(FrozenRecord):
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
-        setfield(self, "terms", terms)
-
     @classmethod
     def of(cls, mapping):
         items = []
@@ -110,19 +107,11 @@ class ScalarLine(FrozenRecord):
 
     __slots__ = ("scalar", "var")
 
-    def __init__(self, scalar, var):
-        setfield(self, "scalar", scalar)
-        setfield(self, "var", var)
-
 
 class ExpLine(FrozenRecord):
     """q maps to phase * e^(form): a root-of-unity specialization."""
 
     __slots__ = ("phase", "form")
-
-    def __init__(self, phase, form):
-        setfield(self, "phase", phase)
-        setfield(self, "form", form)
 
 
 class LogLine(FrozenRecord):
@@ -134,12 +123,6 @@ class LogLine(FrozenRecord):
 
     __slots__ = ("premult", "scalar", "param", "branch")
 
-    def __init__(self, premult, scalar, param, branch):
-        setfield(self, "premult", premult)
-        setfield(self, "scalar", scalar)
-        setfield(self, "param", param)
-        setfield(self, "branch", branch)
-
 
 class AngleLine(FrozenRecord):
     """v maps to an exact angle constant plus a linear form.
@@ -150,23 +133,13 @@ class AngleLine(FrozenRecord):
 
     __slots__ = ("phase", "branch", "form")
 
-    def __init__(self, phase, branch, form):
-        setfield(self, "phase", phase)
-        setfield(self, "branch", branch)
-        setfield(self, "form", form)
-
     def constant_in_pi(self):
         return principal_angle(self.phase) + 2 * self.branch
 
 
 class CovMap(FrozenRecord):
     __slots__ = ("source", "target", "lines", "branch")  # lines: (name, line) in source order
-
-    def __init__(self, source, target, lines, branch=0):
-        setfield(self, "source", source)
-        setfield(self, "target", target)
-        setfield(self, "lines", lines)
-        setfield(self, "branch", branch)
+    _defaults = (0,)
 
     def line(self, name):
         for n, ln in self.lines:
@@ -404,14 +377,13 @@ def verify_bracket_identity(qmax, order):
             sides[d % 4, sign] = (bracket, wave, bracket - wave)
         bracket, wave, diff = sides[d % 4, sign]
         if not diff:
-            cases.append(CaseResult(key, True))
+            cases.append(case(key, True))
             continue
         k = min(e for (e,), _ in diff.terms())
         a = max(0, k - order)
         carry = Fraction(comb(k, a) * d**k, d**3)
-        info = {"got": str(bracket.coeff((k,)) * carry),
-                "want": str(wave.coeff((k,)) * carry)}
-        cases.append(CaseResult(key, False, [0, a, d, k - a], info))
+        cases.append(case(key, False, None, bracket.coeff((k,)) * carry,
+                          wave.coeff((k,)) * carry, (0, a, d, k - a)))
     return SuiteReport("bracket", cases)
 
 
@@ -432,37 +404,37 @@ def verify_residual_thirdderiv(order):
     key = "theta-order=%d" % order
     diff = lhs - rhs
     if not diff:
-        return SuiteReport("residual", [CaseResult(key, True)])
+        return SuiteReport("residual", [case(key, True)])
     first = min(x for x, _ in diff.terms())
-    info = {"got": str(lhs.coeff(first)), "want": str(rhs.coeff(first))}
-    return SuiteReport("residual", [CaseResult(key, False, list(first), info)])
+    return SuiteReport("residual", [case(key, False, None, lhs.coeff(first), rhs.coeff(first),
+                                         first)])
 
 
 def _composition_cases(got):
     """The chain and each line of the composed map against the printed one;
-    a failing case names both sides as text."""
+    a failing case names both sides as text (a record's and a tuple's str is
+    its repr)."""
     want = build_corollary()
     sides = [("chain", (got.source, got.target, got.branch),
               (want.source, want.target, want.branch))]
     sides += [("line %s" % name, got.line(name), want.line(name)) for name in want.source]
-    return [CaseResult(key, True) if g == w
-            else CaseResult(key, False, None, {"got": repr(g), "want": repr(w)})
-            for key, g, w in sides]
+    return [case(key, g == w, None, g, w) for key, g, w in sides]
 
 
 def _remark_cases(got):
     """The branch b enters the composed u-line only as the 2 pi b of its
     constant, so the branch-0 line is checked once and case b adds 2b; a
-    u-line that is no angle of a 12th root of unity fails every case."""
+    u-line that is no angle of a 12th root of unity fails every case.  A
+    failing case names the u-line and what it should be."""
     uline = got.line("u")
+    want = "an AngleLine of phase zeta^10 on branch 0"
     k = _PHASE_EXPONENTS.get(uline.phase) if isinstance(uline, AngleLine) else None
     if k is None:
-        info = {"got": repr(uline), "want": "an AngleLine of phase zeta^10 on branch 0"}
-        return [CaseResult("branch=%d" % b, False, None, info) for b in range(12)]
+        return [case("branch=%d" % b, False, None, uline, want) for b in range(12)]
     ok = k == 10 and uline.branch == 0
     angles = [uline.constant_in_pi() + 2 * b for b in range(12)]
-    return [CaseResult("branch=%d" % b, ok and a != 0, None,
-                       {"phase_exponent": k, "angle_over_pi": str(a)})
+    return [case("branch=%d" % b, ok and a != 0,
+                 {"phase_exponent": k, "angle_over_pi": str(a)}, uline, want)
             for b, a in enumerate(angles)]
 
 

@@ -155,7 +155,7 @@ def test_verify_refuses_caps_its_suite_ignores(tmp_path, capsys, suite):
 
 
 #: reports no suite makes, each written by the verify writer: failing
-#: cases, no info, no cases, bool, int, float and nested info values, empty
+#: cases, no info, no cases, bool, int and nested info values, empty
 #: lists and dicts, and keys and text that JSON must escape
 _HAND_BUILT = [
     SuiteReport("bracket", [
@@ -165,7 +165,7 @@ _HAND_BUILT = [
     SuiteReport("empty", []),
     SuiteReport("values", [
         CaseResult("typed", True, None, {"matches": False, "ok": True, "exponent": 3,
-                                         "big": -10**30, "half": 0.5}),
+                                         "big": -10**30}),
         CaseResult("no info", True, None, None),
         CaseResult("empty", False, [], {}),
         CaseResult("nested", False, [[1, 2], {"b": None}],
@@ -192,6 +192,14 @@ def test_verify_all_writes_hand_built_reports_as_dump_would(monkeypatch, capsys)
         monkeypatch.setitem(cli._SUITES, name, lambda cfg, report=report: report)
     got = _run(capsys, "verify")
     assert got == (1, _stdlib([r.to_json() for r in reports]), "")
+
+
+def test_token_writes_empty_containers_and_refuses_what_no_document_holds():
+    assert cli._token([], "  ") + "\n" == _stdlib([])
+    assert cli._token({}, "  ") + "\n" == _stdlib({})
+    for value in (0.5, [1, 0.5], {"half": 0.5}, {1: "a"}, (1, 2)):
+        with pytest.raises(TypeError):
+            cli._token(value, "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -445,6 +453,25 @@ def test_an_out_path_holding_a_nul_is_refused_before_any_work(monkeypatch, tmp_p
     assert _run(capsys, "potential", "--config", str(cfg)) == want
     assert _run(capsys, "potential", "--out", "a\x00b") == want
     assert built == []
+
+
+def test_an_empty_out_path_is_refused_before_any_work(monkeypatch, tmp_path, capsys):
+    # it once read as unset, and the table went to stdout
+    built = []
+    monkeypatch.setattr(cli, "potential", lambda *caps: built.append(caps))
+    want = (2, "", "error: out must not be an empty path\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"out": ""}))
+    assert _run(capsys, "potential", "--config", str(cfg)) == want
+    assert _run(capsys, "potential", "--out", "") == want
+    assert built == []
+
+
+def test_an_empty_config_path_is_read_and_refused(capsys):
+    # it once read as no config, and the command ran with its defaults
+    code, out, err = _run(capsys, "invariants", "--d", "1", "--n2", "1", "--config", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read config : ") and err.count("\n") == 1
 
 
 def test_config_extended_false_is_plain(tmp_path, capsys):

@@ -163,13 +163,16 @@ def test_a_unit_u_phase_fails_every_branch(monkeypatch):
     q1 = cov.line("q1")
     lines = tuple((n, ExpLine(OMEGA, q1.form) if n == "q1" else ln) for n, ln in cov.lines)
     monkeypatch.setattr(pcrc, "build_cov", lambda: CovMap(cov.source, cov.target, lines))
-    assert compose(invert(pcrc.build_cov()), build_covbgp()).line("u").phase == ONE
+    uline = compose(invert(pcrc.build_cov()), build_covbgp()).line("u")
+    assert uline.phase == ONE
     for report in (verify_corollary_remark(), corollary_suite()):
         branches = [c for c in report.cases if c.key.startswith("branch=")]
         assert len(branches) == 12
         for b, case in enumerate(branches):
             assert not case.passed
-            assert case.info == {"phase_exponent": 0, "angle_over_pi": str(2 * b)}
+            assert case.info == {"phase_exponent": 0, "angle_over_pi": str(2 * b),
+                                 "got": repr(uline),
+                                 "want": "an AngleLine of phase zeta^10 on branch 0"}
 
 
 @pytest.mark.parametrize("patch", ["q1 scalar", "s1 scalar"])

@@ -1,8 +1,10 @@
 """Record semantics of every record class of the package: field-wise `==`
 within one class only, a hash that agrees with it, frozen fields, copy and
-pickle, and the defaults callers rely on."""
+pickle, the `__init__` a frozen record gets from its slots, the defaults
+callers rely on, and the one rule that makes a suite's case."""
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from localp12.localization import (
 )
 from localp12.pcrc import AngleLine, CovMap, ExpLine, LinearForm, LogLine, ScalarLine
 from localp12.ratfun import RF_T1, RF_T2
-from localp12.reports import CaseResult, SuiteReport
+from localp12.reports import CaseResult, SuiteReport, case
 
 
 def _form():
@@ -85,6 +87,25 @@ def test_frozen_records_hash_with_eq_and_refuse_assignment(name):
     assert getattr(a, field) is value and a == b
 
 
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_frozen_records_take_their_slots_as_init_parameters(name):
+    a = FROZEN[name]()
+    cls = type(a)
+    init = cls.__init__
+    assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+    assert (init.__qualname__, init.__module__) == (name + ".__init__", cls.__module__)
+    fields = {f: getattr(a, f) for f in cls.__slots__}
+    assert cls(**fields) == a and cls(*fields.values()) == a
+    required = len(fields) - len(cls._defaults)
+    if required:
+        missing = r"^%s\.__init__\(\) missing 1 required positional argument: '%s'$"
+        with pytest.raises(TypeError, match=missing % (name, cls.__slots__[required - 1])):
+            cls(*list(fields.values())[:required - 1])
+    with pytest.raises(TypeError, match=r"^%s\.__init__\(\) takes .* but %d were given$"
+                                        % (name, len(fields) + 2)):
+        cls(*fields.values(), None)
+
+
 def test_a_changed_field_makes_a_different_record():
     assert SMonomial(Fraction(1), Fraction(0)) != SMonomial(Fraction(1), Fraction(1))
     assert LogLine(-I, -ONE, "q1", 0) != LogLine(-I, -ONE, "q1", 1)
@@ -99,6 +120,18 @@ def test_defaults():
     case = CaseResult("k", True)
     assert (case.first_mismatch, case.info) == (None, None)
     assert TORUS_WEIGHTS == TORUS_WEIGHTS and hash(TORUS_WEIGHTS) == hash(TORUS_WEIGHTS)
+
+
+def test_case_keeps_a_passing_info_and_names_both_sides_of_a_failing_one():
+    info = {"value": "1/2"}
+    assert case("k", True, info, "1/2", "1/3", (3,)) == CaseResult("k", True, None, info)
+    assert case("k", True) == CaseResult("k", True)
+    assert case("k", False, info, Fraction(1, 2), Fraction(1, 3), (0, 3)) == CaseResult(
+        "k", False, [0, 3], {"value": "1/2", "got": "1/2", "want": "1/3"})
+    assert info == {"value": "1/2"}
+    line = ScalarLine(I, "q")
+    assert case("k", False, None, line, (1, "a")) == CaseResult(
+        "k", False, None, {"got": repr(line), "want": repr((1, "a"))})
 
 
 def test_repr_names_every_field():

@@ -28,14 +28,17 @@ def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
     for caps in workloads.PLAIN_CAPS + workloads.EXTENDED_CAPS:
         for fmt in ("json", "csv"):
             assert (tuple(map(str, caps)), fmt) in tables
-    # the config refusals, the bracket's empty report and the per-suite cap refusals
+    # the config refusals, the bracket's empty report, the per-suite cap
+    # refusals and the empty paths
     for argv in (["eval", "--config", "deep.json"], ["eval", "--config", "deep-at.json"],
                  ["potential", "--config", "nul-out.json"],
                  ["verify", "--suite", "bracket", "--qmax", "0"],
                  ["verify", "--suite", "degree0", "--qmax", "3"],
-                 ["verify", "--suite", "residual", "--qmax", "3"]):
+                 ["verify", "--suite", "residual", "--qmax", "3"],
+                 ["potential", "--out", ""], ["potential", "--config", "empty-out.json"],
+                 ["invariants", "--d", "1", "--n2", "1", "--config", ""]):
         assert argv in argvs
-    assert {"deep.json", "deep-at.json", "nul-out.json"} <= set(tool.CONFIGS)
+    assert {"deep.json", "deep-at.json", "nul-out.json", "empty-out.json"} <= set(tool.CONFIGS)
     first = tool.digest_lines(argvs[:20])
     assert len(first) == 20
     assert tool.digest_lines(argvs[:20]) == first

@@ -40,6 +40,7 @@ CONFIGS = {
     "deep.json": "[" * 100_000 + "]" * 100_000,
     "deep-at.json": '{"at": ' + "[" * 100_000 + "]" * 100_000 + "}",
     "nul-out.json": json.dumps({"out": "a\0b"}),
+    "empty-out.json": json.dumps({"out": ""}),
 }
 
 
@@ -47,7 +48,8 @@ def requests(root):
     """The request list: the workloads' rounds of seeds 1-5, a table in both
     formats at every cap the table workload draws from, every degree-0 class
     triple, an invariant grid, every suite, small tables in both formats, help
-    texts, refusals of bad input, and the suites' empty and refused caps."""
+    texts, refusals of bad input, the suites' empty and refused caps, and
+    empty paths."""
     bench = os.path.join(root, "perfbench")
     if bench not in sys.path:
         sys.path.insert(0, bench)
@@ -92,6 +94,9 @@ def requests(root):
         ["verify", "--suite", "bracket", "--qmax", "0"],
         ["verify", "--suite", "degree0", "--qmax", "3"],
         ["verify", "--suite", "residual", "--qmax", "3"],
+        ["potential", "--out", ""],
+        ["potential", "--config", "empty-out.json"],
+        ["invariants", "--d", "1", "--n2", "1", "--config", ""],
     ]
     return out
 
