@@ -209,12 +209,28 @@ def _unique_keys(pairs):
     return out
 
 
+class _Literal:
+    """A config's decimal number as its text: `_parse_at` reads it exactly,
+    where a float would round it, and every other check refuses it with its
+    text, as it would the float.  It is no str, so no check takes it for one."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+    def __str__(self):
+        return self.text
+
+    __repr__ = __str__
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=_unique_keys)
+            data = json.load(fh, object_pairs_hook=_unique_keys, parse_float=_Literal)
     except (OSError, ValueError, RecursionError) as err:
-        raise UsageError("cannot read config %s: %s" % (path, err))
+        raise UsageError("cannot read config %r: %s" % (path, err))
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
     return data
@@ -525,7 +541,7 @@ def main(argv=None):
                 with open(cfg.out, "w", encoding="utf-8") as fh:
                     fh.write(text)
             except OSError as err:
-                raise UsageError("cannot write %s: %s" % (cfg.out, err.strerror or err))
+                raise UsageError("cannot write %r: %s" % (cfg.out, err.strerror or err))
         else:
             sys.stdout.write(text)
     except UsageError as err:

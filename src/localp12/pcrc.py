@@ -138,8 +138,7 @@ class AngleLine(FrozenRecord):
 
 
 class CovMap(FrozenRecord):
-    __slots__ = ("source", "target", "lines", "branch")  # lines: (name, line) in source order
-    _defaults = (0,)
+    __slots__ = ("source", "target", "lines")  # lines: (name, line) in source order
 
     def line(self, name):
         for n, ln in self.lines:
@@ -250,7 +249,7 @@ def invert(m, branch=0):
     missing = [v for v in m.target if v not in out]
     if missing:
         raise ValueError("target variables never hit: %r" % (missing,))
-    return CovMap(m.target, m.source, tuple((v, out[v]) for v in m.target), branch)
+    return CovMap(m.target, m.source, tuple((v, out[v]) for v in m.target))
 
 
 def _invert_matrix(rows):
@@ -279,7 +278,7 @@ def compose(a, b):
             "maps do not chain: %r versus %r" % (a.target, b.source)
         )
     lines = tuple((n, _push(ln, b)) for n, ln in a.lines)
-    return CovMap(a.source, b.target, lines, a.branch)
+    return CovMap(a.source, b.target, lines)
 
 
 def _push(ln, b):
@@ -415,8 +414,7 @@ def _composition_cases(got):
     a failing case names both sides as text (a record's and a tuple's str is
     its repr)."""
     want = build_corollary()
-    sides = [("chain", (got.source, got.target, got.branch),
-              (want.source, want.target, want.branch))]
+    sides = [("chain", (got.source, got.target), (want.source, want.target))]
     sides += [("line %s" % name, got.line(name), want.line(name)) for name in want.source]
     return [case(key, g == w, None, g, w) for key, g, w in sides]
 
@@ -438,24 +436,12 @@ def _remark_cases(got):
             for b, a in enumerate(angles)]
 
 
-def verify_corollary_composition():
-    """Invert the first printed map, chain the second, compare the third."""
-    got = compose(invert(build_cov()), build_covbgp())
-    return SuiteReport("corollary-composition", _composition_cases(got))
-
-
-def verify_corollary_remark():
-    """No logarithm branch makes the angle constant vanish.
-
-    One composition, on branch 0: its u-line has phase zeta^10, and on
-    branch b its constant is -pi/3 + 2 pi b, never zero; twelve branches
-    are reported.
-    """
-    got = compose(invert(build_cov()), build_covbgp())
-    return SuiteReport("corollary-remark", _remark_cases(got))
-
-
 def corollary_suite():
-    """The composition cases and the twelve branch cases, from one composition."""
+    """Invert the first printed map on branch 0, chain the second, compare
+    the third; and no logarithm branch makes the angle constant vanish.
+
+    The composition's u-line has phase zeta^10, so on branch b its constant
+    is -pi/3 + 2 pi b, never zero; twelve branches are reported.
+    """
     got = compose(invert(build_cov()), build_covbgp())
     return SuiteReport("corollary", _composition_cases(got) + _remark_cases(got))

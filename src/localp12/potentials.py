@@ -92,10 +92,6 @@ def g_series(order):
         for n in range(4, order + 1, 2)})
 
 
-def _plain_caps(qmax, zorder):
-    return VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax))
-
-
 def _tail_pairs(vs):
     """The potential minus its classical cubic, divided by (t1+t2), as
     {exponent: (n, m)}: each coefficient n/m of Q in lowest terms, m > 0, in
@@ -148,14 +144,6 @@ def _tail_pairs(vs):
     return out
 
 
-def quantum_part(qmax, zorder):
-    """All positive-degree terms up to q^qmax, z-variables capped at zorder."""
-    vs = _plain_caps(qmax, zorder)
-    # the terms of positive q-degree; those of q-degree 0 are -G
-    return Series(vs, {e: Fraction(n, m) * _LEVEL for e, (n, m) in _tail_pairs(vs).items()
-                       if e[3]})
-
-
 class Potential:
     """The potential on `vs` as cubic + (t1+t2) * tail, supports disjoint.
 
@@ -182,7 +170,7 @@ class Potential:
 
 def potential(qmax, zorder):
     """Full potential in (z0, z1, z2, q) with per-variable caps, as a `Potential`."""
-    vs = _plain_caps(qmax, zorder)
+    vs = VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax))
     return Potential(vs, classical_part().into(vs), _tail_pairs(vs))
 
 

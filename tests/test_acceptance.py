@@ -29,10 +29,9 @@ from localp12.pcrc import (
     build_cov,
     build_covbgp,
     compose,
+    corollary_suite,
     invert,
     verify_bracket_identity,
-    verify_corollary_composition,
-    verify_corollary_remark,
     verify_residual_thirdderiv,
 )
 from localp12.potentials import (
@@ -40,7 +39,7 @@ from localp12.potentials import (
     degree0_triple,
     g_series,
     gw_invariant,
-    quantum_part,
+    potential,
 )
 from localp12.ratfun import RF_T1, RF_T2, RF_ZERO, rf
 
@@ -182,7 +181,8 @@ def test_criterion_5_classical_cubics_and_divisor():
             assert c.coeff(e) == degree0_triple(m) * weight
             seen.add(e)
         assert {e for e, _ in c.terms()} <= seen
-        p = quantum_part(8, 8)
+        full = potential(8, 8).series()
+        p = Series(full.vs, {e: v for e, v in full.terms() if e[3]})
         dp = p.differentiate("z1")
         degrees = set()
         for e, v in dp.terms():
@@ -215,10 +215,11 @@ def test_criterion_8_corollary_composition():
             assert got.line(name) == want.line(name)
         assert got == want
         assert got.quantum("u").phase == zeta_pow(10)
-        assert verify_corollary_composition().passed
-        remark = verify_corollary_remark()
-        assert remark.passed
-        assert len(remark.cases) == 12
+        report = corollary_suite()
+        assert report.passed
+        assert [case.key for case in report.cases] == (
+            ["chain"] + ["line %s" % name for name in ("z0", "z1", "z2", "q", "u")]
+            + ["branch=%d" % b for b in range(12)])
 
 
 def test_criterion_9_numeric_cross_check():

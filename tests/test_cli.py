@@ -441,7 +441,7 @@ def test_a_deeply_nested_config_is_a_usage_error(tmp_path, capsys, text):
     cfg.write_text(text)
     code, out, err = _run(capsys, "eval", "--config", str(cfg))
     assert (code, out) == (2, "")
-    assert err.startswith("error: cannot read config %s: " % cfg) and err.count("\n") == 1
+    assert err.startswith("error: cannot read config %r: " % str(cfg)) and err.count("\n") == 1
 
 
 def test_an_out_path_holding_a_nul_is_refused_before_any_work(monkeypatch, tmp_path, capsys):
@@ -471,7 +471,53 @@ def test_an_empty_config_path_is_read_and_refused(capsys):
     # it once read as no config, and the command ran with its defaults
     code, out, err = _run(capsys, "invariants", "--d", "1", "--n2", "1", "--config", "")
     assert (code, out) == (2, "")
-    assert err.startswith("error: cannot read config : ") and err.count("\n") == 1
+    assert err.startswith("error: cannot read config '': ") and err.count("\n") == 1
+
+
+def test_an_unwritable_out_path_is_named_in_quotes(tmp_path, capsys):
+    out = str(tmp_path / "missing-dir" / "table.json")
+    code, text, err = _run(capsys, "potential", "--qmax", "0", "--zorder", "0", "--out", out)
+    assert (code, text) == (2, "")
+    assert err == "error: cannot write %r: No such file or directory\n" % out
+
+
+def test_a_decimal_number_in_a_config_at_object_is_read_from_its_text(tmp_path, capsys):
+    # through a float, t1 read as 1/10 and t2 as 0, a pole
+    spec = "t1=0.1000000000000000000001,t2=1e-400"
+    want = _run(capsys, "eval", "--at", spec, "--qmax", "1", "--zorder", "1")
+    assert want[0] == 0 and '"t1": "1000000000000000000001/10000000000000000000000"' in want[1]
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"at": {"t1": 0.1000000000000000000001, "t2": 1e-400}, '
+                   '"qmax": 1, "zorder": 1}')
+    assert _run(capsys, "eval", "--config", str(cfg)) == want
+
+
+def test_a_huge_decimal_exponent_in_a_config_is_refused_before_work(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"at": {"t1": 1e999999999, "t2": 1}}')
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "eval", "--config", str(cfg))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == "error: the value of t1 in --at has more than %d digits\n" % (
+        sys.get_int_max_str_digits(),)
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("eval", '{"uorder": 1.5, "extended": true}', "uorder must be a nonnegative integer, got 1.5"),
+    ("potential", '{"qmax": 2.0}', "qmax must be a nonnegative integer, got 2.0"),
+    ("potential", '{"out": 1.5}', "out must be a path, got 1.5"),
+    ("potential", '{"extended": 0.0}', "extended must be true or false, got 0.0"),
+    ("eval", '{"at": -1.5e3}', "at must be a string or an object, got -1.5e3"),
+    ("invariants", '{"classes": 1.5}', "classes must be a comma-separated string, got 1.5"),
+    ("verify", '{"suite": 1.5}', "unknown suite 1.5; choose from %s or 'all'"
+     % ", ".join(cli.SUITE_NAMES)),
+])
+def test_a_decimal_number_in_a_config_is_refused_with_its_text(tmp_path, capsys, command, text,
+                                                               message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    assert _run(capsys, command, "--config", str(cfg)) == (2, "", "error: %s\n" % message)
 
 
 def test_config_extended_false_is_plain(tmp_path, capsys):
@@ -939,7 +985,7 @@ def test_an_unreadable_config_is_refused(tmp_path, capsys, text):
         cfg.write_text(text)
     code, out, err = _run(capsys, "eval", "--config", str(cfg))
     assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and err.startswith("error: cannot read config %s: " % cfg)
+    assert err.count("\n") == 1 and err.startswith("error: cannot read config %r: " % str(cfg))
 
 
 def test_empty_at_chunks_and_an_at_object_read_as_the_plain_spec(tmp_path, capsys):

@@ -25,8 +25,6 @@ from localp12.pcrc import (
     phase_exponent,
     principal_angle,
     verify_bracket_identity,
-    verify_corollary_composition,
-    verify_corollary_remark,
     verify_residual_thirdderiv,
 )
 from localp12.localization import resummation_suite, resummed
@@ -132,18 +130,19 @@ def test_round_trip_through_inverse():
 def test_composition_reproduces_corollary():
     got = compose(invert(build_cov(), 0), build_covbgp())
     assert got == build_corollary()
-    report = verify_corollary_composition()
-    assert report.passed
-    assert len(report.cases) == 6
+    composition = corollary_suite().cases[:6]
+    assert all(c.passed and c.info is None for c in composition)
+    assert [c.key for c in composition] == ["chain"] + [
+        "line %s" % name for name in ("z0", "z1", "z2", "q", "u")]
 
 
 def test_corollary_remark_branches():
-    report = verify_corollary_remark()
-    assert report.passed
-    assert len(report.cases) == 12
-    for case in report.cases:
-        assert case.info["phase_exponent"] == 10
     suite = corollary_suite()
+    branches = suite.cases[6:]
+    assert [c.key for c in branches] == ["branch=%d" % b for b in range(12)]
+    for b, case in enumerate(branches):
+        assert case.passed
+        assert case.info == {"phase_exponent": 10, "angle_over_pi": str(Fraction(-1, 3) + 2 * b)}
     assert suite.suite == "corollary"
     assert suite.passed
     assert len(suite.cases) == 18
@@ -154,7 +153,7 @@ def test_the_branch_enters_the_composition_only_through_the_u_line(b):
     base = compose(invert(build_cov(), 0), build_covbgp())
     u = base.line("u")
     lines = tuple((n, AngleLine(u.phase, b, u.form) if n == "u" else ln) for n, ln in base.lines)
-    want = CovMap(base.source, base.target, lines, b)
+    want = CovMap(base.source, base.target, lines)
     assert compose(invert(build_cov(), b), build_covbgp()) == want
 
 
@@ -165,14 +164,13 @@ def test_a_unit_u_phase_fails_every_branch(monkeypatch):
     monkeypatch.setattr(pcrc, "build_cov", lambda: CovMap(cov.source, cov.target, lines))
     uline = compose(invert(pcrc.build_cov()), build_covbgp()).line("u")
     assert uline.phase == ONE
-    for report in (verify_corollary_remark(), corollary_suite()):
-        branches = [c for c in report.cases if c.key.startswith("branch=")]
-        assert len(branches) == 12
-        for b, case in enumerate(branches):
-            assert not case.passed
-            assert case.info == {"phase_exponent": 0, "angle_over_pi": str(2 * b),
-                                 "got": repr(uline),
-                                 "want": "an AngleLine of phase zeta^10 on branch 0"}
+    branches = corollary_suite().cases[6:]
+    assert [c.key for c in branches] == ["branch=%d" % b for b in range(12)]
+    for b, case in enumerate(branches):
+        assert not case.passed
+        assert case.info == {"phase_exponent": 0, "angle_over_pi": str(2 * b),
+                             "got": repr(uline),
+                             "want": "an AngleLine of phase zeta^10 on branch 0"}
 
 
 @pytest.mark.parametrize("patch", ["q1 scalar", "s1 scalar"])
@@ -210,19 +208,18 @@ def test_a_failing_composition_line_names_both_sides(monkeypatch):
     want = build_corollary().line("z0")
     assert got != want
     failing = CaseResult("line z0", False, None, {"got": repr(got), "want": repr(want)})
-    assert verify_corollary_composition().cases == [
-        failing if c.key == "line z0" else c for c in passing[:6]]
     assert corollary_suite().cases == [failing if c.key == "line z0" else c for c in passing]
 
 
 def test_a_failing_chain_names_both_sides(monkeypatch):
     printed = build_corollary()
+    target = printed.target[::-1]
     monkeypatch.setattr(pcrc, "build_corollary", lambda: CovMap(
-        printed.source, printed.target, printed.lines, 1))
-    (chain, *lines) = verify_corollary_composition().cases
+        printed.source, target, printed.lines))
+    (chain, *lines) = corollary_suite().cases[:6]
     assert chain == CaseResult("chain", False, None, {
-        "got": repr((printed.source, printed.target, 0)),
-        "want": repr((printed.source, printed.target, 1))})
+        "got": repr((printed.source, printed.target)),
+        "want": repr((printed.source, target))})
     assert all(c.passed and c.info is None for c in lines) and len(lines) == 5
 
 

@@ -20,7 +20,6 @@ from localp12.potentials import (
     g_series,
     gw_invariant,
     potential,
-    quantum_part,
 )
 from localp12.ratfun import RF_T1, RF_T2, RF_ZERO, RatFun, rf
 
@@ -170,7 +169,8 @@ def test_potential_coefficients_match_invariants():
 
 def test_divisor_property():
     # d/dz1 multiplies the degree-d layer by d
-    p = quantum_part(5, 5)
+    full = potential(5, 5).series()
+    p = Series(full.vs, {e: v for e, v in full.terms() if e[3]})
     dp = p.differentiate("z1")
     for e, v in p.terms():
         if e[1] == 0:
@@ -210,8 +210,6 @@ def test_extended_potential_caps_and_validation():
         extended_potential(1, 2, -1)
     with pytest.raises(ValueError):
         potential(-1, 2)
-    with pytest.raises(ValueError):
-        quantum_part(-1, 2)
 
 
 @pytest.mark.parametrize("qmax, zorder", [(0, 2), (1, 4), (3, 5)])

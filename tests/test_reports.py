@@ -115,8 +115,6 @@ def test_a_changed_field_makes_a_different_record():
 def test_defaults():
     assert WeightTable() == WeightTable((Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(0)),
                                         (Fraction(1, 2), Fraction(0)))
-    m = CovMap(("y",), ("z",), (("y", _form()),))
-    assert m.branch == 0 and m == CovMap(("y",), ("z",), (("y", _form()),), 0)
     case = CaseResult("k", True)
     assert (case.first_mismatch, case.info) == (None, None)
     assert TORUS_WEIGHTS == TORUS_WEIGHTS and hash(TORUS_WEIGHTS) == hash(TORUS_WEIGHTS)

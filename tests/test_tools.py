@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 from localp12 import cli
 
@@ -18,27 +21,32 @@ def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
     tool = _digest_tool()
     argvs = tool.requests(ROOT)
     workloads = importlib.import_module("workloads")  # on sys.path once requests has run
-    assert {a[0] for a in argvs if a[0] != "--help"} == set(cli._COMMANDS)
+    assert {a[0] for a in argvs if a and a[0] != "--help"} == set(cli._COMMANDS)
     assert {a[a.index("--suite") + 1] for a in argvs if "--suite" in a} >= set(cli.SUITE_NAMES)
     assert {a[a.index("--format") + 1] for a in argvs if "--format" in a} >= {"json", "csv"}
     # a table in both formats at every cap the benchmark's table workload draws
     tables = {(tuple(a[a.index(flag) + 1] for flag in ("--qmax", "--zorder", "--uorder")
                      if flag in a), a[a.index("--format") + 1])
-              for a in argvs if a[0] == "potential" and "--format" in a}
+              for a in argvs if a[:1] == ["potential"] and "--format" in a}
     for caps in workloads.PLAIN_CAPS + workloads.EXTENDED_CAPS:
         for fmt in ("json", "csv"):
             assert (tuple(map(str, caps)), fmt) in tables
     # the config refusals, the bracket's empty report, the per-suite cap
-    # refusals and the empty paths
+    # refusals, the empty and unwritable paths, a config's decimal numbers
+    # and argparse's own refusals
     for argv in (["eval", "--config", "deep.json"], ["eval", "--config", "deep-at.json"],
                  ["potential", "--config", "nul-out.json"],
                  ["verify", "--suite", "bracket", "--qmax", "0"],
                  ["verify", "--suite", "degree0", "--qmax", "3"],
                  ["verify", "--suite", "residual", "--qmax", "3"],
                  ["potential", "--out", ""], ["potential", "--config", "empty-out.json"],
-                 ["invariants", "--d", "1", "--n2", "1", "--config", ""]):
+                 ["invariants", "--d", "1", "--n2", "1", "--config", ""],
+                 ["potential", "--out", "missing-dir/table.json"],
+                 ["eval", "--config", "at-decimal.json"],
+                 [], ["verify", "--uorder", "6"], ["potential", "--qmax", "x"], ["eval", "--at"]):
         assert argv in argvs
-    assert {"deep.json", "deep-at.json", "nul-out.json", "empty-out.json"} <= set(tool.CONFIGS)
+    assert {"deep.json", "deep-at.json", "nul-out.json", "empty-out.json",
+            "at-decimal.json"} <= set(tool.CONFIGS)
     first = tool.digest_lines(argvs[:20])
     assert len(first) == 20
     assert tool.digest_lines(argvs[:20]) == first
@@ -56,3 +64,26 @@ def test_cli_digests_record_an_escaped_exception_and_go_on(monkeypatch):
     boom, after = tool.digest_lines([["boom"], ["invariants", "--d", "1", "--n2", "1"]])
     assert boom.split()[2:] == ["RecursionError", "boom"]
     assert after.split()[2] == "0"
+
+
+def test_the_tracer_counts_a_suite_the_cli_imported_before_it_was_installed():
+    """The benchmark's worker imports the CLI, then installs the tracer, then
+    runs requests.  `Tracer.install` patches only the `localp12` modules
+    loaded before it runs, so a suite module the CLI imported lazily would
+    go uncounted; the corollary suite, imported eagerly, is counted."""
+    code = """if True:
+        import contextlib, io, json
+        import localp12.cli as cli
+        import tracing
+        tracer = tracing.Tracer()
+        tracer.install()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["verify", "--suite", "corollary"])
+        print(json.dumps([code, tracer.table()]))
+    """
+    path = os.pathsep.join([os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")])
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    exit_code, table = json.loads(done.stdout)
+    assert exit_code == 0
+    assert table["pcrc.corollary.calls"] == 1 and table["cli.main.calls"] == 1

@@ -41,6 +41,7 @@ CONFIGS = {
     "deep-at.json": '{"at": ' + "[" * 100_000 + "]" * 100_000 + "}",
     "nul-out.json": json.dumps({"out": "a\0b"}),
     "empty-out.json": json.dumps({"out": ""}),
+    "at-decimal.json": '{"at": {"t1": 0.1000000000000000000001, "t2": 1e-400}}',
 }
 
 
@@ -48,8 +49,9 @@ def requests(root):
     """The request list: the workloads' rounds of seeds 1-5, a table in both
     formats at every cap the table workload draws from, every degree-0 class
     triple, an invariant grid, every suite, small tables in both formats, help
-    texts, refusals of bad input, the suites' empty and refused caps, and
-    empty paths."""
+    texts, refusals of bad input, the suites' empty and refused caps, empty
+    and unwritable paths, a config's decimal numbers, and argparse's own
+    refusals."""
     bench = os.path.join(root, "perfbench")
     if bench not in sys.path:
         sys.path.insert(0, bench)
@@ -97,6 +99,12 @@ def requests(root):
         ["potential", "--out", ""],
         ["potential", "--config", "empty-out.json"],
         ["invariants", "--d", "1", "--n2", "1", "--config", ""],
+        ["potential", "--out", "missing-dir/table.json"],
+        ["eval", "--config", "at-decimal.json"],
+        [],
+        ["verify", "--uorder", "6"],
+        ["potential", "--qmax", "x"],
+        ["eval", "--at"],
     ]
     return out
 
