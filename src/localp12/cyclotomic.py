@@ -19,11 +19,13 @@ gcd(n0, n1, n2, n3, d) = 1, with zero stored as (0, 0, 0, 0) / 1: the
 layout FLINT uses for fmpq_poly.  Every operation returns that reduced
 representative, so field equality is plain equality of representatives,
 and the field arithmetic is integer products plus one gcd per result.
-An int or Fraction operand of `*` or `/` takes the rational route,
+An int or Fraction operand of `*` or `/` takes the scaling route,
 `Cyclo._scaled`: four numerator products and one denominator product, with
-no field product and no inverse.  `coords` gives the four coordinates as
-reduced Fractions; the constructor takes ints and Fractions and raises
-TypeError for anything else, a float included.
+no field product and no inverse.  A sum or product of two rational elements
+takes the rational route, `_rational`: one numerator, one denominator and
+one gcd of the two.  `coords` gives the four coordinates as reduced
+Fractions; the constructor takes ints and Fractions and raises TypeError
+for anything else, a float included.
 
 The module also holds the package's shared routines: `repeated_squaring`;
 `_accumulate`, which adds a dict of nonzero terms into another (the sums of
@@ -88,6 +90,8 @@ class Cyclo:
         a0, a1, a2, a3 = self._n
         b0, b1, b2, b3 = other._n
         ad, bd = self._d, other._d
+        if not (a1 or a2 or a3 or b1 or b2 or b3):
+            return _rational(a0 * bd + b0 * ad, ad * bd)
         if ad == bd:
             return _reduced(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
         return _reduced(
@@ -123,6 +127,8 @@ class Cyclo:
             return NotImplemented
         a0, a1, a2, a3 = self._n
         b0, b1, b2, b3 = other._n
+        if not (a1 or a2 or a3 or b1 or b2 or b3):
+            return _rational(a0 * b0, self._d * other._d)
         # the zeta^4, zeta^5 and zeta^6 coefficients of the product, folded
         # by zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 - zeta, zeta^6 = -1
         r4 = a1 * b3 + a2 * b2 + a3 * b1
@@ -275,6 +281,12 @@ def _reduced(n0, n1, n2, n3, d):
         if g != 1:
             n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
     return _raw((n0, n1, n2, n3), d)
+
+
+def _rational(n, d):
+    """The rational element n / d, for d > 0."""
+    g = math.gcd(n, d)
+    return _raw((n // g, 0, 0, 0), d // g)
 
 
 def _coerce(x):

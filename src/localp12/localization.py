@@ -18,7 +18,9 @@ Odd-degree assembly multiplies four ingredients:
     when g = 0;
   * a 1/d automorphism count and the hyperelliptic cover integral 1/2.
 
-The edge factor does not depend on g and is made once per degree.
+The edge factor does not depend on g and is made once per degree.  Every
+factor is a rational times an integer power of s, so an `SMonomial`'s
+exponent is an int.
 
 Even degrees have the same closed form, proved here by resummation rather
 than assembly: the literal even-degree fixed-locus product carries a net
@@ -27,8 +29,9 @@ records the imbalance exactly instead of hiding it).  `assemble_even`
 therefore extracts the invariant from the resummed generating function,
 and `local_invariant` provides the direct formula both parities share.
 `resummed` builds that generating function for both parities, a sine at
-odd d and a cosine at even d, and the `resummation` suite reads every genus
-of a degree from one such series.
+odd d and a cosine at even d, as a dilation of one Taylor wave per parity,
+sin(z2/2) or cos(z2/2) made once per order; the `resummation` suite reads
+every genus of a degree from one such series.
 """
 
 import functools
@@ -49,7 +52,8 @@ class AssemblyInconsistencyError(ArithmeticError):
 
 
 class SMonomial(FrozenRecord):
-    """A rational multiple of an integer or half-integer power of s."""
+    """A rational multiple of a power of s; each factor the assembly makes
+    has an int exponent."""
 
     __slots__ = ("coeff", "s_exp")
 
@@ -143,7 +147,7 @@ def node_coefficient(d, k, stacky):
     if d < 1:
         raise ValueError("degree must be positive")
     base = Fraction(d) ** k
-    return SMonomial(-2 * base if stacky else -base, Fraction(-k))
+    return SMonomial(-2 * base if stacky else -base, -k)
 
 
 #: integral of psi^(2g-1) over the space of genus-g hyperelliptic covers
@@ -179,14 +183,14 @@ def _odd_edge(d):
     den = math.prod(w.denominator for w in half + one)
     num *= math.prod(w.denominator for w in tangent)
     den *= math.prod(w.numerator for w in tangent)
-    return SMonomial(Fraction(num, den), Fraction(len(half) + len(one) - len(tangent)))
+    return SMonomial(Fraction(num, den), len(half) + len(one) - len(tangent))
 
 
 def odd_assembly(d, g):
     if g < 0:
         raise ValueError("genus must be nonnegative, got %r" % (g,))
     edge = _odd_edge(d)
-    vertex = SMonomial(Fraction((-1) ** g, 4**g), Fraction(2 * g))
+    vertex = SMonomial(Fraction((-1) ** g, 4**g), 2 * g)
     node = node_coefficient(d, 2 * g - 1, stacky=True)
     return OddAssembly(d, g, edge, vertex, node, Fraction(1, d), COVER_INTEGRAL)
 
@@ -260,7 +264,7 @@ def even_literal_assembly(d, g):
     node = node_coefficient(d, 2 * g, stacky=False)
     num *= node.coeff.numerator
     den *= node.coeff.denominator
-    s2 += 2 * int(node.s_exp)
+    s2 += 2 * node.s_exp
     # gluing factor 2 and the cover integral
     num *= 2 * COVER_INTEGRAL.numerator
     den *= COVER_INTEGRAL.denominator
@@ -304,15 +308,24 @@ def quantum_sign(d):
     return (-1) ** (d // 2)
 
 
+@functools.cache
+def _wave(odd, order):
+    """sin(z2/2) if odd else cos(z2/2), to z2^order: the one Taylor build
+    that `resummed` dilates to every degree of that parity."""
+    half = Series.variable(VarSet(("z2",), (order,)), "z2").scale(Fraction(1, 2))
+    return (sin if odd else cos)(half)
+
+
 def resummed(d, order):
     """Generating function of the degree-d invariants, 2 quantum_sign(d)/d^3
     times sin(d z2/2) at odd d and cos(d z2/2) at even d: the coefficient of
-    z2^n times n! is the (d, n) invariant."""
+    z2^n times n! is the (d, n) invariant.  It is `_wave` dilated by d, its
+    z2^n coefficient times d^n 2 quantum_sign(d)/d^3."""
     if d < 1:
         raise ValueError("degree must be positive, got %r" % (d,))
-    vs = VarSet(("z2",), (order,))
-    arg = Series.variable(vs, "z2").scale(Fraction(d, 2))
-    return (sin if d % 2 else cos)(arg).scale(Fraction(2 * quantum_sign(d), d**3))
+    wave = _wave(d % 2 == 1, order)
+    scale = Fraction(2 * quantum_sign(d), d**3)
+    return Series._of(wave.vs, {(n,): c * scale * d**n for (n,), c in wave.terms()})
 
 
 def assemble_even(d, g):

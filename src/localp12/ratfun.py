@@ -16,6 +16,7 @@ That contract makes the gcd univariate. A homogeneous polynomial of degree
 k is t2^k F(s) with s = t1/t2, and every divisor of a homogeneous q is
 homogeneous, so gcd(p, q) is the monic Euclid in K[s] of q and each
 homogeneous component of p, times the least power of t2 they share.
+A sum with a zero summand is the other summand, with no gcd.
 """
 
 import operator
@@ -312,6 +313,11 @@ class RatFun:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
+        # a zero summand leaves the other canonical pair as it is
+        if not other._n:
+            return self
+        if not self._n:
+            return other
         if self._d == other._d:
             return RatFun(self._n + other._n, self._d)
         return RatFun(

@@ -99,6 +99,48 @@ def test_rational_operands_give_the_field_product():
             0.5 * x
 
 
+_BIG = 10**30 + 1
+_RATIONALS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(5), Fraction(-7, 12),
+              Fraction(7, 12), Fraction(-3, 4), Fraction(_BIG, 3), Fraction(-_BIG, 7),
+              Fraction(1, _BIG), Fraction(-2, _BIG), Fraction(_BIG, _BIG - 2)]
+
+
+def _same(got, want):
+    assert (got._n, got._d, hash(got)) == (want._n, want._d, hash(want))
+    assert all(type(n) is int for n in got._n)
+
+
+def test_rational_sums_and_products_are_the_fraction_results():
+    # both operands rational take the rational route; the Fraction result,
+    # zero included, is the reference for the representative and the hash
+    rng = random.Random(29)
+    values = _RATIONALS + [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                           for _ in range(20)]
+    for a in values:
+        for b in values:
+            x, y = Cyclo(a), Cyclo(b)
+            for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b)):
+                _same(got, Cyclo(want))
+                assert got.rational() == want and hash(got) == hash(want)
+
+
+def test_a_rational_with_an_irrational_gives_the_field_result():
+    # rational x irrational and rational + irrational, against the product
+    # and the sum made coordinate by coordinate in Fraction
+    rng = random.Random(30)
+    irrational = [cy.I, cy.SQRT3 * Fraction(1, 2), Cyclo(Fraction(1, _BIG), 3, 0, Fraction(-2, 7))]
+    irrational += [x for x in (rand_cyclo(rng) for _ in range(20)) if not x.is_rational()]
+    for a in _RATIONALS:
+        r = Cyclo(a)
+        for x in irrational:
+            product = Cyclo(*(a * c for c in x.coords))
+            total = Cyclo(*(c + a * (k == 0) for k, c in enumerate(x.coords)))
+            for got in (r * x, x * r):
+                _same(got, product)
+            for got in (r + x, x + r):
+                _same(got, total)
+
+
 def test_constructor_takes_only_ints_and_fractions():
     for bad in (0.1, 1.0, "1/3", 1j, None):
         with pytest.raises(TypeError):

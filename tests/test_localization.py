@@ -24,11 +24,12 @@ from localp12.localization import (
     node_coefficient,
     odd_assembly,
     odd_weight_families,
+    quantum_sign,
     resummation_suite,
     resummed,
 )
-from localp12.localization import _EVEN_GRID, _ODD_GRID, _odd_edge, _per_degree
-from localp12.mpseries import VarSet
+from localp12.localization import _EVEN_GRID, _ODD_GRID, _odd_edge, _per_degree, _wave
+from localp12.mpseries import Series, VarSet, cos, sin
 from localp12.ratfun import P_ONE, P_T1, P_T2, RF_T1, RF_T2, RF_ZERO, RatFun, rf
 
 
@@ -160,6 +161,8 @@ def test_node_smoothing_coefficients():
     assert node_coefficient(3, -1, stacky=True) == SMonomial(Fraction(-2, 3), Fraction(1))
     assert node_coefficient(5, 1, stacky=False) == SMonomial(Fraction(-5), Fraction(-1))
     assert node_coefficient(5, -2, stacky=False) == SMonomial(Fraction(-1, 25), Fraction(2))
+    assert all(type(node_coefficient(3, k, stacky).s_exp) is int
+               for k in range(-2, 3) for stacky in (True, False))
     with pytest.raises(ValueError, match="degree must be positive"):
         node_coefficient(0, 1, stacky=True)
 
@@ -183,6 +186,9 @@ def test_odd_assembly_structure():
             assert report.vertex.s_exp == 2 * g
             assert report.node.s_exp == 1 - 2 * g
             assert report.total.s_exp == 0
+            # every factor's power of s is an int, and so is their sum
+            for m in (report.edge, report.vertex, report.node, report.total):
+                assert type(m.s_exp) is int
             assert report.automorphisms == Fraction(1, d)
             assert report.cover_integral == COVER_INTEGRAL
     with pytest.raises(ValueError):
@@ -292,6 +298,29 @@ def test_local_invariant_magnitude_and_sign():
         if d + 4 < 12:
             w = local_invariant(d + 4, n)
             assert (v > 0) == (w > 0)
+
+
+def _direct_resummed(d, order):
+    """The degree's own Taylor build, (sin|cos)(z2 d/2) times 2 quantum_sign(d)/d^3."""
+    arg = Series.variable(VarSet(("z2",), (order,)), "z2").scale(Fraction(d, 2))
+    return (sin if d % 2 else cos)(arg).scale(Fraction(2 * quantum_sign(d), d**3))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_resummed_is_the_direct_build(d):
+    for order in range(15):
+        got, want = resummed(d, order), _direct_resummed(d, order)
+        assert got == want
+        assert [type(c) for _, c in got.terms()] == [type(c) for _, c in want.terms()]
+
+
+@pytest.mark.parametrize("orders", [range(15), range(14, -1, -1)], ids=["small-first", "large-first"])
+def test_resummed_is_cap_exact_whichever_cap_fills_the_wave_cache_first(orders):
+    _wave.cache_clear()
+    built = {(d, n): resummed(d, n) for n in orders for d in range(1, 13)}
+    for (d, n), series in built.items():
+        assert built[(d, 14)].into(VarSet(("z2",), (n,))) == series
+        assert series == _direct_resummed(d, n)
 
 
 def test_resummed_at_odd_degree():

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from localp12 import ratfun
 from localp12.cyclotomic import Cyclo, I
 from localp12.ratfun import (
     P_ONE,
     P_T1,
     P_T2,
+    P_ZERO,
     Poly2,
     RF_ONE,
     RF_T1,
@@ -202,6 +204,41 @@ def test_scalar_times_ratfun_skips_canonicalization(monkeypatch):
         for got in (r * c, c * r):
             assert got == w
             assert got.num == w.num and got.den == w.den
+
+
+def test_a_zero_summand_returns_the_other_operand(monkeypatch):
+    rng = random.Random(29)
+    cases = [rand_ratfun(rng) for _ in range(30)] + [RF_ZERO, RF_ONE, RF_T1 * I]
+    zeros = (RF_ZERO, RatFun(P_ZERO, P_T1), 0, Fraction(0), Cyclo())
+
+    def refuse(p, q):
+        raise AssertionError("a sum with zero made a gcd")
+
+    monkeypatch.setattr(ratfun, "poly_gcd", refuse)
+    for r in cases:
+        for z in zeros:
+            for got in (r + z, z + r, r - z):
+                assert got.num == r.num and got.den == r.den
+    for z in zeros[:2]:
+        got = z - RF_T1
+        assert got.num == -P_T1 and got.den == P_ONE
+
+
+def test_a_sum_to_zero_is_the_canonical_zero():
+    rng = random.Random(31)
+    for r in [rand_ratfun(rng) for _ in range(30)] + [RF_T1 * I, RatFun(P_ONE, P_T1 - P_T2)]:
+        for got in (r + (-r), r - r, -r + r):
+            assert got.num == P_ZERO and got.den == P_ONE
+            assert got == RF_ZERO and str(got) == "0"
+
+
+def test_sums_are_the_cross_multiplied_ratio():
+    rng = random.Random(37)
+    for _ in range(60):
+        a, b = rand_ratfun(rng), rand_ratfun(rng)
+        want = RatFun(a.num * b.den + b.num * a.den, a.den * b.den)
+        for got in (a + b, b + a):
+            assert got.num == want.num and got.den == want.den
 
 
 def test_non_homogeneous_denominator_is_refused():
