@@ -423,7 +423,7 @@ def cmd_invariants(cfg):
     return _dump(record), 0
 
 
-#: `CaseResult.to_json` as `_dump` lays it out in a single-suite report, its
+#: a `reports.case` dict as `_dump` lays it out in a single-suite report, its
 #: values in sorted key order; the second %s is the info line, or nothing
 _CASE = '{\n      "first_mismatch": %s,%s\n      "key": %s,\n      "pass": %s\n    }'
 
@@ -431,9 +431,9 @@ _CASE = '{\n      "first_mismatch": %s,%s\n      "key": %s,\n      "pass": %s\n 
 def _report_json(report):
     """`_dump(report.to_json())` without its final newline, one template per case."""
     pad = "      "
-    cases = [_CASE % (_token(c.first_mismatch, pad),
-                      "" if c.info is None else '\n      "info": %s,' % _token(c.info, pad),
-                      _token(c.key, pad), _token(c.passed, pad))
+    cases = [_CASE % (_token(c["first_mismatch"], pad),
+                      '\n      "info": %s,' % _token(c["info"], pad) if "info" in c else "",
+                      _token(c["key"], pad), _token(c["pass"], pad))
              for c in report.cases]
     body = "[\n    %s\n  ]" % ",\n    ".join(cases) if cases else "[]"
     return '{\n  "cases": %s,\n  "suite": %s\n}' % (body, _token(report.suite, "  "))

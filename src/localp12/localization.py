@@ -86,16 +86,16 @@ class WeightTable(FrozenRecord):
     """Weights of the torus lift at the two ramification points of a cover.
 
     Each entry is the pair (at the stacky point, at the other point), in
-    units of s.  The defaults are the unique lift making the direct-sum
-    bundle O(-1) + O(-1/2) balanced against the tangent line.
+    units of s.
     """
 
     __slots__ = ("o_one", "o_half", "tangent")
-    _defaults = ((Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(0)),
-                 (Fraction(1, 2), Fraction(0)))
 
 
-DEFAULT_WEIGHTS = WeightTable()
+#: the unique lift making the direct-sum bundle O(-1) + O(-1/2) balanced
+#: against the tangent line
+DEFAULT_WEIGHTS = WeightTable((Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(0)),
+                              (Fraction(1, 2), Fraction(0)))
 
 
 def odd_weight_families(d, table=None):

@@ -195,9 +195,9 @@ def test_criterion_6_bracket_identity():
     with _criterion(6, 30, "carried bracket identity"):
         report = verify_bracket_identity(8, 10)
         assert report.passed
-        assert [case.key for case in report.cases] == [
+        assert [case["key"] for case in report.cases] == [
             "d=%d" % d for d in range(1, 9)]
-        assert all(case.first_mismatch is None for case in report.cases)
+        assert all(case["first_mismatch"] is None for case in report.cases)
 
 
 def test_criterion_7_residual_identity():
@@ -217,7 +217,7 @@ def test_criterion_8_corollary_composition():
         assert got.quantum("u").phase == zeta_pow(10)
         report = corollary_suite()
         assert report.passed
-        assert [case.key for case in report.cases] == (
+        assert [case["key"] for case in report.cases] == (
             ["chain"] + ["line %s" % name for name in ("z0", "z1", "z2", "q", "u")]
             + ["branch=%d" % b for b in range(12)])
 

@@ -20,7 +20,7 @@ from localp12.cyclotomic import ZERO, Cyclo
 from localp12.mpseries import Series
 from localp12.potentials import classical_part, extended_potential, potential
 from localp12.ratfun import RF_T1, RF_T2, RatFun
-from localp12.reports import CaseResult, SuiteReport
+from localp12.reports import SuiteReport
 
 
 def _run(capsys, *argv):
@@ -159,22 +159,23 @@ def test_verify_refuses_caps_its_suite_ignores(tmp_path, capsys, suite):
 #: lists and dicts, and keys and text that JSON must escape
 _HAND_BUILT = [
     SuiteReport("bracket", [
-        CaseResult("d=1", False, [0, 1, 1, 2], {"got": "1/2", "want": "-1/2"}),
-        CaseResult("d=2", True),
+        {"key": "d=1", "pass": False, "first_mismatch": [0, 1, 1, 2],
+         "info": {"got": "1/2", "want": "-1/2"}},
+        {"key": "d=2", "pass": True, "first_mismatch": None},
     ]),
     SuiteReport("empty", []),
     SuiteReport("values", [
-        CaseResult("typed", True, None, {"matches": False, "ok": True, "exponent": 3,
-                                         "big": -10**30}),
-        CaseResult("no info", True, None, None),
-        CaseResult("empty", False, [], {}),
-        CaseResult("nested", False, [[1, 2], {"b": None}],
-                   {"list": [1, [2, {"z": None, "a": "b"}]], "dict": {"y": {}, "x": []}}),
+        {"key": "typed", "pass": True, "first_mismatch": None,
+         "info": {"matches": False, "ok": True, "exponent": 3, "big": -10**30}},
+        {"key": "no info", "pass": True, "first_mismatch": None},
+        {"key": "empty", "pass": False, "first_mismatch": [], "info": {}},
+        {"key": "nested", "pass": False, "first_mismatch": [[1, 2], {"b": None}],
+         "info": {"list": [1, [2, {"z": None, "a": "b"}]], "dict": {"y": {}, "x": []}}},
     ]),
     SuiteReport('q"uo\\te \u00fc', [
-        CaseResult('k"\\\u00e9\u221e', False, [7],
-                   {'a"b': "c\\d", "\u00fcn\u00ef": "\u00e7\u00f8d\u00e9 \u221e \n\t",
-                    "\u2028": "\x00\U0001f600"}),
+        {"key": 'k"\\\u00e9\u221e', "pass": False, "first_mismatch": [7],
+         "info": {'a"b': "c\\d", "\u00fcn\u00ef": "\u00e7\u00f8d\u00e9 \u221e \n\t",
+                  "\u2028": "\x00\U0001f600"}},
     ]),
 ]
 

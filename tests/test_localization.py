@@ -149,7 +149,9 @@ def test_odd_weight_families_d3_explicit():
 
 
 def test_bad_lift_detected():
-    table = WeightTable(tangent=(Fraction(1, 3), Fraction(0)))
+    # the default lift with the wrong tangent weight at the stacky point
+    table = WeightTable((Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(0)),
+                        (Fraction(1, 3), Fraction(0)))
     with pytest.raises(AssemblyInconsistencyError):
         odd_weight_families(3, table)
 
@@ -413,13 +415,13 @@ def test_failing_case_names_both_sides(monkeypatch, run):
 
     monkeypatch.setattr(loc, "local_invariant", shifted)
     report = run()
-    failed = [c for c in report.cases if not c.passed]
-    assert [c.key for c in failed] == ["odd d=3 g=1"]
-    record = failed[0].to_json()
+    failed = [c for c in report.cases if not c["pass"]]
+    assert [c["key"] for c in failed] == ["odd d=3 g=1"]
+    record = failed[0]
     assert record["first_mismatch"] == [3]
     assert record["info"]["got"] == str(true_value(3, 3)) == "1/4"
     assert record["info"]["want"] == str(true_value(3, 3) + 1) == "5/4"
-    passing = [c.to_json() for c in report.cases if c.passed]
+    passing = [c for c in report.cases if c["pass"]]
     assert all("got" not in c["info"] and c["first_mismatch"] is None for c in passing)
 
 
@@ -431,7 +433,7 @@ def test_failing_degree0_case_names_both_sides(monkeypatch):
         loc, "degree0_fixed_point_sum",
         lambda classes: true_sum(classes) + (1 if tuple(classes) == ("1", "H", "H") else 0),
     )
-    failed = [c.to_json() for c in degree0_suite().cases if not c.passed]
+    failed = [c for c in degree0_suite().cases if not c["pass"]]
     assert [c["key"] for c in failed] == ["<1,H,H>"]
     assert failed[0]["info"] == {"value": "1/3", "got": "1/3", "want": "-2/3"}
 

@@ -30,7 +30,6 @@ from localp12.pcrc import (
 from localp12.localization import resummation_suite, resummed
 from localp12.potentials import extended_potential, g_series
 from localp12.ratfun import RF_ONE, RF_T1, RF_T2, RatFun, rf
-from localp12.reports import CaseResult
 
 
 def test_sqrt3_constants():
@@ -131,18 +130,18 @@ def test_composition_reproduces_corollary():
     got = compose(invert(build_cov(), 0), build_covbgp())
     assert got == build_corollary()
     composition = corollary_suite().cases[:6]
-    assert all(c.passed and c.info is None for c in composition)
-    assert [c.key for c in composition] == ["chain"] + [
+    assert all(c["pass"] and "info" not in c for c in composition)
+    assert [c["key"] for c in composition] == ["chain"] + [
         "line %s" % name for name in ("z0", "z1", "z2", "q", "u")]
 
 
 def test_corollary_remark_branches():
     suite = corollary_suite()
     branches = suite.cases[6:]
-    assert [c.key for c in branches] == ["branch=%d" % b for b in range(12)]
+    assert [c["key"] for c in branches] == ["branch=%d" % b for b in range(12)]
     for b, case in enumerate(branches):
-        assert case.passed
-        assert case.info == {"phase_exponent": 10, "angle_over_pi": str(Fraction(-1, 3) + 2 * b)}
+        assert case["pass"] is True
+        assert case["info"] == {"phase_exponent": 10, "angle_over_pi": str(Fraction(-1, 3) + 2 * b)}
     assert suite.suite == "corollary"
     assert suite.passed
     assert len(suite.cases) == 18
@@ -165,10 +164,10 @@ def test_a_unit_u_phase_fails_every_branch(monkeypatch):
     uline = compose(invert(pcrc.build_cov()), build_covbgp()).line("u")
     assert uline.phase == ONE
     branches = corollary_suite().cases[6:]
-    assert [c.key for c in branches] == ["branch=%d" % b for b in range(12)]
+    assert [c["key"] for c in branches] == ["branch=%d" % b for b in range(12)]
     for b, case in enumerate(branches):
-        assert not case.passed
-        assert case.info == {"phase_exponent": 0, "angle_over_pi": str(2 * b),
+        assert case["pass"] is False
+        assert case["info"] == {"phase_exponent": 0, "angle_over_pi": str(2 * b),
                              "got": repr(uline),
                              "want": "an AngleLine of phase zeta^10 on branch 0"}
 
@@ -207,8 +206,9 @@ def test_a_failing_composition_line_names_both_sides(monkeypatch):
     got = compose(invert(build_cov()), pcrc.build_covbgp()).line("z0")
     want = build_corollary().line("z0")
     assert got != want
-    failing = CaseResult("line z0", False, None, {"got": repr(got), "want": repr(want)})
-    assert corollary_suite().cases == [failing if c.key == "line z0" else c for c in passing]
+    failing = {"key": "line z0", "pass": False, "first_mismatch": None,
+               "info": {"got": repr(got), "want": repr(want)}}
+    assert corollary_suite().cases == [failing if c["key"] == "line z0" else c for c in passing]
 
 
 def test_a_failing_chain_names_both_sides(monkeypatch):
@@ -217,10 +217,10 @@ def test_a_failing_chain_names_both_sides(monkeypatch):
     monkeypatch.setattr(pcrc, "build_corollary", lambda: CovMap(
         printed.source, target, printed.lines))
     (chain, *lines) = corollary_suite().cases[:6]
-    assert chain == CaseResult("chain", False, None, {
+    assert chain == {"key": "chain", "pass": False, "first_mismatch": None, "info": {
         "got": repr((printed.source, printed.target)),
-        "want": repr((printed.source, target))})
-    assert all(c.passed and c.info is None for c in lines) and len(lines) == 5
+        "want": repr((printed.source, target))}}
+    assert all(c["pass"] and "info" not in c for c in lines) and len(lines) == 5
 
 
 @pytest.mark.parametrize("make", [
@@ -251,7 +251,7 @@ def test_compose_requires_chaining():
 def test_bracket_identity_passes():
     report = verify_bracket_identity(5, 8)
     assert report.passed
-    assert [c.key for c in report.cases] == ["d=%d" % d for d in range(1, 6)]
+    assert [c["key"] for c in report.cases] == ["d=%d" % d for d in range(1, 6)]
     assert report.suite == "bracket"
 
 
@@ -395,7 +395,7 @@ def test_failing_bracket_case_names_both_sides(monkeypatch):
     report = verify_bracket_identity(2, 4)
     assert not report.passed
     # (z1, z2, q, u): the d=1 wave starts at (z2 + u)*q/2, the d=2 wave at -q^2/8
-    assert [c.to_json() for c in report.cases] == [
+    assert report.cases == [
         {"key": "d=1", "pass": False, "first_mismatch": [0, 0, 1, 1],
          "info": {"got": "1/2", "want": "-1/2"}},
         {"key": "d=2", "pass": False, "first_mismatch": [0, 0, 2, 0],
@@ -423,11 +423,11 @@ def _carried_bracket_records(qmax, order):
         got, want = carrier * bracket, carrier * wave
         diff = got - want
         if not diff:
-            records.append(CaseResult("d=%d" % d, True).to_json())
+            records.append({"key": "d=%d" % d, "pass": True, "first_mismatch": None})
             continue
         e = min((e for e, _ in diff.terms()), key=lambda e: (sum(e), e))
         info = {"got": str(got.coeff(e)), "want": str(want.coeff(e))}
-        records.append(CaseResult("d=%d" % d, False, list(e), info).to_json())
+        records.append({"key": "d=%d" % d, "pass": False, "first_mismatch": list(e), "info": info})
     return records
 
 
@@ -443,7 +443,7 @@ def test_bracket_records_match_the_carried_four_variable_check(monkeypatch, k):
                 pcrc, name, lambda g, f=f: f(g) + (g**k).scale(Fraction(3, 7)))
     report = verify_bracket_identity(qmax, order)
     assert report.passed == (k is None or k > 2 * order)
-    assert [c.to_json() for c in report.cases] == _carried_bracket_records(qmax, order)
+    assert report.cases == _carried_bracket_records(qmax, order)
 
 
 @pytest.mark.parametrize("broken", [1, 3, 5, 6])
@@ -453,8 +453,8 @@ def test_a_sign_broken_at_one_degree_fails_that_degree_alone(monkeypatch, broken
     sign = pcrc.quantum_sign
     monkeypatch.setattr(pcrc, "quantum_sign", lambda d: -sign(d) if d == broken else sign(d))
     report = verify_bracket_identity(6, 4)
-    assert [c.key for c in report.cases if not c.passed] == ["d=%d" % broken]
-    assert [c.to_json() for c in report.cases] == _carried_bracket_records(6, 4)
+    assert [c["key"] for c in report.cases if not c["pass"]] == ["d=%d" % broken]
+    assert report.cases == _carried_bracket_records(6, 4)
 
 
 def test_bracket_identity_runs_in_one_variable(monkeypatch):
@@ -484,5 +484,5 @@ def test_failing_residual_case_names_both_sides(monkeypatch):
     # so the theta coefficient -1/4 of the left side becomes -1/2
     monkeypatch.setattr(pcrc, "g_series", lambda order: g_series(order).scale(2))
     (case,) = verify_residual_thirdderiv(6).cases
-    assert case.to_json() == {"key": "theta-order=6", "pass": False, "first_mismatch": [1],
+    assert case == {"key": "theta-order=6", "pass": False, "first_mismatch": [1],
                               "info": {"got": "-1/2", "want": "-1/4"}}

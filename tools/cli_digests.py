@@ -28,8 +28,6 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-SUITES = ("degree0", "resummation", "assembly", "bracket", "residual", "corollary")
-
 #: config file name -> its text, written into the temporary directory; a name
 #: that is not here is a missing file
 CONFIGS = {
@@ -48,14 +46,15 @@ CONFIGS = {
 def requests(root):
     """The request list: the workloads' rounds of seeds 1-5, a table in both
     formats at every cap the table workload draws from, every degree-0 class
-    triple, an invariant grid, every suite, small tables in both formats, help
-    texts, refusals of bad input, the suites' empty and refused caps, empty
-    and unwritable paths, a config's decimal numbers, and argparse's own
-    refusals."""
+    triple, an invariant grid, every suite that the CLI on `sys.path` names,
+    small tables in both formats, help texts, refusals of bad input, the
+    suites' empty and refused caps, empty and unwritable paths, a config's
+    decimal numbers, and argparse's own refusals."""
     bench = os.path.join(root, "perfbench")
     if bench not in sys.path:
         sys.path.insert(0, bench)
     import workloads
+    from localp12.cli import SUITE_NAMES
 
     out = [argv for name in ("verify", "table", "lookup") for seed in range(1, 6)
            for argv in workloads.WORKLOADS[name](seed)]
@@ -68,7 +67,7 @@ def requests(root):
             for c in itertools.product("1HS", repeat=3)]
     out += [["invariants", "--d", str(d), "--n1", str(n1), "--n2", str(n2)]
             for d in range(1, 9) for n1 in range(4) for n2 in range(7)]
-    out += [["verify", "--suite", s] for s in SUITES + ("all",)]
+    out += [["verify", "--suite", s] for s in SUITE_NAMES + ("all",)]
     for fmt, q, z in itertools.product(("json", "csv"), range(4), range(7)):
         caps = ["--qmax", str(q), "--zorder", str(z), "--format", fmt]
         out.append(["potential"] + caps)
