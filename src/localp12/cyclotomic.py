@@ -19,13 +19,14 @@ gcd(n0, n1, n2, n3, d) = 1, with zero stored as (0, 0, 0, 0) / 1: the
 layout FLINT uses for fmpq_poly.  Every operation returns that reduced
 representative, so field equality is plain equality of representatives,
 and the field arithmetic is integer products plus one gcd per result.
-An int or Fraction operand of `*` or `/` takes the scaling route,
-`Cyclo._scaled`: four numerator products and one denominator product, with
-no field product and no inverse.  A sum or product of two rational elements
-takes the rational route, `_rational`: one numerator, one denominator and
-one gcd of the two.  `coords` gives the four coordinates as reduced
-Fractions; the constructor takes ints and Fractions and raises TypeError
-for anything else, a float included.
+An int or Fraction operand of `*` or `/`, and a rational `Cyclo` times an
+irrational one, take the scaling route, `Cyclo._scaled`: four numerator
+products and one denominator product, with no field product and no
+inverse.  A sum or product of two rational elements takes the rational
+route, `_rational`: one numerator, one denominator and one gcd of the two.
+`coords` gives the four coordinates as reduced Fractions; the constructor
+takes ints and Fractions and raises TypeError for anything else, a float
+included.
 
 The module also holds the package's shared routines: `repeated_squaring`;
 `_accumulate`, which adds a dict of nonzero terms into another (the sums of
@@ -127,8 +128,12 @@ class Cyclo:
             return NotImplemented
         a0, a1, a2, a3 = self._n
         b0, b1, b2, b3 = other._n
-        if not (a1 or a2 or a3 or b1 or b2 or b3):
-            return _rational(a0 * b0, self._d * other._d)
+        if not (b1 or b2 or b3):
+            if not (a1 or a2 or a3):
+                return _rational(a0 * b0, self._d * other._d)
+            return self._scaled(b0, other._d)
+        if not (a1 or a2 or a3):
+            return other._scaled(a0, self._d)
         # the zeta^4, zeta^5 and zeta^6 coefficients of the product, folded
         # by zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 - zeta, zeta^6 = -1
         r4 = a1 * b3 + a2 * b2 + a3 * b1

@@ -1,11 +1,13 @@
 """Fixed-locus data behind the local invariants of local P(1,2).
 
 Degree zero is a sum over the two torus-fixed points of the base orbifold,
-plus a twisted-sector evaluation for pairs of stacky insertions.  Positive
-degree localizes on a single family of fixed maps: degree-d covers of the
-fiber line totally ramified over both torus-fixed points.  An auxiliary
-one-parameter scaling with weight s acts on that family; every contribution
-is a monomial in s, and the total must cancel to an honest number.
+plus a twisted-sector evaluation for pairs of stacky insertions.  The two
+fixed-point terms are put over one denominator, so each value costs one
+`RatFun` canonicalization.  Positive degree localizes on a single family of
+fixed maps: degree-d covers of the fiber line totally ramified over both
+torus-fixed points.  An auxiliary one-parameter scaling with weight s acts
+on that family; every contribution is a monomial in s, and the total must
+cancel to an honest number.
 
 Odd-degree assembly multiplies four ingredients:
 
@@ -20,7 +22,8 @@ Odd-degree assembly multiplies four ingredients:
 
 The edge factor does not depend on g and is made once per degree.  Every
 factor is a rational times an integer power of s, so an `SMonomial`'s
-exponent is an int.
+exponent is an int, and the total's coefficient is one Fraction of the
+five factors' numerator and denominator products.
 
 Even degrees have the same closed form, proved here by resummation rather
 than assembly: the literal even-degree fixed-locus product carries a net
@@ -30,14 +33,16 @@ therefore extracts the invariant from the resummed generating function,
 and `local_invariant` provides the direct formula both parities share.
 `resummed` builds that generating function for both parities, a sine at
 odd d and a cosine at even d, as a dilation of one Taylor wave per parity,
-sin(z2/2) or cos(z2/2) made once per order; the `resummation` suite reads
-every genus of a degree from one such series.
+sin(z2/2) or cos(z2/2) made once per order, each dilated coefficient one
+Fraction; the `resummation` suite reads every genus of a degree from one
+such series.
 """
 
 import functools
 import math
 from fractions import Fraction
 
+from .cyclotomic import repeated_squaring
 from .mpseries import Series, VarSet, cos, sin
 from .ratfun import P_ONE, P_T1, P_T2, RF_ONE, RF_T1, RF_T2, RF_ZERO, RatFun, rf
 from .reports import FrozenRecord, SuiteReport, case
@@ -56,15 +61,6 @@ class SMonomial(FrozenRecord):
     has an int exponent."""
 
     __slots__ = ("coeff", "s_exp")
-
-    def __mul__(self, other):
-        return SMonomial(self.coeff * other.coeff, self.s_exp + other.s_exp)
-
-    def __truediv__(self, other):
-        return SMonomial(self.coeff / other.coeff, self.s_exp - other.s_exp)
-
-    def scaled(self, c):
-        return SMonomial(self.coeff * Fraction(c), self.s_exp)
 
     @property
     def is_constant(self):
@@ -146,8 +142,9 @@ def node_coefficient(d, k, stacky):
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    base = Fraction(d) ** k
-    return SMonomial(-2 * base if stacky else -base, -k)
+    sign = -2 if stacky else -1
+    coeff = Fraction(sign * d**k) if k >= 0 else Fraction(sign, d**-k)
+    return SMonomial(coeff, -k)
 
 
 #: integral of psi^(2g-1) over the space of genus-g hyperelliptic covers
@@ -165,8 +162,13 @@ class OddAssembly(FrozenRecord):
 
     @property
     def total(self):
-        return (self.edge * self.vertex * self.node).scaled(
-            self.automorphisms * self.cover_integral
+        """The product of the five factors, its coefficient one Fraction."""
+        factors = (self.edge.coeff, self.vertex.coeff, self.node.coeff, self.automorphisms,
+                   self.cover_integral)
+        return SMonomial(
+            Fraction(math.prod(f.numerator for f in factors),
+                     math.prod(f.denominator for f in factors)),
+            self.edge.s_exp + self.vertex.s_exp + self.node.s_exp,
         )
 
     @property
@@ -324,8 +326,9 @@ def resummed(d, order):
     if d < 1:
         raise ValueError("degree must be positive, got %r" % (d,))
     wave = _wave(d % 2 == 1, order)
-    scale = Fraction(2 * quantum_sign(d), d**3)
-    return Series._of(wave.vs, {(n,): c * scale * d**n for (n,), c in wave.terms()})
+    sign, cube = 2 * quantum_sign(d), d**3
+    return Series._of(wave.vs, {(n,): Fraction(c.numerator * sign * d**n, c.denominator * cube)
+                                for (n,), c in wave.terms()})
 
 
 def assemble_even(d, g):
@@ -393,7 +396,10 @@ def degree0_fixed_point_sum(classes, weights=None):
     Classes are named "1", "H" (degree two) and "S" (the twisted-sector
     unit).  Stacky insertions pair off through the twisted sector; an odd
     number of them is rejected since those invariants vanish for parity
-    reasons and are handled upstream.
+    reasons and are handled upstream.  Otherwise the two fixed-point terms
+    point^h auto / (fiber base), h the number of H insertions, are written
+    from the weights' numerators and denominators over one common
+    denominator, and that one fraction is the only one canonicalized.
     """
     classes = degree0_classes(classes)
     w = weights or TORUS_WEIGHTS
@@ -407,13 +413,18 @@ def degree0_fixed_point_sum(classes, weights=None):
         restriction = RF_ONE if rest == "1" else w.point_twisted
         return restriction * w.auto_twisted
 
-    out = RF_ZERO
+    h = classes.count("H")
+    terms = []
     for point, fiber, base, auto in (
         (w.point_0, w.fiber_0, w.base_0, w.auto_0),
         (w.point_inf, w.fiber_inf, w.base_inf, w.auto_inf),
     ):
-        out = out + point ** classes.count("H") * auto / (fiber * base)
-    return out
+        # point^h auto / (fiber base) as a numerator over a denominator
+        num = repeated_squaring(point.num, h, P_ONE) * fiber.den * base.den
+        den = repeated_squaring(point.den, h, P_ONE) * fiber.num * base.num
+        terms.append((num.scale(auto), den))
+    (n0, d0), (n1, d1) = terms
+    return RatFun(n0 * d1 + n1 * d0, d0 * d1)
 
 
 # --------------------------------------------------------------------------
@@ -442,6 +453,8 @@ def degree0_suite():
 #: the (d, g) cases the resummation and assembly suites walk, odd then even
 _ODD_GRID = [(d, g) for d in range(1, 10, 2) for g in range(0, 5)]
 _EVEN_GRID = [(d, g) for d in range(2, 9, 2) for g in range(-1, 5)]
+#: the net s-exponent of every even-degree literal product
+_EVEN_IMBALANCE = Fraction(-1, 2)
 
 
 def _per_degree(grid, shift):
@@ -485,7 +498,7 @@ def assembly_suite():
     for d, g in _EVEN_GRID:
         report = even_literal_assembly(d, g)
         expected_imbalance = (
-            report.s_exponent == Fraction(-1, 2) and not report.matches
+            report.s_exponent == _EVEN_IMBALANCE and not report.matches
         )
         info = {
             "rational": str(report.rational),
@@ -498,6 +511,6 @@ def assembly_suite():
         # what is compared is the net s-exponent, which must stay -1/2
         cases.append(
             case("even-literal d=%d g=%d" % (d, g), expected_imbalance, info,
-                 report.s_exponent, Fraction(-1, 2), (2 * g + 2,))
+                 report.s_exponent, _EVEN_IMBALANCE, (2 * g + 2,))
         )
     return SuiteReport("assembly", cases)

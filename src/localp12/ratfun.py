@@ -16,7 +16,8 @@ That contract makes the gcd univariate. A homogeneous polynomial of degree
 k is t2^k F(s) with s = t1/t2, and every divisor of a homogeneous q is
 homogeneous, so gcd(p, q) is the monic Euclid in K[s] of q and each
 homogeneous component of p, times the least power of t2 they share.
-A sum with a zero summand is the other summand, with no gcd.
+A sum with a zero summand is the other summand, and a zero numerator over
+any valid denominator is 0/1, each with no gcd.
 """
 
 import operator
@@ -267,6 +268,10 @@ class RatFun:
         num = _as_poly(num)
         den = P_ONE if den is None else _as_poly(den)
         if den.is_one():
+            self._n, self._d = num, P_ONE
+            return
+        if not num:
+            _homogeneous(den)  # refuses a zero or non-homogeneous den
             self._n, self._d = num, P_ONE
             return
         g = poly_gcd(num, den)  # refuses a zero or non-homogeneous den

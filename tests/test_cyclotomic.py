@@ -141,6 +141,44 @@ def test_a_rational_with_an_irrational_gives_the_field_result():
                 _same(got, total)
 
 
+def _field_product(x, y):
+    """x * y by the full multiply on the basis: 16 products and one gcd."""
+    a0, a1, a2, a3 = x._n
+    b0, b1, b2, b3 = y._n
+    r4 = a1 * b3 + a2 * b2 + a3 * b1
+    r5 = a2 * b3 + a3 * b2
+    r6 = a3 * b3
+    return cy._reduced(a0 * b0 - r4 - r6, a0 * b1 + a1 * b0 - r5,
+                       a0 * b2 + a1 * b1 + a2 * b0 + r4,
+                       a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + r5, x._d * y._d)
+
+
+def test_one_rational_operand_scales_the_other_to_the_field_product(monkeypatch):
+    # a rational Cyclo times an irrational one, in either order, is the other
+    # operand scaled: the reduced representative of the 16-product multiply
+    rng = random.Random(64)
+    rationals = _RATIONALS + [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                              for _ in range(20)]
+    irrational = [cy.I, cy.SQRT3, Cyclo(Fraction(1, _BIG), 3, 0, Fraction(-2, 7))]
+    irrational += [x for x in (rand_cyclo(rng) for _ in range(30)) if not x.is_rational()]
+    scaled = []
+    step = Cyclo._scaled
+    monkeypatch.setattr(Cyclo, "_scaled", lambda x, n, d: scaled.append(x) or step(x, n, d))
+    for a in rationals:
+        r = Cyclo(a)
+        for x in irrational:
+            want = _field_product(r, x)
+            for got in (r * x, x * r):
+                _same(got, want)
+                assert got == want and hash(got) == hash(want)
+                n, d = got._n, got._d
+                assert d > 0 and math.gcd(*n, d) == 1
+                if not a:
+                    assert (n, d) == ((0, 0, 0, 0), 1) and hash(got) == hash(0)
+            assert len(scaled) == 2 and all(y is x for y in scaled)
+            scaled.clear()
+
+
 def test_constructor_takes_only_ints_and_fractions():
     for bad in (0.1, 1.0, "1/3", 1j, None):
         with pytest.raises(TypeError):

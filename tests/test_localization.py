@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from localp12.cyclotomic import I
 from localp12.localization import (
     COVER_INTEGRAL,
     TORUS_WEIGHTS,
@@ -16,6 +17,7 @@ from localp12.localization import (
     assemble_even,
     assemble_odd,
     assembly_suite,
+    degree0_classes,
     degree0_fixed_point_sum,
     degree0_suite,
     even_literal_assembly,
@@ -30,7 +32,39 @@ from localp12.localization import (
 )
 from localp12.localization import _EVEN_GRID, _ODD_GRID, _odd_edge, _per_degree, _wave
 from localp12.mpseries import Series, VarSet, cos, sin
-from localp12.ratfun import P_ONE, P_T1, P_T2, RF_T1, RF_T2, RF_ZERO, RatFun, rf
+from localp12.ratfun import P_ONE, P_T1, P_T2, RF_ONE, RF_T1, RF_T2, RF_ZERO, RatFun, rf
+
+#: the ten multisets of three insertion classes, the four with one S included
+_CLASS_MULTISETS = list(itertools.combinations_with_replacement("1HS", 3))
+
+
+def _two_summand_degree0(classes, w):
+    """The degree-0 sum as once written: each fixed-point term made by
+    canonicalizing `RatFun` arithmetic, then the two terms added."""
+    classes = degree0_classes(classes)
+    stacky = classes.count("S")
+    if stacky % 2:
+        raise ValueError("odd stacky insertion counts vanish; not summed here")
+    if stacky == 2:
+        rest = [c for c in classes if c != "S"][0]
+        return (RF_ONE if rest == "1" else w.point_twisted) * w.auto_twisted
+    out = RF_ZERO
+    for point, fiber, base, auto in ((w.point_0, w.fiber_0, w.base_0, w.auto_0),
+                                     (w.point_inf, w.fiber_inf, w.base_inf, w.auto_inf)):
+        out = out + point ** classes.count("H") * auto / (fiber * base)
+    return out
+
+
+def _assert_degree0_is_the_two_summand_sum(weights):
+    for classes in _CLASS_MULTISETS:
+        if classes.count("S") % 2:
+            for route in (degree0_fixed_point_sum, _two_summand_degree0):
+                with pytest.raises(ValueError, match="^odd stacky insertion counts vanish"):
+                    route(classes, weights)
+            continue
+        got, want = degree0_fixed_point_sum(classes, weights), _two_summand_degree0(classes, weights)
+        assert got == want, classes
+        assert (got.num, got.den) == (want.num, want.den) and hash(got) == hash(want)
 
 
 def test_degree0_values():
@@ -94,6 +128,7 @@ def test_degree0_sum_at_random_weights_matches_the_unsummed_formula():
             value = {name: a * t1 + b * t2 for name, (a, b) in forms.items()}
             if all(value.values()):
                 points.append((t1, t2, value))
+        _assert_degree0_is_the_two_summand_sum(weights)
         for classes in classes_list:
             got = degree0_fixed_point_sum(classes, weights=weights)
             for t1, t2, value in points:
@@ -106,6 +141,34 @@ def test_degree0_sum_at_random_weights_matches_the_unsummed_formula():
                         / (value["fiber_" + end] * value["base_" + end])
                         for end in ("0", "inf"))
                 assert got.eval(t1, t2) == want, (draw, classes, t1, t2)
+
+
+def _with(weights, **fields):
+    """A copy of weights with the given fields replaced."""
+    return TorusWeights(**dict({name: getattr(weights, name) for name in weights.__slots__},
+                               **fields))
+
+
+#: the package's weights; fix (a) of the degree-0 sign, both point
+#: restrictions negated; and weights of every kind with non-unit denominators
+_DEGREE0_WEIGHTS = {
+    "torus": TORUS_WEIGHTS,
+    "fix-a": _with(TORUS_WEIGHTS, point_0=-TORUS_WEIGHTS.point_0,
+                   point_inf=-TORUS_WEIGHTS.point_inf),
+    "fractional": _with(TORUS_WEIGHTS, point_0=TORUS_WEIGHTS.point_0 / (RF_T1 + RF_T2),
+                        point_inf=TORUS_WEIGHTS.point_inf * I / RF_T1,
+                        fiber_0=TORUS_WEIGHTS.fiber_0 / (RF_T1 - RF_T2 * 3),
+                        base_inf=TORUS_WEIGHTS.base_inf * RF_T2 / (RF_T1 * RF_T1 + RF_T2 * RF_T2),
+                        auto_0=Fraction(-5, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGREE0_WEIGHTS))
+def test_degree0_sum_over_one_denominator_is_the_two_summand_sum(name):
+    weights = _DEGREE0_WEIGHTS[name]
+    _assert_degree0_is_the_two_summand_sum(weights)
+    if name == "fractional":
+        assert not weights.point_0.den.is_one() and not weights.fiber_0.den.is_one()
 
 
 def test_degree0_validation():
@@ -169,6 +232,43 @@ def test_node_smoothing_coefficients():
         node_coefficient(0, 1, stacky=True)
 
 
+# The arithmetic of s-monomials, kept here as the oracle of the assembly's
+# integer products.
+
+
+def _times(a, b):
+    return SMonomial(a.coeff * b.coeff, a.s_exp + b.s_exp)
+
+
+def _over(a, b):
+    return SMonomial(a.coeff / b.coeff, a.s_exp - b.s_exp)
+
+
+def _scaled(a, c):
+    return SMonomial(a.coeff * Fraction(c), a.s_exp)
+
+
+def test_node_coefficient_is_a_signed_power_of_d():
+    for d in range(1, 8):
+        for k in range(-3, 4):
+            base = Fraction(d) ** k
+            for stacky, want in ((True, -2 * base), (False, -base)):
+                got = node_coefficient(d, k, stacky)
+                assert got == SMonomial(want, -k)
+                assert type(got.coeff) is Fraction and type(got.s_exp) is int
+
+
+@pytest.mark.parametrize("grid", [_ODD_GRID, [(d, g) for d in range(1, 16, 2) for g in range(7)]],
+                         ids=["suite", "wide"])
+def test_odd_total_is_the_product_of_its_factors(grid):
+    for d, g in grid:
+        a = odd_assembly(d, g)
+        want = _scaled(_times(_times(a.edge, a.vertex), a.node),
+                       a.automorphisms * a.cover_integral)
+        assert a.total == want
+        assert type(a.total.coeff) is Fraction and type(a.total.s_exp) is int
+
+
 def test_odd_assembly_oracles():
     assert assemble_odd(1, 0) == 1
     assert assemble_odd(3, 0) == Fraction(-1, 9)
@@ -203,9 +303,9 @@ def test_edge_from_integer_products_equals_the_factor_by_factor_product():
         half, one, tangent = odd_weight_families(d)
         edge = SMonomial(Fraction(1), Fraction(0))
         for w in half + one:
-            edge = edge * one_s.scaled(w)
+            edge = _times(edge, _scaled(one_s, w))
         for w in tangent:
-            edge = edge / one_s.scaled(w)
+            edge = _over(edge, _scaled(one_s, w))
         assert _odd_edge(d) == edge
         assert odd_assembly(d, 2).edge == edge
 
@@ -308,6 +408,21 @@ def _direct_resummed(d, order):
     return (sin if d % 2 else cos)(arg).scale(Fraction(2 * quantum_sign(d), d**3))
 
 
+def _two_multiply_resummed(d, order):
+    """The wave dilated by two Fraction multiplies per coefficient."""
+    wave = _wave(d % 2 == 1, order)
+    scale = Fraction(2 * quantum_sign(d), d**3)
+    return Series._of(wave.vs, {(n,): c * scale * d**n for (n,), c in wave.terms()})
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_resummed_is_the_two_multiply_dilation(d):
+    for order in range(15):
+        got, want = resummed(d, order), _two_multiply_resummed(d, order)
+        assert got == want
+        assert [type(c) for _, c in got.terms()] == [type(c) for _, c in want.terms()]
+
+
 @pytest.mark.parametrize("d", range(1, 13))
 def test_resummed_is_the_direct_build(d):
     for order in range(15):
@@ -386,9 +501,9 @@ def test_even_literal_bookkeeping():
 def test_smonomial_arithmetic():
     a = SMonomial(Fraction(3), Fraction(1, 2))
     b = SMonomial(Fraction(2), Fraction(-1, 2))
-    assert a * b == SMonomial(Fraction(6), Fraction(0))
-    assert (a * b).value() == 6
-    assert (a / b).s_exp == 1
+    assert _times(a, b) == SMonomial(Fraction(6), Fraction(0))
+    assert _times(a, b).value() == 6
+    assert _over(a, b).s_exp == 1
     with pytest.raises(AssemblyInconsistencyError):
         a.value()
 

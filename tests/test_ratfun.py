@@ -224,6 +224,34 @@ def test_a_zero_summand_returns_the_other_operand(monkeypatch):
         assert got.num == -P_T1 and got.den == P_ONE
 
 
+def test_a_zero_numerator_is_the_canonical_zero_with_no_gcd(monkeypatch):
+    # a zero or non-homogeneous denominator is refused as it is under any
+    # other numerator
+    bad = (P_ZERO, P_ONE + P_T1, P_T2 * P_T2 + P_T1)
+    refusals = []
+    for den in bad:
+        with pytest.raises((ZeroDivisionError, ValueError)) as err:
+            RatFun(P_T1, den)
+        refusals.append((err.type, str(err.value)))
+    assert [kind for kind, _ in refusals] == [ZeroDivisionError, ValueError, ValueError]
+
+    def refuse(*args):
+        raise AssertionError("a zero numerator made a gcd or a division")
+
+    monkeypatch.setattr(ratfun, "poly_gcd", refuse)
+    monkeypatch.setattr(ratfun, "poly_divexact", refuse)
+    for den, (kind, message) in zip(bad, refusals):
+        with pytest.raises(kind) as err:
+            RatFun(P_ZERO, den)
+        assert str(err.value) == message
+    for den in (P_ONE, P_T1, P_T2.scale(3), P_T1 * P_T2 - P_T2 * P_T2, (P_T1 - P_T2).scale(I)):
+        for num in (P_ZERO, Poly2(), 0, Fraction(0), Cyclo()):
+            r = RatFun(num, den)
+            assert r.num == P_ZERO and r.den == P_ONE
+            assert r == RF_ZERO and not r and str(r) == "0"
+            assert hash(r) == hash(RF_ZERO) == hash(0)
+
+
 def test_a_sum_to_zero_is_the_canonical_zero():
     rng = random.Random(31)
     for r in [rand_ratfun(rng) for _ in range(30)] + [RF_T1 * I, RatFun(P_ONE, P_T1 - P_T2)]:

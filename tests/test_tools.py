@@ -9,16 +9,15 @@ from localp12 import cli
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _digest_tool():
-    spec = importlib.util.spec_from_file_location(
-        "cli_digests", os.path.join(ROOT, "tools", "cli_digests.py"))
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", name + ".py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
 
 
 def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
-    tool = _digest_tool()
+    tool = _tool("cli_digests")
     argvs = tool.requests(ROOT)
     workloads = importlib.import_module("workloads")  # on sys.path once requests has run
     assert {a[0] for a in argvs if a and a[0] != "--help"} == set(cli._COMMANDS)
@@ -53,7 +52,7 @@ def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
 
 
 def test_cli_digests_record_an_escaped_exception_and_go_on(monkeypatch):
-    tool = _digest_tool()
+    tool = _tool("cli_digests")
     main = cli.main
 
     def flaky(argv):
@@ -87,3 +86,9 @@ def test_the_tracer_counts_a_suite_the_cli_imported_before_it_was_installed():
     exit_code, table = json.loads(done.stdout)
     assert exit_code == 0
     assert table["pcrc.corollary.calls"] == 1 and table["cli.main.calls"] == 1
+
+
+def test_verify_layers_times_each_suite_the_writer_and_the_parser():
+    times = _tool("verify_layers").layer_times(repeat=1, number=1)
+    assert set(times) == set(cli.SUITE_NAMES) | {"report_json", "parser"}
+    assert all(type(t) is float for t in times.values())
