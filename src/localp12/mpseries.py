@@ -17,16 +17,14 @@ zeros, are wrapped by the internal `Series._of` without a second check.
 
 Sums, substitution and the Taylor sums of exp, sin, cos and tan add their
 terms into one dict through `cyclotomic._accumulate`, as `Poly2` sums do; a
-product keeps its own inline loop.  `inverse` is no Taylor sum but the
-graded recurrence of f * g = 1, one product per pair of a result term and a
-term of f.
+Taylor sum of a one-term argument runs as a scalar recurrence, and a product
+keeps its own inline loop.  `inverse` is no Taylor sum but the graded
+recurrence of f * g = 1, one product per pair of a result term and a term of f.
 
 Caps are per variable rather than total degree: the curve-degree variable
 q wants its own bound independent of the analytic orders in the z and u
-directions.
-
-Derivatives lower the differentiated variable's cap by one and integrals
-raise it, which keeps the exactness guarantee honest in both directions.
+directions.  A derivative lowers the differentiated variable's cap by one,
+which keeps the exactness guarantee honest.
 """
 
 import operator
@@ -214,16 +212,6 @@ class Series:
                 out[e2] = c * exp[i]
         return Series._of(vs2, out)
 
-    def integrate(self, name):
-        """Antiderivative in name with zero constant of integration."""
-        i = self.vs.index(name)
-        vs2 = self.vs.with_cap(name, self.vs.caps[i] + 1)
-        out = {}
-        for exp, c in self._t.items():
-            e2 = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
-            out[e2] = c * Fraction(1, exp[i] + 1)
-        return Series._of(vs2, out)
-
     # -- structure maps -------------------------------------------------------
 
     def substitute(self, images, target):
@@ -339,8 +327,18 @@ def _require_no_constant(f, what):
 def _taylor(out, term, step, ratio):
     """out + term * step * ratio(1) + term * step^2 * ratio(1) * ratio(2) + ...,
     until the caps kill a term: the k-th added term is the one before it
-    times step, scaled by ratio(k)."""
+    times step, scaled by ratio(k).  A one-term term c x^e and step a x^s take
+    the same products as c <- c * a * ratio(k) at e <- e + s, and no series."""
     total = dict(out._t)
+    if len(term._t) == len(step._t) == 1:
+        ((e, c),), ((s, a),) = term._t.items(), step._t.items()
+        caps, terms, k = out.vs.caps, {}, 0
+        while True:
+            e, k = tuple(map(add, e, s)), k + 1
+            if not all(map(le, e, caps)):
+                _accumulate(total, terms)
+                return Series._of(out.vs, total)
+            c = terms[e] = c * a * ratio(k)
     k = 0
     while True:
         k += 1

@@ -16,16 +16,16 @@ e^{-i pi/3}) for every b.
 
 `verify_bracket_identity` and `verify_residual_thirdderiv` check the two
 series identities that drive the specialization argument.  Both run in the
-one angle theta = z2 + u.  The residual identity reads G''' off the
-potential's own degree-zero tail, `potentials.g_series`, against an
-independent exp/inverse right side.  The bracket identity is stated on
-(z1, z2, q, u) with the carrier (q e^{z1})^d / d^3, but the carrier's z1^0 q^d coefficient
-is nonzero and z2^a u^b picks up C(a+b, a) times the theta^{a+b}
-coefficient, so checking bracket - wave to theta-degree 2 * order is the
-same check.  The corollary suite makes one composition, the first map
-inverted on branch 0 and chained with the second, checks it against the
-third entry by entry in the coefficient field, and reads the twelve branch
-cases off its u-line.
+one angle theta = z2 + u and decide each case by one exact `==`.  The
+residual identity reads G''' off the potential's own degree-zero tail,
+`potentials.g_series`, against an independent exp right side.  The bracket
+identity is stated on (z1, z2, q, u) with the carrier (q e^{z1})^d / d^3,
+but the carrier's z1^0 q^d coefficient is nonzero and z2^a u^b picks up
+C(a+b, a) times the theta^{a+b} coefficient, so checking bracket - wave to
+theta-degree 2 * order is the same check.  The corollary suite makes one
+composition, the first map inverted on branch 0 and chained with the
+second, checks it against the third entry by entry in the coefficient
+field, and reads the twelve branch cases off its u-line.
 """
 
 from fractions import Fraction
@@ -347,16 +347,16 @@ def verify_bracket_identity(qmax, order):
     and cos(theta/2), which multiply the theta^k coefficient by d^k.
     e^{-i theta/2} is `_conjugate` of e^{i theta/2}, as theta has a rational
     coefficient and conjugation is a field automorphism.  The bracket
-    depends on d only through i^d and (-1)^d, so one undilated difference
-    serves every d with the same d mod 4 and sign(d).  Dilation by d != 0
-    keeps zero and the lowest exponent, so that difference is what is
-    tested.  The wave keeps its own sin/cos Taylor route, so the two sides
-    stay independent.
+    depends on d only through i^d and (-1)^d, so one undilated pair, a
+    parity base e^{-i theta/2} +- e^{i theta/2} times i^d/2 and the signed
+    wave, serves every d with the same d mod 4 and sign(d): dilation by
+    d != 0 keeps equality and the lowest exponent of D.  The wave keeps its
+    own sin/cos Taylor route, so the two sides stay independent.
 
-    A failing case still reports the carried, four-variable record: with k
-    the lowest theta-degree of D and a = max(0, k - order), the first
-    exponent is (0, a, d, k - a) and both sides there are C(k, a) d^k/d^3
-    times their undilated theta^k coefficients.
+    Only a failing pair builds D: with k its lowest theta-degree and
+    a = max(0, k - order), the carried record's first exponent is
+    (0, a, d, k - a) and both sides there are C(k, a) d^k/d^3 times their
+    undilated theta^k coefficients.
     """
     if not qmax:
         return SuiteReport("bracket", [])
@@ -364,6 +364,7 @@ def verify_bracket_identity(qmax, order):
     half = Series.variable(vs, "theta").scale(Fraction(1, 2))
     plus = exp(half.scale(I))
     minus = _conjugate(plus)
+    bases = (minus + plus, minus + -plus)
     waves = (cos(half), sin(half))
     sides = {}
     cases = []
@@ -371,14 +372,14 @@ def verify_bracket_identity(qmax, order):
         key = "d=%d" % d
         sign = quantum_sign(d)
         if (d % 4, sign) not in sides:
-            bracket = (minus + plus.scale((-1) ** d)).scale(I**d * Fraction(1, 2))
+            bracket = bases[d % 2].scale(I**d * Fraction(1, 2))
             wave = waves[d % 2].scale(sign)
-            sides[d % 4, sign] = (bracket, wave, bracket - wave)
-        bracket, wave, diff = sides[d % 4, sign]
-        if not diff:
+            sides[d % 4, sign] = (bracket, wave, bracket == wave)
+        bracket, wave, same = sides[d % 4, sign]
+        if same:
             cases.append(case(key, True))
             continue
-        k = min(e for (e,), _ in diff.terms())
+        k = min(e for (e,), _ in (bracket - wave).terms())
         a = max(0, k - order)
         carry = Fraction(comb(k, a) * d**k, d**3)
         cases.append(case(key, False, None, bracket.coeff((k,)) * carry,
@@ -393,18 +394,19 @@ def verify_residual_thirdderiv(order):
     derivatives, which is why no analytic continuation is needed at the
     derivative level; theta stands for z2 + u.  G is the potential's own
     `g_series(order + 3)`, written in z2, so both sides run in z2 to
-    z2^order; the right side keeps its own `exp`/`inverse` route.
+    z2^order.  With e = e^{i theta}, 1 + e is a unit (constant term 2), so
+    lhs * (1 + e) == i e decides; only a failing case inverts 1 + e to report.
     """
     third = g_series(order + 3).differentiate("z2").differentiate("z2").differentiate("z2")
     vs = third.vs
     lhs = Series.constant(vs, I * Fraction(1, 2)) - third
     e = exp(Series.variable(vs, "z2").scale(I))
-    rhs = (e * inverse(Series.constant(vs, 1) + e)).scale(I)
+    unit = Series.constant(vs, 1) + e
     key = "theta-order=%d" % order
-    diff = lhs - rhs
-    if not diff:
+    if lhs * unit == e.scale(I):
         return SuiteReport("residual", [case(key, True)])
-    first = min(x for x, _ in diff.terms())
+    rhs = (e * inverse(unit)).scale(I)
+    first = min(x for x, _ in (lhs - rhs).terms())
     return SuiteReport("residual", [case(key, False, None, lhs.coeff(first), rhs.coeff(first),
                                          first)])
 

@@ -202,7 +202,7 @@ def _homogenize(k, f):
 def _u_divmod(f, g):
     r = list(f)
     q = [C_ZERO] * max(len(f) - len(g) + 1, 0)
-    ilc = g[-1].inv()
+    ilc = g[-1] if g[-1] == C_ONE else g[-1].inv()
     while len(r) >= len(g):
         c = r[-1] * ilc
         k = len(r) - len(g)
@@ -217,7 +217,7 @@ def _u_divmod(f, g):
 def _u_gcd(f, g):
     while g:
         f, g = g, _u_divmod(f, g)[1]
-    if f:
+    if f and f[-1] != C_ONE:
         ilc = f[-1].inv()
         f = [c * ilc for c in f]
     return f

@@ -684,12 +684,15 @@ def test_table_makes_a_fixed_number_of_ratfun_operations(monkeypatch, capsys, sm
         assert 0 < 5 * seen[2] < len(_record(big).tail.terms())
 
 
-#: Cyclo inverses in one `verify` at default caps, cold or warm: 16 in the
-#: one gcd each of the degree-0 sums <1,1,1>, <1,H,H> and <H,H,H> (6, 5 and
-#: 5; <1,1,H> has a zero numerator and takes no gcd), 4 in the gcd of the
-#: suite's frozen target 1/(3 t1 t2), 3 pivots in the one elimination, and
-#: the scalars of `build_cov`'s scalar and exponential lines, i, i and -1
-_VERIFY_CYCLO_INVERSES = 26
+#: Cyclo inverses in one `verify` at default caps, cold or warm, by call
+#: site: 10 in the one canonicalization each of the degree-0 sums <1,1,1>,
+#: <1,H,H> and <H,H,H> (4, 3 and 3: the divisors' leading coefficients in
+#: Euclid, the gcd's normalization and the denominator's leading coefficient;
+#: <1,1,H> has a zero numerator and takes no gcd), 2 in that of the suite's
+#: frozen target 1/(3 t1 t2), 3 pivots in the one elimination, and the
+#: scalars of `build_cov`'s scalar and exponential lines, i, i and -1.  A
+#: leading coefficient that is already 1 is not inverted.
+_VERIFY_CYCLO_INVERSES = 18
 
 
 def test_verify_builds_one_series_per_degree_and_eliminates_once(monkeypatch, capsys):

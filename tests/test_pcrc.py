@@ -27,7 +27,7 @@ from localp12.pcrc import (
     verify_bracket_identity,
     verify_residual_thirdderiv,
 )
-from localp12.localization import resummation_suite, resummed
+from localp12.localization import quantum_sign, resummation_suite, resummed
 from localp12.potentials import extended_potential, g_series
 from localp12.ratfun import RF_ONE, RF_T1, RF_T2, RatFun, rf
 
@@ -347,10 +347,36 @@ def test_bracket_identity_makes_one_exp_per_degree(monkeypatch, qmax, order):
     assert sorted(calls) == (["cos", "exp", "sin"] if qmax else [])
 
 
+@pytest.mark.parametrize("qmax, order", [(1, 1), (4, 3), (9, 10)])
+def test_a_passing_bracket_builds_no_difference(monkeypatch, qmax, order):
+    # each pair of sides is decided by ==; bracket - wave is built for each
+    # failing degree only
+    subs = []
+    sub = Series.__sub__
+    monkeypatch.setattr(Series, "__sub__", lambda f, g: subs.append(1) or sub(f, g))
+    assert verify_bracket_identity(qmax, order).passed
+    assert subs == []
+    monkeypatch.setattr(pcrc, "quantum_sign", lambda d: -quantum_sign(d))
+    assert not any(c["pass"] for c in verify_bracket_identity(qmax, order).cases)
+    assert len(subs) == qmax
+
+
 def test_residual_identity():
     report = verify_residual_thirdderiv(12)
     assert report.passed
     assert report.suite == "residual"
+
+
+@pytest.mark.parametrize("order", [1, 2, 6, 12])
+def test_a_passing_residual_takes_no_inverse(monkeypatch, order):
+    # lhs * (1 + e) == i e decides the case; 1 + e is inverted on failure only
+    calls = []
+    monkeypatch.setattr(pcrc, "inverse", lambda f: calls.append(f) or inverse(f))
+    assert verify_residual_thirdderiv(order).passed
+    assert calls == []
+    monkeypatch.setattr(pcrc, "g_series", lambda order: g_series(order).scale(2))
+    assert not verify_residual_thirdderiv(order).passed
+    assert len(calls) == 1
 
 
 def test_identity_checks_build_no_rational_function(monkeypatch):

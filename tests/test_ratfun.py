@@ -165,6 +165,21 @@ def test_gcd_and_exact_division():
         poly_divexact(P_T1, P_T2)
 
 
+def test_a_leading_one_is_not_inverted(monkeypatch):
+    # a monic divisor and a gcd that Euclid leaves monic keep their leading
+    # 1; any other leading coefficient is inverted once
+    inverted = []
+    inv = Cyclo.inv
+    monkeypatch.setattr(Cyclo, "inv", lambda c: inverted.append(c) or inv(c))
+    g = P_T1 + P_T2.scale(2)
+    assert poly_divexact(g * (P_T1 - P_T2), g) == P_T1 - P_T2
+    assert poly_gcd(g * (P_T1 - P_T2), g) == g
+    assert inverted == []
+    assert poly_divexact((g * P_T1).scale(3), g.scale(3)) == P_T1
+    assert poly_gcd(g.scale(3) * P_T1, g.scale(3) * P_T2) == g
+    assert inverted and all(c != 1 for c in inverted)
+
+
 def test_cyclo_coefficients_survive():
     r = RatFun(Poly2({(1, 0): I}), P_T2)
     assert r.eval(2, 3) == I * Fraction(2, 3)
