@@ -1,13 +1,11 @@
-"""Fixed-locus data behind the local invariants of local P(1,2).
+"""Fixed-locus checks of the closed forms `potentials` writes from.
 
-Degree zero is a sum over the two torus-fixed points of the base orbifold,
-plus a twisted-sector evaluation for pairs of stacky insertions.  The two
-fixed-point terms are put over one denominator, so each value costs one
-`RatFun` canonicalization.  Positive degree localizes on a single family of
-fixed maps: degree-d covers of the fiber line totally ramified over both
-torus-fixed points.  An auxiliary one-parameter scaling with weight s acts
-on that family; every contribution is a monomial in s, and the total must
-cancel to an honest number.
+Everything here serves the `degree0`, `resummation` and `assembly` suites of
+`verify`.  Positive degree localizes on a single family of fixed maps:
+degree-d covers of the fiber line totally ramified over both torus-fixed
+points.  An auxiliary one-parameter scaling with weight s acts on that
+family; every contribution is a monomial in s, and the total must cancel to
+an honest number.
 
 Odd-degree assembly multiplies four ingredients:
 
@@ -30,7 +28,7 @@ than assembly: the literal even-degree fixed-locus product carries a net
 s-exponent of -1/2 and never cancels (see `even_literal_assembly`, which
 records the imbalance exactly instead of hiding it).  `assemble_even`
 therefore extracts the invariant from the resummed generating function,
-and `local_invariant` provides the direct formula both parities share.
+and `potentials.local_invariant` is the direct formula both parities share.
 `resummed` builds that generating function for both parities, a sine at
 odd d and a cosine at even d, as a dilation of one Taylor wave per parity,
 sin(z2/2) or cos(z2/2) made once per order, each dilated coefficient one
@@ -42,9 +40,9 @@ import functools
 import math
 from fractions import Fraction
 
-from .cyclotomic import repeated_squaring
 from .mpseries import Series, VarSet, cos, sin
-from .ratfun import P_ONE, P_T1, P_T2, RF_ONE, RF_T1, RF_T2, RF_ZERO, RatFun, rf
+from .potentials import degree0_fixed_point_sum, local_invariant, quantum_sign
+from .ratfun import P_ONE, P_T1, P_T2, RF_T1, RF_T2, RF_ZERO, RatFun, rf
 from .reports import FrozenRecord, SuiteReport, case
 
 
@@ -197,11 +195,6 @@ def odd_assembly(d, g):
     return OddAssembly(d, g, edge, vertex, node, Fraction(1, d), COVER_INTEGRAL)
 
 
-def assemble_odd(d, g):
-    """The genus-g, degree-d local invariant with 2g+1 stacky insertions."""
-    return odd_assembly(d, g).value
-
-
 # --------------------------------------------------------------------------
 # even-degree literal product
 
@@ -278,36 +271,7 @@ def even_literal_assembly(d, g):
 
 
 # --------------------------------------------------------------------------
-# closed forms and resummation
-
-
-def local_invariant(d, n):
-    """Direct formula for the degree-d invariant with n stacky insertions.
-
-    Requires n >= 0 with n = d (mod 2); in genus terms n = 2g+1 for odd d
-    and n = 2g+2 (g >= -1) for even d.  The value is
-    quantum_sign(d) (-1)^(n//2) 2 d^n / (d^3 2^n).
-    """
-    return Fraction(*invariant_pair(d, n))
-
-
-def invariant_pair(d, n):
-    """`local_invariant(d, n)` as (numerator, denominator) in lowest terms,
-    denominator > 0, made with one gcd and no `Fraction`."""
-    if d < 1:
-        raise ValueError("degree must be positive, got %r" % (d,))
-    if n < 0 or (n - d) % 2:
-        raise ValueError(
-            "insertion count %r has the wrong parity for degree %r" % (n, d)
-        )
-    num, den = quantum_sign(d) * (-1) ** (n // 2) * 2 * d**n, d**3 * 2**n
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
-def quantum_sign(d):
-    """Sign of the degree-d closed-form term: period four in d."""
-    return (-1) ** (d // 2)
+# resummation
 
 
 @functools.cache
@@ -345,86 +309,6 @@ def assemble_even(d, g):
     n = 2 * g + 2
     series = resummed(d, n)
     return math.factorial(n) * series.coeff((n,))
-
-
-# --------------------------------------------------------------------------
-# degree zero
-
-
-class TorusWeights(FrozenRecord):
-    """Restrictions and normal weights at the degree-zero fixed loci.
-
-    `base_*` and `fiber_*` are the tangent and fiber-direction weights at
-    the two fixed points, `point_*` the restrictions of the degree-two
-    class H, and the `auto_*` entries the orbifold automorphism factors.
-    """
-
-    __slots__ = ("base_0", "fiber_0", "auto_0", "base_inf", "fiber_inf", "auto_inf",
-                 "point_0", "point_inf", "point_twisted", "auto_twisted")
-
-
-TORUS_WEIGHTS = TorusWeights(
-    base_0=RF_T2 - RF_T1 * Fraction(1, 2),
-    fiber_0=RF_T1 * Fraction(3, 2),
-    auto_0=Fraction(1, 2),
-    base_inf=RF_T1 - RF_T2 * 2,
-    fiber_inf=RF_T2 * 3,
-    auto_inf=Fraction(1),
-    point_0=RF_T1,
-    point_inf=RF_T2 * 2,
-    point_twisted=-RF_T1,
-    auto_twisted=Fraction(1, 2),
-)
-
-_CLASSES = ("1", "H", "S")
-
-
-def degree0_classes(classes):
-    """classes as a tuple of three names from `_CLASSES`; ValueError otherwise."""
-    classes = tuple(classes)
-    if len(classes) != 3:
-        raise ValueError("expected three insertion classes, got %r" % (classes,))
-    for c in classes:
-        if c not in _CLASSES:
-            raise ValueError("unknown insertion class %r" % (c,))
-    return classes
-
-
-def degree0_fixed_point_sum(classes, weights=None):
-    """Three-point degree-zero invariant of the listed insertion classes.
-
-    Classes are named "1", "H" (degree two) and "S" (the twisted-sector
-    unit).  Stacky insertions pair off through the twisted sector; an odd
-    number of them is rejected since those invariants vanish for parity
-    reasons and are handled upstream.  Otherwise the two fixed-point terms
-    point^h auto / (fiber base), h the number of H insertions, are written
-    from the weights' numerators and denominators over one common
-    denominator, and that one fraction is the only one canonicalized.
-    """
-    classes = degree0_classes(classes)
-    w = weights or TORUS_WEIGHTS
-
-    stacky = classes.count("S")
-    if stacky % 2:
-        raise ValueError("odd stacky insertion counts vanish; not summed here")
-    if stacky == 2:
-        # twisted-sector pairing: restrict the remaining class there
-        rest = [c for c in classes if c != "S"][0]
-        restriction = RF_ONE if rest == "1" else w.point_twisted
-        return restriction * w.auto_twisted
-
-    h = classes.count("H")
-    terms = []
-    for point, fiber, base, auto in (
-        (w.point_0, w.fiber_0, w.base_0, w.auto_0),
-        (w.point_inf, w.fiber_inf, w.base_inf, w.auto_inf),
-    ):
-        # point^h auto / (fiber base) as a numerator over a denominator
-        num = repeated_squaring(point.num, h, P_ONE) * fiber.den * base.den
-        den = repeated_squaring(point.den, h, P_ONE) * fiber.num * base.num
-        terms.append((num.scale(auto), den))
-    (n0, d0), (n1, d1) = terms
-    return RatFun(n0 * d1 + n1 * d0, d0 * d1)
 
 
 # --------------------------------------------------------------------------

@@ -54,9 +54,6 @@ class VarSet:
         except KeyError:
             raise ValueError("unknown variable %r" % (name,)) from None
 
-    def cap(self, name):
-        return self.caps[self.index(name)]
-
     def with_cap(self, name, cap):
         caps = list(self.caps)
         caps[self.index(name)] = cap
@@ -108,10 +105,6 @@ class Series:
         self._t = t
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, vs):
-        return cls(vs)
 
     @classmethod
     def constant(cls, vs, c):

@@ -25,16 +25,16 @@ C(a+b, a) times the theta^{a+b} coefficient, so checking bracket - wave to
 theta-degree 2 * order is the same check.  The corollary suite makes one
 composition, the first map inverted on branch 0 and chained with the
 second, checks it against the third entry by entry in the coefficient
-field, and reads the twelve branch cases off its u-line.
+field, and reads the twelve branch cases off its u-line.  The module takes
+`g_series` and `quantum_sign` from `potentials` and imports no `localization`.
 """
 
 from fractions import Fraction
 from math import comb
 
 from .cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, ZERO, zeta_pow
-from .localization import quantum_sign
 from .mpseries import Series, VarSet, cos, exp, inverse, sin
-from .potentials import g_series
+from .potentials import g_series, quantum_sign
 from .reports import FrozenRecord, SuiteReport, case
 
 #: i / sqrt(3) = (2 zeta^2 - 1) / 3
@@ -95,12 +95,6 @@ class LinearForm(FrozenRecord):
         c = _cyclo(c)
         return LinearForm.of({n: v * c for n, v in self.terms})
 
-    def __add__(self, other):
-        acc = {n: c for n, c in self.terms}
-        for n, c in other.terms:
-            acc[n] = acc.get(n, ZERO) + c
-        return LinearForm.of(acc)
-
 
 class ScalarLine(FrozenRecord):
     """q maps to scalar * var: an ordinary quantum parameter."""
@@ -145,12 +139,6 @@ class CovMap(FrozenRecord):
             if n == name:
                 return ln
         raise KeyError(name)
-
-    def quantum(self, name):
-        ln = self.line(name)
-        if isinstance(ln, LinearForm):
-            raise ValueError("%r is a cohomology variable of this map" % (name,))
-        return ln
 
 
 # --------------------------------------------------------------------------
@@ -253,7 +241,7 @@ def invert(m, branch=0):
 
 
 def _invert_matrix(rows):
-    """Gauss-Jordan inverse of a list of rows."""
+    """Gauss-Jordan inverse of a list of rows; a pivot of 1 is not inverted."""
     n = len(rows)
     aug = [list(rows[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for col in range(n):
@@ -261,8 +249,9 @@ def _invert_matrix(rows):
         if pivot is None:
             raise ValueError("singular linear part")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [x * inv for x in aug[col]]
+        if aug[col][col] != ONE:
+            inv = aug[col][col].inv()
+            aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
                 f = aug[r][col]
@@ -348,10 +337,11 @@ def verify_bracket_identity(qmax, order):
     e^{-i theta/2} is `_conjugate` of e^{i theta/2}, as theta has a rational
     coefficient and conjugation is a field automorphism.  The bracket
     depends on d only through i^d and (-1)^d, so one undilated pair, a
-    parity base e^{-i theta/2} +- e^{i theta/2} times i^d/2 and the signed
-    wave, serves every d with the same d mod 4 and sign(d): dilation by
-    d != 0 keeps equality and the lowest exponent of D.  The wave keeps its
-    own sin/cos Taylor route, so the two sides stay independent.
+    parity base e^{-i theta/2} +- e^{i theta/2} times i^d/2 and the wave or
+    its negation by sign(d) = +-1, serves every d with the same d mod 4 and
+    sign(d): dilation by d != 0 keeps equality and the lowest exponent of D.
+    The wave keeps its own sin/cos Taylor route, so the two sides stay
+    independent.
 
     Only a failing pair builds D: with k its lowest theta-degree and
     a = max(0, k - order), the carried record's first exponent is
@@ -373,7 +363,7 @@ def verify_bracket_identity(qmax, order):
         sign = quantum_sign(d)
         if (d % 4, sign) not in sides:
             bracket = bases[d % 2].scale(I**d * Fraction(1, 2))
-            wave = waves[d % 2].scale(sign)
+            wave = waves[d % 2] if sign == 1 else -waves[d % 2]
             sides[d % 4, sign] = (bracket, wave, bracket == wave)
         bracket, wave, same = sides[d % 4, sign]
         if same:

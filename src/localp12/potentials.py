@@ -4,7 +4,10 @@ The potential splits by curve degree into three layers:
 
   * classical: the degree-zero cubic, with one coefficient per three-point
     invariant of the classes 1, H, S, each a rational function of the
-    torus weights t1, t2;
+    torus weights t1, t2: a sum over the two torus-fixed points of the base
+    orbifold, put over one denominator so that it costs one `RatFun`
+    canonicalization, or a twisted-sector evaluation for a pair of stacky
+    insertions;
   * stacky: the degree-zero tail in the twisted variable alone, the triple
     antiderivative G of half the tangent of z2/2 (`g_series`, written from
     tan's Taylor coefficients), weighted by -(t1+t2); it is the q^0 row of
@@ -39,7 +42,9 @@ class H accounted for by degree factors.
 The classical cubic depends on no input, so it is computed once per process
 and the same series is handed to every caller; `Series` and `RatFun` have no
 mutators, so sharing it is safe.  `degree0_triple` reads its values off that
-cubic: the package keeps no other degree-zero cache.
+cubic: the package keeps no other degree-zero cache.  The module owns every
+closed form it writes from and imports no check module, so `localization`
+and `pcrc` sit on top of it.
 """
 
 import functools
@@ -47,13 +52,130 @@ import itertools
 import math
 from fractions import Fraction
 
-from .localization import (_CLASSES, degree0_classes, degree0_fixed_point_sum, invariant_pair,
-                           local_invariant)
+from .cyclotomic import repeated_squaring
 from .mpseries import Series, VarSet, _tan_coeff
-from .ratfun import RF_T1, RF_T2, RF_ZERO
+from .ratfun import P_ONE, RF_ONE, RF_T1, RF_T2, RF_ZERO, RatFun
+from .reports import FrozenRecord
 
 #: the weight (t1+t2) carried by every term outside the classical cubic
 _LEVEL = RF_T1 + RF_T2
+
+
+# --------------------------------------------------------------------------
+# closed forms
+
+
+def local_invariant(d, n):
+    """Direct formula for the degree-d invariant with n stacky insertions.
+
+    Requires n >= 0 with n = d (mod 2); in genus terms n = 2g+1 for odd d
+    and n = 2g+2 (g >= -1) for even d.  The value is
+    quantum_sign(d) (-1)^(n//2) 2 d^n / (d^3 2^n).
+    """
+    return Fraction(*invariant_pair(d, n))
+
+
+def invariant_pair(d, n):
+    """`local_invariant(d, n)` as (numerator, denominator) in lowest terms,
+    denominator > 0, made with one gcd and no `Fraction`."""
+    if d < 1:
+        raise ValueError("degree must be positive, got %r" % (d,))
+    if n < 0 or (n - d) % 2:
+        raise ValueError(
+            "insertion count %r has the wrong parity for degree %r" % (n, d)
+        )
+    num, den = quantum_sign(d) * (-1) ** (n // 2) * 2 * d**n, d**3 * 2**n
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def quantum_sign(d):
+    """Sign of the degree-d closed-form term: period four in d."""
+    return (-1) ** (d // 2)
+
+
+# --------------------------------------------------------------------------
+# degree zero
+
+
+class TorusWeights(FrozenRecord):
+    """Restrictions and normal weights at the degree-zero fixed loci.
+
+    `base_*` and `fiber_*` are the tangent and fiber-direction weights at
+    the two fixed points, `point_*` the restrictions of the degree-two
+    class H, and the `auto_*` entries the orbifold automorphism factors.
+    """
+
+    __slots__ = ("base_0", "fiber_0", "auto_0", "base_inf", "fiber_inf", "auto_inf",
+                 "point_0", "point_inf", "point_twisted", "auto_twisted")
+
+
+TORUS_WEIGHTS = TorusWeights(
+    base_0=RF_T2 - RF_T1 * Fraction(1, 2),
+    fiber_0=RF_T1 * Fraction(3, 2),
+    auto_0=Fraction(1, 2),
+    base_inf=RF_T1 - RF_T2 * 2,
+    fiber_inf=RF_T2 * 3,
+    auto_inf=Fraction(1),
+    point_0=RF_T1,
+    point_inf=RF_T2 * 2,
+    point_twisted=-RF_T1,
+    auto_twisted=Fraction(1, 2),
+)
+
+_CLASSES = ("1", "H", "S")
+
+
+def degree0_classes(classes):
+    """classes as a tuple of three names from `_CLASSES`; ValueError otherwise."""
+    classes = tuple(classes)
+    if len(classes) != 3:
+        raise ValueError("expected three insertion classes, got %r" % (classes,))
+    for c in classes:
+        if c not in _CLASSES:
+            raise ValueError("unknown insertion class %r" % (c,))
+    return classes
+
+
+def degree0_fixed_point_sum(classes, weights=None):
+    """Three-point degree-zero invariant of the listed insertion classes.
+
+    Classes are named "1", "H" (degree two) and "S" (the twisted-sector
+    unit).  Stacky insertions pair off through the twisted sector; an odd
+    number of them is rejected since those invariants vanish for parity
+    reasons and are handled upstream.  Otherwise the two fixed-point terms
+    point^h auto / (fiber base), h the number of H insertions, are written
+    from the weights' numerators and denominators over one common
+    denominator, and that one fraction is the only one canonicalized.
+    """
+    classes = degree0_classes(classes)
+    w = weights or TORUS_WEIGHTS
+
+    stacky = classes.count("S")
+    if stacky % 2:
+        raise ValueError("odd stacky insertion counts vanish; not summed here")
+    if stacky == 2:
+        # twisted-sector pairing: restrict the remaining class there
+        rest = [c for c in classes if c != "S"][0]
+        restriction = RF_ONE if rest == "1" else w.point_twisted
+        return restriction * w.auto_twisted
+
+    h = classes.count("H")
+    terms = []
+    for point, fiber, base, auto in (
+        (w.point_0, w.fiber_0, w.base_0, w.auto_0),
+        (w.point_inf, w.fiber_inf, w.base_inf, w.auto_inf),
+    ):
+        # point^h auto / (fiber base) as a numerator over a denominator
+        num = repeated_squaring(point.num, h, P_ONE) * fiber.den * base.den
+        den = repeated_squaring(point.den, h, P_ONE) * fiber.num * base.num
+        terms.append((num.scale(auto), den))
+    (n0, d0), (n1, d1) = terms
+    return RatFun(n0 * d1 + n1 * d0, d0 * d1)
+
+
+# --------------------------------------------------------------------------
+# the potential
 
 
 def degree0_triple(classes):

@@ -65,9 +65,6 @@ class Poly2:
     def terms(self):
         return self._t.items()
 
-    def is_zero(self):
-        return not self._t
-
     def is_one(self):
         return self._t == {(0, 0): C_ONE}
 
@@ -291,12 +288,6 @@ class RatFun:
     @property
     def den(self):
         return self._d
-
-    def is_zero(self):
-        return self._n.is_zero()
-
-    def is_one(self):
-        return self._n.is_one() and self._d.is_one()
 
     def __bool__(self):
         return bool(self._n)

@@ -15,14 +15,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from localp12.cyclotomic import I, zeta_pow
-from localp12.localization import (
-    assemble_even,
-    assemble_odd,
-    even_literal_assembly,
-    local_invariant,
-    odd_assembly,
-    resummed,
-)
+from localp12.localization import assemble_even, even_literal_assembly, odd_assembly, resummed
 from localp12.mpseries import Series, VarSet, exp, inverse
 from localp12.pcrc import (
     build_corollary,
@@ -39,6 +32,7 @@ from localp12.potentials import (
     degree0_triple,
     g_series,
     gw_invariant,
+    local_invariant,
     potential,
 )
 from localp12.ratfun import RF_T1, RF_T2, RF_ZERO, rf
@@ -214,7 +208,7 @@ def test_criterion_8_corollary_composition():
         for name in got.source:
             assert got.line(name) == want.line(name)
         assert got == want
-        assert got.quantum("u").phase == zeta_pow(10)
+        assert got.line("u").phase == zeta_pow(10)
         report = corollary_suite()
         assert report.passed
         assert [case["key"] for case in report.cases] == (
@@ -242,7 +236,7 @@ def test_criterion_9_numeric_cross_check():
         # odd and even invariants against the float closed form
         for d in (1, 3, 5, 7, 9):
             for g_ in range(5):
-                _agree(float(assemble_odd(d, g_)), _inv_float(d, 2 * g_ + 1))
+                _agree(float(odd_assembly(d, g_).value), _inv_float(d, 2 * g_ + 1))
         for d in (2, 4, 6, 8):
             for g_ in range(-1, 4):
                 n = 2 * g_ + 2
@@ -329,17 +323,17 @@ def test_criterion_9_numeric_cross_check():
             (cor.line("z1").coeff("x2"), cfac / 2 * (w - 1)),
             (cor.line("z2").coeff("x1"), r * w),
             (cor.line("z2").coeff("x2"), r * wb),
-            (cor.quantum("q").phase, cmath.exp(1j * cmath.pi / 6)),
-            (cor.quantum("q").form.coeff("s1"), cfac * wb),
-            (cor.quantum("q").form.coeff("s2"), cfac * w),
-            (cor.quantum("u").phase, cmath.exp(-1j * cmath.pi / 3)),
-            (cor.quantum("u").form.coeff("s1"), r * w),
-            (cor.quantum("u").form.coeff("s2"), r * wb),
+            (cor.line("q").phase, cmath.exp(1j * cmath.pi / 6)),
+            (cor.line("q").form.coeff("s1"), cfac * wb),
+            (cor.line("q").form.coeff("s2"), cfac * w),
+            (cor.line("u").phase, cmath.exp(-1j * cmath.pi / 3)),
+            (cor.line("u").form.coeff("s1"), r * w),
+            (cor.line("u").form.coeff("s2"), r * wb),
         )
         for exact, want in checks:
             _agree(exact.embed(), want)
         for b in range(12):
-            uline = compose(invert(build_cov(), b), build_covbgp()).quantum("u")
+            uline = compose(invert(build_cov(), b), build_covbgp()).line("u")
             _agree(cmath.exp(1j * math.pi * float(uline.constant_in_pi())),
                    cmath.exp(1j * (-math.pi / 3 + 2 * math.pi * b)))
             assert abs(uline.phase.embed() - 1) > 0.5

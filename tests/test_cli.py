@@ -689,10 +689,11 @@ def test_table_makes_a_fixed_number_of_ratfun_operations(monkeypatch, capsys, sm
 #: <1,H,H> and <H,H,H> (4, 3 and 3: the divisors' leading coefficients in
 #: Euclid, the gcd's normalization and the denominator's leading coefficient;
 #: <1,1,H> has a zero numerator and takes no gcd), 2 in that of the suite's
-#: frozen target 1/(3 t1 t2), 3 pivots in the one elimination, and the
-#: scalars of `build_cov`'s scalar and exponential lines, i, i and -1.  A
-#: leading coefficient that is already 1 is not inverted.
-_VERIFY_CYCLO_INVERSES = 18
+#: frozen target 1/(3 t1 t2), 1 pivot in the one elimination (the other two
+#: are already 1), and the scalars of `build_cov`'s scalar and exponential
+#: lines, i, i and -1.  A leading coefficient or pivot that is already 1 is
+#: not inverted.
+_VERIFY_CYCLO_INVERSES = 16
 
 
 def test_verify_builds_one_series_per_degree_and_eliminates_once(monkeypatch, capsys):
@@ -896,6 +897,24 @@ def test_importing_the_cli_loads_no_introspection_machinery():
         "localp12", "localp12.cli", "localp12.cyclotomic", "localp12.localization",
         "localp12.mpseries", "localp12.pcrc", "localp12.potentials", "localp12.ratfun",
         "localp12.reports"}
+
+
+def _package_modules_loaded_by(module):
+    """The `localp12` modules a fresh interpreter holds after `import module`."""
+    code = "import sys, %s; print(' '.join(sys.modules))" % module
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    return {m for m in done.stdout.split() if m.split(".")[0] == "localp12"}
+
+
+def test_the_checks_sit_on_top_of_the_builder():
+    """The builder writes the potential from closed forms it owns, so it loads
+    no check module; the change-of-variable checks load no localization."""
+    assert _package_modules_loaded_by("localp12.potentials") == {
+        "localp12", "localp12.cyclotomic", "localp12.ratfun", "localp12.mpseries",
+        "localp12.reports", "localp12.potentials"}
+    assert "localp12.localization" not in _package_modules_loaded_by("localp12.pcrc")
 
 
 @pytest.mark.parametrize("fmt, to_json", [("json", 1), ("csv", 0)])

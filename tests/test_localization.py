@@ -8,30 +8,31 @@ import pytest
 from localp12.cyclotomic import I
 from localp12.localization import (
     COVER_INTEGRAL,
-    TORUS_WEIGHTS,
     AssemblyInconsistencyError,
     EvenLiteralAssembly,
     SMonomial,
-    TorusWeights,
     WeightTable,
     assemble_even,
-    assemble_odd,
     assembly_suite,
-    degree0_classes,
-    degree0_fixed_point_sum,
     degree0_suite,
     even_literal_assembly,
-    invariant_pair,
-    local_invariant,
     node_coefficient,
     odd_assembly,
     odd_weight_families,
-    quantum_sign,
     resummation_suite,
     resummed,
 )
 from localp12.localization import _EVEN_GRID, _ODD_GRID, _odd_edge, _per_degree, _wave
 from localp12.mpseries import Series, VarSet, cos, sin
+from localp12.potentials import (
+    TORUS_WEIGHTS,
+    TorusWeights,
+    degree0_classes,
+    degree0_fixed_point_sum,
+    invariant_pair,
+    local_invariant,
+    quantum_sign,
+)
 from localp12.ratfun import P_ONE, P_T1, P_T2, RF_ONE, RF_T1, RF_T2, RF_ZERO, RatFun, rf
 
 #: the ten multisets of three insertion classes, the four with one S included
@@ -270,13 +271,13 @@ def test_odd_total_is_the_product_of_its_factors(grid):
 
 
 def test_odd_assembly_oracles():
-    assert assemble_odd(1, 0) == 1
-    assert assemble_odd(3, 0) == Fraction(-1, 9)
-    assert assemble_odd(5, 0) == Fraction(1, 25)
-    assert assemble_odd(7, 0) == Fraction(-1, 49)
-    assert assemble_odd(1, 1) == Fraction(-1, 4)
-    assert assemble_odd(1, 2) == Fraction(1, 16)
-    assert assemble_odd(3, 1) == Fraction(1, 4)
+    assert odd_assembly(1, 0).value == 1
+    assert odd_assembly(3, 0).value == Fraction(-1, 9)
+    assert odd_assembly(5, 0).value == Fraction(1, 25)
+    assert odd_assembly(7, 0).value == Fraction(-1, 49)
+    assert odd_assembly(1, 1).value == Fraction(-1, 4)
+    assert odd_assembly(1, 2).value == Fraction(1, 16)
+    assert odd_assembly(3, 1).value == Fraction(1, 4)
 
 
 def test_odd_assembly_structure():
@@ -329,7 +330,7 @@ def test_odd_assembly_matches_resummation():
         n = 2 * g + 1
         series = resummed(d, n)
         extracted = math.factorial(n) * series.coeff((n,))
-        assert assemble_odd(d, g) == extracted
+        assert odd_assembly(d, g).value == extracted
 
 
 def test_local_invariant_closed_form():

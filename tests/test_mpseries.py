@@ -47,7 +47,7 @@ def test_varset_validation():
     with pytest.raises(ValueError):
         VarSet(("a",), (-1,))
     vs = VarSet(("a", "b"), (2, 3))
-    assert vs.cap("b") == 3
+    assert vs.caps[vs.index("b")] == 3
     with pytest.raises(ValueError):
         vs.index("c")
 
@@ -293,7 +293,7 @@ def test_ring_laws_random():
         assert (f + g) * h == f * h + g * h
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
-        assert f - f == Series.zero(vs)
+        assert f - f == Series(vs)
 
 
 def test_truncation_soundness():
@@ -408,7 +408,7 @@ def test_substitute_validation():
 def test_substitute_at_zero():
     vs = VarSet(("x",), (4,))
     f = mp.exp(Series.variable(vs, "x"))
-    at0 = f.substitute({"x": Series.zero(vs)}, vs)
+    at0 = f.substitute({"x": Series(vs)}, vs)
     assert at0 == Series.constant(vs, 1)
 
 
@@ -416,7 +416,7 @@ def test_coeff_checks():
     vs = VarSet(("a",), (2,))
     f = Series.variable(vs, "a")
     assert f.coeff((1,)) == RF_ONE
-    assert not Series.zero(vs).coeff((2,))
+    assert not Series(vs).coeff((2,))
     with pytest.raises(ValueError):
         f.coeff((3,))
 

@@ -6,20 +6,18 @@ from fractions import Fraction
 import pytest
 
 from localp12 import localization, potentials
-from localp12.localization import (
-    degree0_fixed_point_sum,
-    local_invariant,
-    quantum_sign,
-    resummed,
-)
+from localp12.localization import resummed
 from localp12.mpseries import Series, VarSet, exp
 from localp12.potentials import (
     classical_part,
+    degree0_fixed_point_sum,
     degree0_triple,
     extended_potential,
     g_series,
     gw_invariant,
+    local_invariant,
     potential,
+    quantum_sign,
 )
 from localp12.ratfun import RF_T1, RF_T2, RF_ZERO, RatFun, rf
 

@@ -16,14 +16,13 @@ from localp12 import cli, localization, pcrc
 from localp12.cyclotomic import I, ONE, Cyclo
 from localp12.localization import (
     DEFAULT_WEIGHTS,
-    TORUS_WEIGHTS,
     EvenLiteralAssembly,
     OddAssembly,
     SMonomial,
-    TorusWeights,
     WeightTable,
 )
 from localp12.pcrc import AngleLine, CovMap, ExpLine, LinearForm, LogLine, ScalarLine
+from localp12.potentials import TORUS_WEIGHTS, TorusWeights
 from localp12.ratfun import RF_T1, RF_T2
 from localp12.reports import SuiteReport, case
 

@@ -31,8 +31,9 @@ def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
         for fmt in ("json", "csv"):
             assert (tuple(map(str, caps)), fmt) in tables
     # the config refusals, the bracket's empty report, the per-suite cap
-    # refusals, the empty and unwritable paths, a config's decimal numbers
-    # and argparse's own refusals
+    # refusals, the empty and unwritable paths, a table written to a file, an
+    # extended point's angle u and its refusal without --extended, a config's
+    # decimal numbers and argparse's own refusals
     for argv in (["eval", "--config", "deep.json"], ["eval", "--config", "deep-at.json"],
                  ["potential", "--config", "nul-out.json"],
                  ["verify", "--suite", "bracket", "--qmax", "0"],
@@ -41,6 +42,9 @@ def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
                  ["potential", "--out", ""], ["potential", "--config", "empty-out.json"],
                  ["invariants", "--d", "1", "--n2", "1", "--config", ""],
                  ["potential", "--out", "missing-dir/table.json"],
+                 ["potential", "--qmax", "1", "--zorder", "2", "--out", "table.json"],
+                 ["eval", "--extended", "--at", "t1=1,t2=2,z2=1/3,u=1/5"],
+                 ["eval", "--at", "t1=1,t2=2,u=1"],
                  ["eval", "--config", "at-decimal.json"],
                  [], ["verify", "--uorder", "6"], ["potential", "--qmax", "x"], ["eval", "--at"]):
         assert argv in argvs
@@ -49,6 +53,19 @@ def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
     first = tool.digest_lines(argvs[:20])
     assert len(first) == 20
     assert tool.digest_lines(argvs[:20]) == first
+
+
+def test_cli_digests_hash_a_written_table_as_the_request_output(capsys):
+    """A table written with --out is digested as if it had gone to stdout,
+    and the file is gone before the next request."""
+    tool = _tool("cli_digests")
+    argv = ["potential", "--qmax", "1", "--zorder", "2"]
+    refused = ["potential", "--format", "xml", "--out", "table.json"]
+    written, after = tool.digest_lines([argv + ["--out", "table.json"], refused])
+    assert cli.main(argv) == 0
+    assert written == " ".join([tool._sha(capsys.readouterr().out), tool._sha(""), "0", *argv,
+                                "--out", "table.json"])
+    assert after.split()[0] == tool._sha("") and after.split()[2] == "2"
 
 
 def test_cli_digests_record_an_escaped_exception_and_go_on(monkeypatch):

@@ -12,9 +12,11 @@ prints one line,
     sha1(stdout)[:12] sha1(stderr)[:12] exit argv
 
 where exit is the exit code, or the type name of an exception that escaped
-`main`.  The last line gives the sha1 of all the lines before it and their count.
-Two trees print the same CLI bytes on these requests when `diff` of their
-two outputs is empty.
+`main`.  A request that writes its `--out` file has that file's text appended
+to its stdout, and the file is removed before the next request.  The last
+line gives the sha1 of all the lines before it and their count.  Two trees
+print the same CLI bytes on these requests when `diff` of their two outputs
+is empty.
 """
 
 import contextlib
@@ -48,8 +50,10 @@ def requests(root):
     formats at every cap the table workload draws from, every degree-0 class
     triple, an invariant grid, every suite that the CLI on `sys.path` names,
     small tables in both formats, help texts, refusals of bad input, the
-    suites' empty and refused caps, empty and unwritable paths, a config's
-    decimal numbers, and argparse's own refusals."""
+    suites' empty and refused caps, empty and unwritable paths, a table
+    written to a file, an extended point with its angle u and its refusal
+    without --extended, a config's decimal numbers, and argparse's own
+    refusals."""
     bench = os.path.join(root, "perfbench")
     if bench not in sys.path:
         sys.path.insert(0, bench)
@@ -99,6 +103,9 @@ def requests(root):
         ["potential", "--config", "empty-out.json"],
         ["invariants", "--d", "1", "--n2", "1", "--config", ""],
         ["potential", "--out", "missing-dir/table.json"],
+        ["potential", "--qmax", "1", "--zorder", "2", "--out", "table.json"],
+        ["eval", "--extended", "--at", "t1=1,t2=2,z2=1/3,u=1/5"],
+        ["eval", "--at", "t1=1,t2=2,u=1"],
         ["eval", "--config", "at-decimal.json"],
         [],
         ["verify", "--uorder", "6"],
@@ -112,10 +119,23 @@ def _sha(text):
     return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
 
 
+def _take_written(argv):
+    """The text of the file that argv's `--out` names, removed once read, or
+    "" when there is no such file."""
+    path = next((b for a, b in zip(argv, argv[1:]) if a == "--out"), "")
+    if not os.path.isfile(path):
+        return ""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    os.remove(path)
+    return text
+
+
 def digest_lines(argvs):
     """One digest line per request, each run through `cli.main` in a temporary
     directory holding `CONFIGS`; an exception that escapes `main` is recorded
-    by its type name in the exit field, and the next request runs."""
+    by its type name in the exit field, and the next request runs.  A file
+    the request writes with `--out` counts as its stdout's continuation."""
     from localp12 import cli
 
     lines = []
@@ -133,6 +153,7 @@ def digest_lines(argvs):
                         code = cli.main(list(argv))
                     except Exception as exc:
                         code = type(exc).__name__
+                out.write(_take_written(argv))
                 lines.append("%s %s %s %s" % (_sha(out.getvalue()), _sha(err.getvalue()),
                                               code, " ".join(argv)))
         finally:
