@@ -423,33 +423,31 @@ def cmd_invariants(cfg):
     return _dump(record), 0
 
 
-#: a `reports.case` dict as `_dump` lays it out in a single-suite report, its
-#: values in sorted key order; the second %s is the info line, or nothing
-_CASE = '{\n      "first_mismatch": %s,%s\n      "key": %s,\n      "pass": %s\n    }'
-
-
-def _report_json(report):
-    """`_dump(report.to_json())` without its final newline, one template per case."""
-    pad = "      "
-    cases = [_CASE % (_token(c["first_mismatch"], pad),
-                      '\n      "info": %s,' % _token(c["info"], pad) if "info" in c else "",
-                      _token(c["key"], pad), _token(c["pass"], pad))
+def _report_json(report, pad=""):
+    """`_token(report.to_json(), pad)`, one template per case: a case's values
+    in sorted key order, its null, true, false and key written without `_token`."""
+    inner = pad + "      "
+    template = '{\n%s"first_mismatch": %%s,%%s\n%s"key": %%s,\n%s"pass": %%s\n%s    }' % (
+        inner, inner, inner, pad)
+    info = "\n" + inner + '"info": %s,'
+    cases = [template % ("null" if (first := c["first_mismatch"]) is None else _token(first, inner),
+                         info % _token(c["info"], inner) if "info" in c else "",
+                         _STR(c["key"]), "true" if c["pass"] else "false")
              for c in report.cases]
-    body = "[\n    %s\n  ]" % ",\n    ".join(cases) if cases else "[]"
-    return '{\n  "cases": %s,\n  "suite": %s\n}' % (body, _token(report.suite, "  "))
+    body = "[\n%s    %s\n%s  ]" % (pad, (",\n    " + pad).join(cases), pad) if cases else "[]"
+    return '{\n%s  "cases": %s,\n%s  "suite": %s\n%s}' % (pad, body, pad, _STR(report.suite), pad)
 
 
 def cmd_verify(cfg):
     """Run the suites and write their reports as `_dump` would: one report
-    alone, several as a list, each shifted two spaces in."""
+    alone, several as a list, each written at the list's indent."""
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     reports = [_SUITES[name](cfg) for name in names]
     ok = all(r.passed for r in reports)
     if len(reports) == 1:
         text = _report_json(reports[0])
     else:
-        text = "[\n  %s\n]" % ",\n  ".join([_report_json(r).replace("\n", "\n  ")
-                                            for r in reports])
+        text = "[\n  %s\n]" % ",\n  ".join([_report_json(r, "  ") for r in reports])
     return text + "\n", 0 if ok else 1
 
 

@@ -20,8 +20,8 @@ Odd-degree assembly multiplies four ingredients:
 
 The edge factor does not depend on g and is made once per degree.  Every
 factor is a rational times an integer power of s, so an `SMonomial`'s
-exponent is an int, and the total's coefficient is one Fraction of the
-five factors' numerator and denominator products.
+exponent is an int, and the total's coefficient is the integer pair of the
+five factors' numerator and denominator products, reduced (`OddAssembly.pair`).
 
 Even degrees have the same closed form, proved here by resummation rather
 than assembly: the literal even-degree fixed-locus product carries a net
@@ -34,6 +34,13 @@ odd d and a cosine at even d, as a dilation of one Taylor wave per parity,
 sin(z2/2) or cos(z2/2) made once per order, each dilated coefficient one
 Fraction; the `resummation` suite reads every genus of a degree from one
 such series.
+
+The `resummation` and odd `assembly` cases compare integer pairs in lowest
+terms, n! times a resummed coefficient or that total against
+`potentials.invariant_pair`, and write each `value` with `reports.pair_text`;
+a side becomes a `Fraction` only to be named in a failing case.  Each call
+builds its series, records and fixed-point sums afresh; only the `degree0`
+suite's frozen targets and their texts are built once, on its first run.
 """
 
 import functools
@@ -41,9 +48,9 @@ import math
 from fractions import Fraction
 
 from .mpseries import Series, VarSet, cos, sin
-from .potentials import degree0_fixed_point_sum, local_invariant, quantum_sign
+from .potentials import degree0_fixed_point_sum, invariant_pair, local_invariant, quantum_sign
 from .ratfun import P_ONE, P_T1, P_T2, RF_T1, RF_T2, RF_ZERO, RatFun, rf
-from .reports import FrozenRecord, SuiteReport, case
+from .reports import FrozenRecord, SuiteReport, case, pair_text
 
 
 class AssemblyInconsistencyError(ArithmeticError):
@@ -140,9 +147,14 @@ def node_coefficient(d, k, stacky):
     """
     if d < 1:
         raise ValueError("degree must be positive")
+    num, den = _node_pair(d, k, stacky)
+    return SMonomial(Fraction(num, den), -k)
+
+
+def _node_pair(d, k, stacky):
+    """`node_coefficient(d, k, stacky).coeff` as (numerator, denominator)."""
     sign = -2 if stacky else -1
-    coeff = Fraction(sign * d**k) if k >= 0 else Fraction(sign, d**-k)
-    return SMonomial(coeff, -k)
+    return (sign * d**k, 1) if k >= 0 else (sign, d**-k)
 
 
 #: integral of psi^(2g-1) over the space of genus-g hyperelliptic covers
@@ -159,15 +171,22 @@ class OddAssembly(FrozenRecord):
     __slots__ = ("d", "g", "edge", "vertex", "node", "automorphisms", "cover_integral")
 
     @property
-    def total(self):
-        """The product of the five factors, its coefficient one Fraction."""
+    def pair(self):
+        """The total's coefficient, the products of the five factors'
+        numerators and denominators, as an integer pair in lowest terms."""
         factors = (self.edge.coeff, self.vertex.coeff, self.node.coeff, self.automorphisms,
                    self.cover_integral)
-        return SMonomial(
-            Fraction(math.prod(f.numerator for f in factors),
-                     math.prod(f.denominator for f in factors)),
-            self.edge.s_exp + self.vertex.s_exp + self.node.s_exp,
-        )
+        return _reduced(math.prod([f.numerator for f in factors]),
+                        math.prod([f.denominator for f in factors]))
+
+    @property
+    def s_exp(self):
+        return self.edge.s_exp + self.vertex.s_exp + self.node.s_exp
+
+    @property
+    def total(self):
+        """The product of the five factors, its coefficient one Fraction."""
+        return SMonomial(Fraction(*self.pair), self.s_exp)
 
     @property
     def value(self):
@@ -255,11 +274,11 @@ def even_literal_assembly(d, g):
     else:
         den *= 4**g
     s2 += 4 * g
-    # untwisted node smoothing, psi^(2g) coefficient
-    node = node_coefficient(d, 2 * g, stacky=False)
-    num *= node.coeff.numerator
-    den *= node.coeff.denominator
-    s2 += 2 * node.s_exp
+    # untwisted node smoothing, psi^(2g) coefficient, of s-exponent -2g
+    node_num, node_den = _node_pair(d, 2 * g, stacky=False)
+    num *= node_num
+    den *= node_den
+    s2 -= 4 * g
     # gluing factor 2 and the cover integral
     num *= 2 * COVER_INTEGRAL.numerator
     den *= COVER_INTEGRAL.denominator
@@ -315,22 +334,30 @@ def assemble_even(d, g):
 # suites
 
 
-def degree0_suite():
-    """Check the six degree-zero three-point values against frozen targets."""
-    expected = (
+@functools.cache
+def _degree0_targets():
+    """The degree-0 suite's frozen targets, (key, classes, value, its text) per
+    case, built on the suite's first run: the only thing a suite builds once."""
+    return tuple(("<%s>" % ",".join(classes), classes, want, str(want)) for classes, want in (
         (("1", "1", "1"), RatFun(P_ONE, (P_T1 * P_T2).scale(3))),
         (("1", "1", "H"), RF_ZERO),
         (("1", "H", "H"), rf(Fraction(-2, 3))),
         (("H", "H", "H"), (RF_T1 + RF_T2 * 2) * Fraction(-2, 3)),
         (("1", "S", "S"), rf(Fraction(1, 2))),
         (("H", "S", "S"), RF_T1 * Fraction(-1, 2)),
-    )
+    ))
+
+
+def degree0_suite():
+    """Check the six degree-zero three-point values against frozen targets.
+
+    Canonical forms that are equal print the same text, so a passing case
+    writes its target's text."""
     cases = []
-    for classes, want in expected:
+    for key, classes, want, text in _degree0_targets():
         got = degree0_fixed_point_sum(classes)
-        cases.append(
-            case("<%s>" % ",".join(classes), got == want, {"value": str(got)}, got, want)
-        )
+        cases.append(case(key, True, {"value": text}) if got == want
+                     else case(key, False, {"value": str(got)}, got, want))
     return SuiteReport("degree0", cases)
 
 
@@ -339,6 +366,20 @@ _ODD_GRID = [(d, g) for d in range(1, 10, 2) for g in range(0, 5)]
 _EVEN_GRID = [(d, g) for d in range(2, 9, 2) for g in range(-1, 5)]
 #: the net s-exponent of every even-degree literal product
 _EVEN_IMBALANCE = Fraction(-1, 2)
+
+
+def _reduced(num, den):
+    """num/den, den > 0, as the integer pair in lowest terms."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _pair_case(key, passed, info, got, want, n):
+    """The case of two sides held as integer pairs: only a failing one makes
+    them Fractions, to name them, with n its first mismatching exponent."""
+    if passed:
+        return case(key, True, info)
+    return case(key, False, info, Fraction(*got), Fraction(*want), (n,))
 
 
 def _per_degree(grid, shift):
@@ -351,50 +392,53 @@ def _per_degree(grid, shift):
 
 
 def resummation_suite():
-    """Compare series extraction against the direct closed form."""
+    """Compare series extraction against the direct closed form: n! times
+    the z2^n coefficient, reduced, against `invariant_pair(d, n)`."""
     cases = []
     for label, grid, shift in (("odd", _ODD_GRID, 1), ("even", _EVEN_GRID, 2)):
-        series = _per_degree(grid, shift)
+        coeffs = {d: dict(series.terms()) for d, series in _per_degree(grid, shift).items()}
         for d, g in grid:
             n = 2 * g + shift
-            got = math.factorial(n) * series[d].coeff((n,))
-            want = local_invariant(d, n)
-            cases.append(case("%s d=%d g=%d" % (label, d, g), got == want,
-                              {"value": str(want)}, got, want, (n,)))
+            c = coeffs[d].get((n,), 0)
+            got = _reduced(math.factorial(n) * c.numerator, c.denominator)
+            want = invariant_pair(d, n)
+            cases.append(_pair_case("%s d=%d g=%d" % (label, d, g), got == want,
+                                    {"value": pair_text(want)}, got, want, n))
     return SuiteReport("resummation", cases)
 
 
 def assembly_suite():
     """Odd assembly against the closed form; even literal product recorded.
 
-    Even-degree cases pass when the product shows exactly the documented
-    imbalance (net s-exponent -1/2, no match with the closed form); a
-    change in that behavior is what fails them.
+    An odd case compares the total's coefficient with `invariant_pair(d, n)`
+    as reduced integer pairs.  Even-degree cases pass when the product shows
+    exactly the documented imbalance (net s-exponent -1/2, no match with the
+    closed form); a change in that behavior is what fails them.
     """
     cases = []
     for d, g in _ODD_GRID:
         n = 2 * g + 1
-        total = odd_assembly(d, g).total
-        want = local_invariant(d, n)
-        ok = total.is_constant and total.coeff == want
-        info = {"s_exponent": str(total.s_exp), "value": str(total.coeff)}
-        cases.append(case("odd d=%d g=%d" % (d, g), ok, info, total.coeff, want, (n,)))
+        record = odd_assembly(d, g)
+        s_exp, got = record.s_exp, record.pair
+        want = invariant_pair(d, n)
+        cases.append(_pair_case("odd d=%d g=%d" % (d, g), s_exp == 0 and got == want,
+                                {"s_exponent": str(s_exp), "value": pair_text(got)},
+                                got, want, n))
     for d, g in _EVEN_GRID:
         report = even_literal_assembly(d, g)
-        expected_imbalance = (
-            report.s_exponent == _EVEN_IMBALANCE and not report.matches
-        )
+        matches = report.matches
         info = {
             "rational": str(report.rational),
             "s_exponent": str(report.s_exponent),
             "root2d_exponent": str(report.root2d_exponent),
             "rootd_exponent": str(report.rootd_exponent),
             "closed_form": str(report.closed_form),
-            "matches": report.matches,
+            "matches": matches,
         }
         # what is compared is the net s-exponent, which must stay -1/2
         cases.append(
-            case("even-literal d=%d g=%d" % (d, g), expected_imbalance, info,
+            case("even-literal d=%d g=%d" % (d, g),
+                 report.s_exponent == _EVEN_IMBALANCE and not matches, info,
                  report.s_exponent, _EVEN_IMBALANCE, (2 * g + 2,))
         )
     return SuiteReport("assembly", cases)

@@ -30,12 +30,12 @@ field, and reads the twelve branch cases off its u-line.  The module takes
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, ZERO, zeta_pow
 from .mpseries import Series, VarSet, cos, exp, inverse, sin
 from .potentials import g_series, quantum_sign
-from .reports import FrozenRecord, SuiteReport, case
+from .reports import FrozenRecord, SuiteReport, case, pair_text
 
 #: i / sqrt(3) = (2 zeta^2 - 1) / 3
 I_OVER_SQRT3 = Cyclo(Fraction(-1, 3), 0, Fraction(2, 3), 0)
@@ -60,8 +60,12 @@ def phase_exponent(c):
 
 def principal_angle(c):
     """Angle of a 12th root of unity, in units of pi, normalized to (-1, 1]."""
-    k = phase_exponent(c)
-    return Fraction(k, 6) if k <= 6 else Fraction(k - 12, 6)
+    return Fraction(_principal_sixths(phase_exponent(c)), 6)
+
+
+def _principal_sixths(k):
+    """The principal angle of zeta^k in units of pi/6, in (-6, 6]."""
+    return k if k <= 6 else k - 12
 
 
 # --------------------------------------------------------------------------
@@ -422,10 +426,15 @@ def _remark_cases(got):
     if k is None:
         return [case("branch=%d" % b, False, None, uline, want) for b in range(12)]
     ok = k == 10 and uline.branch == 0
-    angles = [uline.constant_in_pi() + 2 * b for b in range(12)]
-    return [case("branch=%d" % b, ok and a != 0,
-                 {"phase_exponent": k, "angle_over_pi": str(a)}, uline, want)
-            for b, a in enumerate(angles)]
+    cases = []
+    for b in range(12):
+        # the constant over pi on branch b is a/6, written from the reduced pair
+        a = _principal_sixths(k) + 12 * (uline.branch + b)
+        g = gcd(a, 6)
+        cases.append(case("branch=%d" % b, ok and a != 0,
+                          {"phase_exponent": k, "angle_over_pi": pair_text((a // g, 6 // g))},
+                          uline, want))
+    return cases
 
 
 def corollary_suite():

@@ -52,7 +52,6 @@ import itertools
 import math
 from fractions import Fraction
 
-from .cyclotomic import repeated_squaring
 from .mpseries import Series, VarSet, _tan_coeff
 from .ratfun import P_ONE, RF_ONE, RF_T1, RF_T2, RF_ZERO, RatFun
 from .reports import FrozenRecord
@@ -146,7 +145,8 @@ def degree0_fixed_point_sum(classes, weights=None):
     reasons and are handled upstream.  Otherwise the two fixed-point terms
     point^h auto / (fiber base), h the number of H insertions, are written
     from the weights' numerators and denominators over one common
-    denominator, and that one fraction is the only one canonicalized.
+    denominator, and that one fraction is the only one canonicalized.  A
+    factor that is one is skipped, not multiplied.
     """
     classes = degree0_classes(classes)
     w = weights or TORUS_WEIGHTS
@@ -167,11 +167,21 @@ def degree0_fixed_point_sum(classes, weights=None):
         (w.point_inf, w.fiber_inf, w.base_inf, w.auto_inf),
     ):
         # point^h auto / (fiber base) as a numerator over a denominator
-        num = repeated_squaring(point.num, h, P_ONE) * fiber.den * base.den
-        den = repeated_squaring(point.den, h, P_ONE) * fiber.num * base.num
-        terms.append((num.scale(auto), den))
+        num = _product([point.num] * h + [fiber.den, base.den])
+        den = _product([point.den] * h + [fiber.num, base.num])
+        terms.append((num if auto == 1 else num.scale(auto), den))
     (n0, d0), (n1, d1) = terms
-    return RatFun(n0 * d1 + n1 * d0, d0 * d1)
+    return RatFun(_product([n0, d1]) + _product([n1, d0]), _product([d0, d1]))
+
+
+def _product(polys):
+    """The product of the Poly2s, with no product by a factor that is one,
+    as every denominator in `TORUS_WEIGHTS` is."""
+    out = P_ONE
+    for p in polys:
+        if not p.is_one():
+            out = p if out is P_ONE else out * p
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,10 @@ required; it is compiled once per class, as `namedtuple` makes its
 constructs faster than a loop would.
 
 A case is the JSON object the CLI writes for it: the dict that `case`
-returns.  A `SuiteReport` is a suite's name and its list of cases.
+returns.  A `SuiteReport` is a suite's name and its list of cases.  A suite
+that decides a case on integer pairs writes each pair's text with
+`pair_text`, as `str(Fraction(n, m))` would, and makes a `Fraction` of a side
+only to name it in a failing case.
 """
 
 #: how a frozen record's `__init__` sets a field past its `__setattr__`
@@ -68,6 +71,13 @@ def case(key, passed, info=None, got=None, want=None, first=None):
         return out
     return {"key": key, "pass": False, "first_mismatch": None if first is None else list(first),
             "info": dict(info or {}, got=str(got), want=str(want))}
+
+
+def pair_text(pair):
+    """The text of the rational n/m held as the pair (n, m) in lowest terms,
+    m > 0: `str(n)` when m is 1, else "n/m", as `str(Fraction(n, m))` writes it."""
+    n, m = pair
+    return str(n) if m == 1 else "%d/%d" % (n, m)
 
 
 class SuiteReport(FrozenRecord):

@@ -684,16 +684,18 @@ def test_table_makes_a_fixed_number_of_ratfun_operations(monkeypatch, capsys, sm
         assert 0 < 5 * seen[2] < len(_record(big).tail.terms())
 
 
-#: Cyclo inverses in one `verify` at default caps, cold or warm, by call
-#: site: 10 in the one canonicalization each of the degree-0 sums <1,1,1>,
-#: <1,H,H> and <H,H,H> (4, 3 and 3: the divisors' leading coefficients in
-#: Euclid, the gcd's normalization and the denominator's leading coefficient;
-#: <1,1,H> has a zero numerator and takes no gcd), 2 in that of the suite's
-#: frozen target 1/(3 t1 t2), 1 pivot in the one elimination (the other two
-#: are already 1), and the scalars of `build_cov`'s scalar and exponential
-#: lines, i, i and -1.  A leading coefficient or pivot that is already 1 is
-#: not inverted.
-_VERIFY_CYCLO_INVERSES = 16
+#: Cyclo inverses in one warm `verify` at default caps, by call site: 10 in
+#: the one canonicalization each of the degree-0 sums <1,1,1>, <1,H,H> and
+#: <H,H,H> (4, 3 and 3: the divisors' leading coefficients in Euclid, the
+#: gcd's normalization and the denominator's leading coefficient; <1,1,H> has
+#: a zero numerator and takes no gcd), 1 pivot in the one elimination (the
+#: other two are already 1), and the scalars of `build_cov`'s scalar and
+#: exponential lines, i, i and -1.  A leading coefficient or pivot that is
+#: already 1 is not inverted.
+_VERIFY_CYCLO_INVERSES = 14
+#: the first `verify` in a process also builds the degree-0 suite's frozen
+#: targets, once: 2 inverses in the canonicalization of 1/(3 t1 t2)
+_COLD_VERIFY_CYCLO_INVERSES = _VERIFY_CYCLO_INVERSES + 2
 
 
 def test_verify_builds_one_series_per_degree_and_eliminates_once(monkeypatch, capsys):
@@ -715,6 +717,7 @@ def test_verify_builds_one_series_per_degree_and_eliminates_once(monkeypatch, ca
     for name in ("sin", "cos"):
         monkeypatch.setattr(localization, name, counting(name, getattr(localization, name)))
     localization._wave.cache_clear()
+    localization._degree0_targets.cache_clear()
     seen = []
     for _ in range(2):
         builds.clear()
@@ -723,8 +726,9 @@ def test_verify_builds_one_series_per_degree_and_eliminates_once(monkeypatch, ca
         assert code == 0
         assert sorted(builds) == list(range(1, 10))
         seen.append(dict(calls))
-    common = {"inv": _VERIFY_CYCLO_INVERSES, "invert": 1, "compose": 1}
-    assert seen == [dict(common, sin=1, cos=1), common]
+    common = {"invert": 1, "compose": 1}
+    assert seen == [dict(common, inv=_COLD_VERIFY_CYCLO_INVERSES, sin=1, cos=1),
+                    dict(common, inv=_VERIFY_CYCLO_INVERSES)]
 
 
 def _series_value(series, at):

@@ -34,6 +34,7 @@ from localp12.potentials import (
     quantum_sign,
 )
 from localp12.ratfun import P_ONE, P_T1, P_T2, RF_ONE, RF_T1, RF_T2, RF_ZERO, RatFun, rf
+from localp12.reports import case
 
 #: the ten multisets of three insertion classes, the four with one S included
 _CLASS_MULTISETS = list(itertools.combinations_with_replacement("1HS", 3))
@@ -523,22 +524,100 @@ def test_suites_pass():
 def test_failing_case_names_both_sides(monkeypatch, run):
     import localp12.localization as loc
 
-    true_value = loc.local_invariant
+    # the suites compare with the closed form's integer pair
+    true_pair = loc.invariant_pair
 
     def shifted(d, n):
-        value = true_value(d, n)
-        return value + 1 if (d, n) == (3, 3) else value
+        num, den = true_pair(d, n)
+        return (num + den, den) if (d, n) == (3, 3) else (num, den)
 
-    monkeypatch.setattr(loc, "local_invariant", shifted)
+    monkeypatch.setattr(loc, "invariant_pair", shifted)
     report = run()
     failed = [c for c in report.cases if not c["pass"]]
     assert [c["key"] for c in failed] == ["odd d=3 g=1"]
     record = failed[0]
     assert record["first_mismatch"] == [3]
-    assert record["info"]["got"] == str(true_value(3, 3)) == "1/4"
-    assert record["info"]["want"] == str(true_value(3, 3) + 1) == "5/4"
+    assert record["info"]["got"] == str(local_invariant(3, 3)) == "1/4"
+    assert record["info"]["want"] == str(local_invariant(3, 3) + 1) == "5/4"
     passing = [c for c in report.cases if c["pass"]]
     assert all("got" not in c["info"] and c["first_mismatch"] is None for c in passing)
+
+
+#: wider than the suites' grids: d <= 12, g <= 6
+_WIDE_ODD = [(d, g) for d in range(1, 13, 2) for g in range(0, 7)]
+_WIDE_EVEN = [(d, g) for d in range(2, 13, 2) for g in range(-1, 7)]
+
+
+def _resummation_by_fractions(closed_form):
+    """The resummation cases as the suite made them with Fractions, before it
+    compared integer pairs: the oracle of the pair route."""
+    cases = []
+    for label, grid, shift in (("odd", _WIDE_ODD, 1), ("even", _WIDE_EVEN, 2)):
+        for d, g in grid:
+            n = 2 * g + shift
+            got = math.factorial(n) * resummed(d, n).coeff((n,))
+            want = closed_form(d, n)
+            cases.append(case("%s d=%d g=%d" % (label, d, g), got == want,
+                              {"value": str(want)}, got, want, (n,)))
+    return cases
+
+
+def _odd_assembly_by_fractions(closed_form):
+    """The odd assembly cases as the suite made them with Fractions."""
+    cases = []
+    for d, g in _WIDE_ODD:
+        n = 2 * g + 1
+        total = odd_assembly(d, g).total
+        want = closed_form(d, n)
+        ok = total.is_constant and total.coeff == want
+        cases.append(case("odd d=%d g=%d" % (d, g), ok,
+                          {"s_exponent": str(total.s_exp), "value": str(total.coeff)},
+                          total.coeff, want, (n,)))
+    return cases
+
+
+#: (d, n) -> what is added to the closed form there, so that some cases fail
+_SHIFTS = {
+    "as built": {},
+    "shifted": {(3, 3): Fraction(1), (5, 9): Fraction(-1, 3), (2, 4): Fraction(7, 5),
+                (12, 14): Fraction(1, 10**30 + 1), (1, 1): -2 * local_invariant(1, 1)},
+}
+
+
+@pytest.mark.parametrize("shift", _SHIFTS, ids=list(_SHIFTS))
+@pytest.mark.parametrize("node", ["as built", "off by s"])
+def test_pair_routes_make_the_cases_of_the_fraction_routes(monkeypatch, shift, node):
+    """On grids wider than the suites', with a closed form shifted at some
+    (d, n) and with a node factor whose power of s does not cancel, the
+    integer-pair routes make exactly the cases the Fraction routes made:
+    the same pass, texts, got, want and first mismatch."""
+    import localp12.localization as loc
+
+    added = _SHIFTS[shift]
+
+    def closed_form(d, n):
+        return local_invariant(d, n) + added.get((d, n), 0)
+
+    def pair(d, n):
+        value = closed_form(d, n)
+        return value.numerator, value.denominator
+
+    monkeypatch.setattr(loc, "_ODD_GRID", _WIDE_ODD)
+    monkeypatch.setattr(loc, "_EVEN_GRID", _WIDE_EVEN)
+    monkeypatch.setattr(loc, "invariant_pair", pair)
+    if node == "off by s":
+        true_node = loc.node_coefficient
+        monkeypatch.setattr(loc, "node_coefficient", lambda d, k, stacky: SMonomial(
+            true_node(d, k, stacky).coeff, 1 - k if d == 5 else -k))
+    resummation = _resummation_by_fractions(closed_form)
+    assert resummation_suite().cases == resummation
+    odd = _odd_assembly_by_fractions(closed_form)
+    assert assembly_suite().cases[:len(odd)] == odd
+    shifted = {"%s d=%d g=%d" % ("odd" if d % 2 else "even", d, (n - 2 + d % 2) // 2)
+               for d, n in added}
+    assert {c["key"] for c in resummation if not c["pass"]} == shifted
+    assert {c["key"] for c in odd if not c["pass"]} == {k for k in shifted if "odd" in k} | (
+        {"odd d=5 g=%d" % g for g in range(7)} if node == "off by s" else set())
 
 
 def test_failing_degree0_case_names_both_sides(monkeypatch):

@@ -145,6 +145,22 @@ def test_corollary_remark_branches():
     assert len(suite.cases) == 18
 
 
+@pytest.mark.parametrize("branch", [-3, -1, 0, 1, 4])
+def test_remark_angle_texts_from_integers_are_those_of_the_fraction_route(branch):
+    """Every phase zeta^k and some branches: each of the twelve cases writes
+    the text of the Fraction `constant_in_pi() + 2 b`, and passes exactly
+    when the phase is zeta^10 on branch 0 and that angle is not zero."""
+    form = LinearForm.of({"u": 1})
+    for k in range(12):
+        uline = AngleLine(zeta_pow(k), branch, form)
+        cases = pcrc._remark_cases(CovMap(("u",), ("u",), (("u", uline),)))
+        for b, c in enumerate(cases):
+            angle = uline.constant_in_pi() + 2 * b
+            assert c["info"]["phase_exponent"] == k
+            assert c["info"]["angle_over_pi"] == str(angle)
+            assert c["pass"] is (k == 10 and branch == 0 and angle != 0)
+
+
 @pytest.mark.parametrize("b", range(12))
 def test_the_branch_enters_the_composition_only_through_the_u_line(b):
     base = compose(invert(build_cov(), 0), build_covbgp())

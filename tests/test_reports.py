@@ -24,7 +24,7 @@ from localp12.localization import (
 from localp12.pcrc import AngleLine, CovMap, ExpLine, LinearForm, LogLine, ScalarLine
 from localp12.potentials import TORUS_WEIGHTS, TorusWeights
 from localp12.ratfun import RF_T1, RF_T2
-from localp12.reports import SuiteReport, case
+from localp12.reports import SuiteReport, case, pair_text
 
 
 def _form():
@@ -160,11 +160,13 @@ def test_records_copy_and_pickle(name):
 def test_every_suite_makes_its_cases_as_the_json_objects_the_cli_writes(monkeypatch, broken):
     if broken:
         # a wrong input to five of the six suites, so each of them fails a case
-        sign, value, total = pcrc.quantum_sign, localization.local_invariant, pcrc.g_series
+        sign, pair, total = pcrc.quantum_sign, localization.invariant_pair, pcrc.g_series
         degree0 = localization.degree0_fixed_point_sum
         monkeypatch.setattr(pcrc, "quantum_sign", lambda d: -sign(d))
         monkeypatch.setattr(pcrc, "g_series", lambda order: total(order).scale(2))
-        monkeypatch.setattr(localization, "local_invariant", lambda d, n: value(d, n) + 1)
+        # the closed form plus 1, as the integer pair the suites compare with
+        monkeypatch.setattr(localization, "invariant_pair",
+                            lambda d, n: (lambda num, den: (num + den, den))(*pair(d, n)))
         monkeypatch.setattr(localization, "degree0_fixed_point_sum",
                             lambda classes: degree0(classes) + 1)
     cfg = types.SimpleNamespace(qmax=2, zorder=3)
@@ -183,3 +185,13 @@ def test_every_suite_makes_its_cases_as_the_json_objects_the_cli_writes(monkeypa
         for field in ("suite", "cases"):
             with pytest.raises(AttributeError):
                 setattr(report, field, getattr(report, field))
+
+
+_BIG = 10**30 + 1
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (1, 1), (-1, 1), (7, 1), (-7, 1), (1, 2), (-1, 2),
+                                  (-5, 4), (5, 12), (_BIG, 1), (-_BIG, 1), (1, _BIG),
+                                  (-1, _BIG), (_BIG, _BIG + 1), (-_BIG, _BIG - 1)])
+def test_pair_text_is_the_text_of_the_fraction(n, m):
+    assert pair_text((n, m)) == str(Fraction(n, m))

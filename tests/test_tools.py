@@ -106,6 +106,21 @@ def test_the_tracer_counts_a_suite_the_cli_imported_before_it_was_installed():
 
 
 def test_verify_layers_times_each_suite_the_writer_and_the_parser():
-    times = _tool("verify_layers").layer_times(repeat=1, number=1)
-    assert set(times) == set(cli.SUITE_NAMES) | {"report_json", "parser"}
-    assert all(type(t) is float for t in times.values())
+    warm, cold = _tool("verify_layers").layer_times(repeat=1, number=1)
+    parts = set(cli.SUITE_NAMES) | {"report_json", "parser"}
+    assert set(warm) == set(cold) == parts
+    assert all(type(t) is float and t > 0 for t in [*warm.values(), *cold.values()])
+
+
+def test_verify_layers_prints_warm_and_cold_times_on_one_line(monkeypatch, capsys):
+    tool = _tool("verify_layers")
+    monkeypatch.setattr(tool, "REPEAT", 1)
+    monkeypatch.setattr(tool, "NUMBER", 2)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool.main([ROOT])
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    record = json.loads(out)
+    assert set(record) == {"ms", "cold_ms", "best_of"} and record["best_of"] == [1, 2]
+    assert set(record["ms"]) == set(record["cold_ms"]) == set(cli.SUITE_NAMES) | {
+        "report_json", "parser"}

@@ -1,4 +1,4 @@
-"""Warm in-process times of the parts of one `verify` request, for comparing trees.
+"""In-process times of the parts of one `verify` request, cold and warm, for comparing trees.
 
     python3 tools/verify_layers.py [ROOT] > layers.json
 
@@ -11,17 +11,21 @@ CLI's default caps:
 - `report_json`: `cli._report_json` over the reports of all the suites;
 - `parser`: `cli._build_parser().parse_args` and `cli._merge` of the request.
 
-Each part is called once untimed, so that what it caches for the life of the
-process is filled, and then timed as the best of REPEAT `timeit` runs of
-NUMBER calls.  The output is one JSON line: `ms`, the best time per call of
-each part in milliseconds, and `best_of`, [REPEAT, NUMBER].  A benchmark
-trace counts the three `localization` suites as one span; this gives each
-suite its own number.
+Each part's first call in the process is timed alone, in the order a
+request runs them (the parser, the suites, the writer), with what it fills
+for the life of the process: that is the part's cold time, which the first
+request of a process pays.  Each part is then timed warm, as the best of
+REPEAT `timeit` runs of NUMBER calls.  The output is one JSON line: `ms`, the
+best warm time per call of each part in milliseconds, `cold_ms`, the time
+of its first call, and `best_of`, [REPEAT, NUMBER].  A benchmark trace
+counts the three `localization` suites as one span; this gives each suite
+its own number.
 """
 
 import json
 import os
 import sys
+import time
 import timeit
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -30,29 +34,39 @@ REPEAT, NUMBER = 7, 50
 
 
 def layer_times(repeat=REPEAT, number=NUMBER):
-    """{part: best ms per call} for the parts of one `verify --suite all`."""
+    """({part: best warm ms per call}, {part: ms of its first call}) for the
+    parts of one `verify --suite all`."""
     from localp12 import cli
+
+    cold = {}
+
+    def first(name, part):
+        start = time.perf_counter()
+        out = part()
+        cold[name] = round((time.perf_counter() - start) * 1000, 4)
+        return out
 
     def parse():
         return cli._merge(cli._build_parser().parse_args(ARGV))
 
-    cfg = parse()
+    cfg = first("parser", parse)
     parts = {name: (lambda run=cli._SUITES[name]: run(cfg)) for name in cli.SUITE_NAMES}
-    reports = [run() for run in parts.values()]
+    reports = [first(name, part) for name, part in parts.items()]
     parts["report_json"] = lambda: [cli._report_json(r) for r in reports]
+    first("report_json", parts["report_json"])
     parts["parser"] = parse
-    out = {}
+    warm = {}
     for name, part in parts.items():
-        part()
         best = min(timeit.repeat(part, repeat=repeat, number=number))
-        out[name] = round(best / number * 1000, 4)
-    return out
+        warm[name] = round(best / number * 1000, 4)
+    return warm, cold
 
 
 def main(argv):
     root = os.path.abspath(argv[0] if argv else os.path.dirname(HERE))
     sys.path.insert(0, os.path.join(root, "src"))
-    print(json.dumps({"ms": layer_times(), "best_of": [REPEAT, NUMBER]}, sort_keys=True))
+    warm, cold = layer_times(REPEAT, NUMBER)
+    print(json.dumps({"ms": warm, "cold_ms": cold, "best_of": [REPEAT, NUMBER]}, sort_keys=True))
 
 
 if __name__ == "__main__":
