@@ -19,15 +19,15 @@ Odd-degree assembly multiplies four ingredients:
   * a 1/d automorphism count and the hyperelliptic cover integral 1/2.
 
 The edge factor does not depend on g and is made once per degree.  Every
-factor is a rational times an integer power of s, so an `SMonomial`'s
-exponent is an int, and the total's coefficient is the integer pair of the
-five factors' numerator and denominator products, reduced (`OddAssembly.pair`).
+factor is an `SMonomial` of three ints, num/den in lowest terms with den > 0
+times s to an int power, and the total is their product, reduced with one
+gcd; a `Fraction` appears only in `value()`, the number a cancelled total is.
 
 Even degrees have the same closed form, proved here by resummation rather
 than assembly: the literal even-degree fixed-locus product carries a net
 s-exponent of -1/2 and never cancels (see `even_literal_assembly`, which
-records the imbalance exactly instead of hiding it).  `assemble_even`
-therefore extracts the invariant from the resummed generating function,
+records the imbalance exactly instead of hiding it); the even invariant is
+checked against n! times a coefficient of the resummed generating function,
 and `potentials.local_invariant` is the direct formula both parities share.
 `resummed` builds that generating function for both parities, a sine at
 odd d and a cosine at even d, as a dilation of one Taylor wave per parity,
@@ -36,11 +36,11 @@ Fraction; the `resummation` suite reads every genus of a degree from one
 such series.
 
 The `resummation` and odd `assembly` cases compare integer pairs in lowest
-terms, n! times a resummed coefficient or that total against
-`potentials.invariant_pair`, and write each `value` with `reports.pair_text`;
-a side becomes a `Fraction` only to be named in a failing case.  Each call
-builds its series, records and fixed-point sums afresh; only the `degree0`
-suite's frozen targets and their texts are built once, on its first run.
+terms, n! times a resummed coefficient reduced by `reports.reduced`, or that
+total, against `potentials.invariant_pair`, and write every side's text with
+`reports.pair_text`, in a failing case too.  Each call builds its series,
+records and fixed-point sums afresh; only the `degree0` suite's frozen
+targets and their texts are built once, on its first run.
 """
 
 import functools
@@ -50,7 +50,7 @@ from fractions import Fraction
 from .mpseries import Series, VarSet, cos, sin
 from .potentials import degree0_fixed_point_sum, invariant_pair, local_invariant, quantum_sign
 from .ratfun import P_ONE, P_T1, P_T2, RF_T1, RF_T2, RF_ZERO, RatFun, rf
-from .reports import FrozenRecord, SuiteReport, case, pair_text
+from .reports import FrozenRecord, SuiteReport, case, pair_text, reduced
 
 
 class AssemblyInconsistencyError(ArithmeticError):
@@ -62,10 +62,10 @@ class AssemblyInconsistencyError(ArithmeticError):
 
 
 class SMonomial(FrozenRecord):
-    """A rational multiple of a power of s; each factor the assembly makes
-    has an int exponent."""
+    """num/den times s^s_exp: three ints, num/den in lowest terms with
+    den > 0, so that == between two is equality of their values."""
 
-    __slots__ = ("coeff", "s_exp")
+    __slots__ = ("num", "den", "s_exp")
 
     @property
     def is_constant(self):
@@ -76,7 +76,7 @@ class SMonomial(FrozenRecord):
             raise AssemblyInconsistencyError(
                 "net s-exponent %s does not cancel" % (self.s_exp,)
             )
-        return self.coeff
+        return Fraction(self.num, self.den)
 
 
 # --------------------------------------------------------------------------
@@ -147,18 +147,13 @@ def node_coefficient(d, k, stacky):
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    num, den = _node_pair(d, k, stacky)
-    return SMonomial(Fraction(num, den), -k)
-
-
-def _node_pair(d, k, stacky):
-    """`node_coefficient(d, k, stacky).coeff` as (numerator, denominator)."""
     sign = -2 if stacky else -1
-    return (sign * d**k, 1) if k >= 0 else (sign, d**-k)
+    num, den = (sign * d**k, 1) if k >= 0 else reduced(sign, d**-k)
+    return SMonomial(num, den, -k)
 
 
 #: integral of psi^(2g-1) over the space of genus-g hyperelliptic covers
-COVER_INTEGRAL = Fraction(1, 2)
+COVER_INTEGRAL = SMonomial(1, 2, 0)
 
 
 # --------------------------------------------------------------------------
@@ -166,27 +161,16 @@ COVER_INTEGRAL = Fraction(1, 2)
 
 
 class OddAssembly(FrozenRecord):
-    """All factors of one odd-degree fixed-locus contribution."""
+    """All five factors of one odd-degree fixed-locus contribution, as `SMonomial`s."""
 
     __slots__ = ("d", "g", "edge", "vertex", "node", "automorphisms", "cover_integral")
 
     @property
-    def pair(self):
-        """The total's coefficient, the products of the five factors'
-        numerators and denominators, as an integer pair in lowest terms."""
-        factors = (self.edge.coeff, self.vertex.coeff, self.node.coeff, self.automorphisms,
-                   self.cover_integral)
-        return _reduced(math.prod([f.numerator for f in factors]),
-                        math.prod([f.denominator for f in factors]))
-
-    @property
-    def s_exp(self):
-        return self.edge.s_exp + self.vertex.s_exp + self.node.s_exp
-
-    @property
     def total(self):
-        """The product of the five factors, its coefficient one Fraction."""
-        return SMonomial(Fraction(*self.pair), self.s_exp)
+        """The product of the five factors, reduced with one gcd."""
+        factors = (self.edge, self.vertex, self.node, self.automorphisms, self.cover_integral)
+        num, den = reduced(math.prod([f.num for f in factors]), math.prod([f.den for f in factors]))
+        return SMonomial(num, den, sum([f.s_exp for f in factors]))
 
     @property
     def value(self):
@@ -196,22 +180,25 @@ class OddAssembly(FrozenRecord):
 
 @functools.cache
 def _odd_edge(d):
-    """The edge factor, as one Fraction of integer products."""
+    """The edge factor, a ratio of integer products reduced once; the sign of
+    the tangent weights' product moves up to the numerator."""
     half, one, tangent = odd_weight_families(d)
     num = math.prod(w.numerator for w in half + one)
     den = math.prod(w.denominator for w in half + one)
     num *= math.prod(w.denominator for w in tangent)
     den *= math.prod(w.numerator for w in tangent)
-    return SMonomial(Fraction(num, den), len(half) + len(one) - len(tangent))
+    if den < 0:
+        num, den = -num, -den
+    return SMonomial(*reduced(num, den), len(half) + len(one) - len(tangent))
 
 
 def odd_assembly(d, g):
     if g < 0:
         raise ValueError("genus must be nonnegative, got %r" % (g,))
     edge = _odd_edge(d)
-    vertex = SMonomial(Fraction((-1) ** g, 4**g), 2 * g)
+    vertex = SMonomial((-1) ** g, 4**g, 2 * g)
     node = node_coefficient(d, 2 * g - 1, stacky=True)
-    return OddAssembly(d, g, edge, vertex, node, Fraction(1, d), COVER_INTEGRAL)
+    return OddAssembly(d, g, edge, vertex, node, SMonomial(1, d, 0), COVER_INTEGRAL)
 
 
 # --------------------------------------------------------------------------
@@ -275,13 +262,13 @@ def even_literal_assembly(d, g):
         den *= 4**g
     s2 += 4 * g
     # untwisted node smoothing, psi^(2g) coefficient, of s-exponent -2g
-    node_num, node_den = _node_pair(d, 2 * g, stacky=False)
-    num *= node_num
-    den *= node_den
+    node = node_coefficient(d, 2 * g, stacky=False)
+    num *= node.num
+    den *= node.den
     s2 -= 4 * g
     # gluing factor 2 and the cover integral
-    num *= 2 * COVER_INTEGRAL.numerator
-    den *= COVER_INTEGRAL.denominator
+    num *= 2 * COVER_INTEGRAL.num
+    den *= COVER_INTEGRAL.den
 
     return EvenLiteralAssembly(
         d, g, Fraction(num, den), Fraction(s2, 2), Fraction(e2d2, 2), Fraction(ed2, 2),
@@ -312,22 +299,6 @@ def resummed(d, order):
     sign, cube = 2 * quantum_sign(d), d**3
     return Series._of(wave.vs, {(n,): Fraction(c.numerator * sign * d**n, c.denominator * cube)
                                 for (n,), c in wave.terms()})
-
-
-def assemble_even(d, g):
-    """Even-degree invariant, extracted from the resummed series.
-
-    This is the check for the even-degree closed form `local_invariant`,
-    which the potential is built from; the literal fixed-locus product does
-    not close up (see `even_literal_assembly`).
-    """
-    if d % 2:
-        raise ValueError("degree must be even, got %r" % (d,))
-    if g < -1:
-        raise ValueError("genus must be at least -1, got %r" % (g,))
-    n = 2 * g + 2
-    series = resummed(d, n)
-    return math.factorial(n) * series.coeff((n,))
 
 
 # --------------------------------------------------------------------------
@@ -368,18 +339,12 @@ _EVEN_GRID = [(d, g) for d in range(2, 9, 2) for g in range(-1, 5)]
 _EVEN_IMBALANCE = Fraction(-1, 2)
 
 
-def _reduced(num, den):
-    """num/den, den > 0, as the integer pair in lowest terms."""
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
 def _pair_case(key, passed, info, got, want, n):
-    """The case of two sides held as integer pairs: only a failing one makes
-    them Fractions, to name them, with n its first mismatching exponent."""
+    """The case of two sides held as reduced integer pairs: a failing one
+    names them by their text, with n its first mismatching exponent."""
     if passed:
         return case(key, True, info)
-    return case(key, False, info, Fraction(*got), Fraction(*want), (n,))
+    return case(key, False, info, pair_text(got), pair_text(want), (n,))
 
 
 def _per_degree(grid, shift):
@@ -400,7 +365,7 @@ def resummation_suite():
         for d, g in grid:
             n = 2 * g + shift
             c = coeffs[d].get((n,), 0)
-            got = _reduced(math.factorial(n) * c.numerator, c.denominator)
+            got = reduced(math.factorial(n) * c.numerator, c.denominator)
             want = invariant_pair(d, n)
             cases.append(_pair_case("%s d=%d g=%d" % (label, d, g), got == want,
                                     {"value": pair_text(want)}, got, want, n))
@@ -410,7 +375,7 @@ def resummation_suite():
 def assembly_suite():
     """Odd assembly against the closed form; even literal product recorded.
 
-    An odd case compares the total's coefficient with `invariant_pair(d, n)`
+    An odd case compares the total's (num, den) with `invariant_pair(d, n)`
     as reduced integer pairs.  Even-degree cases pass when the product shows
     exactly the documented imbalance (net s-exponent -1/2, no match with the
     closed form); a change in that behavior is what fails them.
@@ -418,11 +383,10 @@ def assembly_suite():
     cases = []
     for d, g in _ODD_GRID:
         n = 2 * g + 1
-        record = odd_assembly(d, g)
-        s_exp, got = record.s_exp, record.pair
-        want = invariant_pair(d, n)
-        cases.append(_pair_case("odd d=%d g=%d" % (d, g), s_exp == 0 and got == want,
-                                {"s_exponent": str(s_exp), "value": pair_text(got)},
+        total = odd_assembly(d, g).total
+        got, want = (total.num, total.den), invariant_pair(d, n)
+        cases.append(_pair_case("odd d=%d g=%d" % (d, g), total.is_constant and got == want,
+                                {"s_exponent": str(total.s_exp), "value": pair_text(got)},
                                 got, want, n))
     for d, g in _EVEN_GRID:
         report = even_literal_assembly(d, g)

@@ -8,7 +8,8 @@ parameter either to a root of unity times another quantum parameter or to
 a root of unity times the exponential of a linear form.
 
 Inverting an exponential line takes a logarithm, hence a branch integer b;
-the recovered angle constant is pi * principal_angle(phase) + 2 pi b.  The
+the recovered angle constant is pi a/6 + 2 pi b, with a/6 the principal angle
+of the phase over pi, in (-1, 1] (`AngleLine.constant_in_pi`).  The
 constant phase is a 12th root of unity and does not depend on b, which is
 why no branch choice ever makes the angle constant vanish: the angle line
 produced by chaining the two printed maps carries phase zeta^10 (that is,
@@ -30,12 +31,12 @@ field, and reads the twelve branch cases off its u-line.  The module takes
 """
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .cyclotomic import Cyclo, I, OMEGA, OMEGA_BAR, ONE, ZERO, zeta_pow
 from .mpseries import Series, VarSet, cos, exp, inverse, sin
 from .potentials import g_series, quantum_sign
-from .reports import FrozenRecord, SuiteReport, case, pair_text
+from .reports import FrozenRecord, SuiteReport, case, pair_text, reduced
 
 #: i / sqrt(3) = (2 zeta^2 - 1) / 3
 I_OVER_SQRT3 = Cyclo(Fraction(-1, 3), 0, Fraction(2, 3), 0)
@@ -56,11 +57,6 @@ def phase_exponent(c):
     if k is None:
         raise ValueError("not a 12th root of unity: %s" % (c,))
     return k
-
-
-def principal_angle(c):
-    """Angle of a 12th root of unity, in units of pi, normalized to (-1, 1]."""
-    return Fraction(_principal_sixths(phase_exponent(c)), 6)
 
 
 def _principal_sixths(k):
@@ -125,14 +121,14 @@ class LogLine(FrozenRecord):
 class AngleLine(FrozenRecord):
     """v maps to an exact angle constant plus a linear form.
 
-    The constant is pi * principal_angle(phase) + 2 pi branch; the phase
-    is pinned to a power of zeta so the constant stays symbolic.
+    The constant is pi (a/6 + 2 branch), a/6 the phase's angle over pi in
+    (-1, 1]; the phase is pinned to a power of zeta so it stays symbolic.
     """
 
     __slots__ = ("phase", "branch", "form")
 
     def constant_in_pi(self):
-        return principal_angle(self.phase) + 2 * self.branch
+        return Fraction(_principal_sixths(phase_exponent(self.phase)) + 12 * self.branch, 6)
 
 
 class CovMap(FrozenRecord):
@@ -430,9 +426,8 @@ def _remark_cases(got):
     for b in range(12):
         # the constant over pi on branch b is a/6, written from the reduced pair
         a = _principal_sixths(k) + 12 * (uline.branch + b)
-        g = gcd(a, 6)
         cases.append(case("branch=%d" % b, ok and a != 0,
-                          {"phase_exponent": k, "angle_over_pi": pair_text((a // g, 6 // g))},
+                          {"phase_exponent": k, "angle_over_pi": pair_text(reduced(a, 6))},
                           uline, want))
     return cases
 

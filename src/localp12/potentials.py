@@ -54,7 +54,7 @@ from fractions import Fraction
 
 from .mpseries import Series, VarSet, _tan_coeff
 from .ratfun import P_ONE, RF_ONE, RF_T1, RF_T2, RF_ZERO, RatFun
-from .reports import FrozenRecord
+from .reports import FrozenRecord, reduced
 
 #: the weight (t1+t2) carried by every term outside the classical cubic
 _LEVEL = RF_T1 + RF_T2
@@ -83,9 +83,7 @@ def invariant_pair(d, n):
         raise ValueError(
             "insertion count %r has the wrong parity for degree %r" % (n, d)
         )
-    num, den = quantum_sign(d) * (-1) ** (n // 2) * 2 * d**n, d**3 * 2**n
-    g = math.gcd(num, den)
-    return num // g, den // g
+    return reduced(quantum_sign(d) * (-1) ** (n // 2) * 2 * d**n, d**3 * 2**n)
 
 
 def quantum_sign(d):

@@ -12,10 +12,12 @@ constructs faster than a loop would.
 
 A case is the JSON object the CLI writes for it: the dict that `case`
 returns.  A `SuiteReport` is a suite's name and its list of cases.  A suite
-that decides a case on integer pairs writes each pair's text with
-`pair_text`, as `str(Fraction(n, m))` would, and makes a `Fraction` of a side
-only to name it in a failing case.
+that decides a case on integer pairs reduces each with `reduced` and writes
+its text with `pair_text`, as `str(Fraction(n, m))` would, in a passing and
+a failing case alike: no case is written through a `Fraction`.
 """
+
+from math import gcd
 
 #: how a frozen record's `__init__` sets a field past its `__setattr__`
 setfield = object.__setattr__
@@ -71,6 +73,12 @@ def case(key, passed, info=None, got=None, want=None, first=None):
         return out
     return {"key": key, "pass": False, "first_mismatch": None if first is None else list(first),
             "info": dict(info or {}, got=str(got), want=str(want))}
+
+
+def reduced(num, den):
+    """num/den, den > 0, in lowest terms, as `Fraction(num, den).as_integer_ratio()`."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def pair_text(pair):

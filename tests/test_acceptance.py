@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from localp12.cyclotomic import I, zeta_pow
-from localp12.localization import assemble_even, even_literal_assembly, odd_assembly, resummed
+from localp12.localization import even_literal_assembly, odd_assembly, resummed
 from localp12.mpseries import Series, VarSet, exp, inverse
 from localp12.pcrc import (
     build_corollary,
@@ -148,9 +148,11 @@ def test_criterion_3_odd_assembly_matches_resummation():
 
 def test_criterion_4_even_oracle_and_literal_report():
     with _criterion(4, 5, "even oracle; literal product reported"):
-        assert assemble_even(2, -1) == Fraction(-1, 4)
-        assert assemble_even(2, 0) == Fraction(1, 4)
-        assert assemble_even(4, -1) == Fraction(1, 32)
+        # n! times the z2^n coefficient of the resummed series, n = 2g + 2
+        for d, g, want in ((2, -1, Fraction(-1, 4)), (2, 0, Fraction(1, 4)),
+                           (4, -1, Fraction(1, 32))):
+            n = 2 * g + 2
+            assert math.factorial(n) * resummed(d, n).coeff((n,)) == want
         for d in (2, 4, 6, 8):
             for g in (-1, 0, 1):
                 rec = even_literal_assembly(d, g)
@@ -240,7 +242,7 @@ def test_criterion_9_numeric_cross_check():
         for d in (2, 4, 6, 8):
             for g_ in range(-1, 4):
                 n = 2 * g_ + 2
-                _agree(float(assemble_even(d, g_)), _inv_float(d, n))
+                _agree(float(math.factorial(n) * resummed(d, n).coeff((n,))), _inv_float(d, n))
                 _agree(float(local_invariant(d, n)), _inv_float(d, n))
 
         # literal even product, recomputed with doubles at s = 1

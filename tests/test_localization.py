@@ -12,7 +12,6 @@ from localp12.localization import (
     EvenLiteralAssembly,
     SMonomial,
     WeightTable,
-    assemble_even,
     assembly_suite,
     degree0_suite,
     even_literal_assembly,
@@ -222,32 +221,36 @@ def test_bad_lift_detected():
 
 
 def test_node_smoothing_coefficients():
-    assert node_coefficient(3, 0, stacky=True) == SMonomial(Fraction(-2), Fraction(0))
-    assert node_coefficient(3, 2, stacky=True) == SMonomial(Fraction(-18), Fraction(-2))
+    assert node_coefficient(3, 0, stacky=True) == SMonomial(-2, 1, 0)
+    assert node_coefficient(3, 2, stacky=True) == SMonomial(-18, 1, -2)
     # formal continuation below the geometric range
-    assert node_coefficient(3, -1, stacky=True) == SMonomial(Fraction(-2, 3), Fraction(1))
-    assert node_coefficient(5, 1, stacky=False) == SMonomial(Fraction(-5), Fraction(-1))
-    assert node_coefficient(5, -2, stacky=False) == SMonomial(Fraction(-1, 25), Fraction(2))
+    assert node_coefficient(3, -1, stacky=True) == SMonomial(-2, 3, 1)
+    assert node_coefficient(5, 1, stacky=False) == SMonomial(-5, 1, -1)
+    assert node_coefficient(5, -2, stacky=False) == SMonomial(-1, 25, 2)
     assert all(type(node_coefficient(3, k, stacky).s_exp) is int
                for k in range(-2, 3) for stacky in (True, False))
     with pytest.raises(ValueError, match="degree must be positive"):
         node_coefficient(0, 1, stacky=True)
 
 
-# The arithmetic of s-monomials, kept here as the oracle of the assembly's
-# integer products.
+# The arithmetic of s-monomials held as (Fraction coefficient, s-exponent),
+# kept here as the oracle of the assembly's integer products.
+
+
+def _fraction(m):
+    return Fraction(m.num, m.den), m.s_exp
 
 
 def _times(a, b):
-    return SMonomial(a.coeff * b.coeff, a.s_exp + b.s_exp)
+    return a[0] * b[0], a[1] + b[1]
 
 
 def _over(a, b):
-    return SMonomial(a.coeff / b.coeff, a.s_exp - b.s_exp)
+    return a[0] / b[0], a[1] - b[1]
 
 
 def _scaled(a, c):
-    return SMonomial(a.coeff * Fraction(c), a.s_exp)
+    return a[0] * Fraction(c), a[1]
 
 
 def test_node_coefficient_is_a_signed_power_of_d():
@@ -256,8 +259,42 @@ def test_node_coefficient_is_a_signed_power_of_d():
             base = Fraction(d) ** k
             for stacky, want in ((True, -2 * base), (False, -base)):
                 got = node_coefficient(d, k, stacky)
-                assert got == SMonomial(want, -k)
-                assert type(got.coeff) is Fraction and type(got.s_exp) is int
+                assert got == SMonomial(want.numerator, want.denominator, -k)
+                assert all(type(f) is int for f in (got.num, got.den, got.s_exp))
+
+
+def _canonical(m, value, s_exp):
+    """m is three ints in lowest terms, den > 0, the record that value * s^s_exp
+    makes, so that == between records is equality of values."""
+    assert all(type(f) is int for f in (m.num, m.den, m.s_exp))
+    assert m.den > 0 and math.gcd(m.num, m.den) == 1
+    assert m == SMonomial(*value.as_integer_ratio(), s_exp)
+
+
+def test_every_factor_is_one_canonical_smonomial():
+    for d in range(1, 12):
+        for k in range(-4, 5):
+            for stacky in (True, False):
+                # at even d and k < 0 the stacky node is -2/d^-k, e.g. -1/4, not -2/8, at d = 2
+                value = (-2 if stacky else -1) * Fraction(d) ** k
+                _canonical(node_coefficient(d, k, stacky), value, -k)
+    assert node_coefficient(2, -3, stacky=True) == SMonomial(-1, 4, 3)
+    for d in range(1, 22, 2):
+        # the tangent weights' product is negative; its sign moves to the numerator
+        half, one, tangent = odd_weight_families(d)
+        edge = math.prod(half + one, start=Fraction(1)) / math.prod(tangent, start=Fraction(1))
+        for g in range(7):
+            a = odd_assembly(d, g)
+            factors = [(a.edge, edge, len(half) + len(one) - len(tangent)),
+                       (a.vertex, Fraction((-1) ** g, 4**g), 2 * g),
+                       (a.node, -2 * Fraction(d) ** (2 * g - 1), 1 - 2 * g),
+                       (a.automorphisms, Fraction(1, d), 0),
+                       (a.cover_integral, Fraction(1, 2), 0)]
+            for m, value, s_exp in factors:
+                _canonical(m, value, s_exp)
+            total = math.prod([value for _, value, _ in factors])
+            _canonical(a.total, total, sum([s_exp for _, _, s_exp in factors]))
+            assert a.value == total == local_invariant(d, 2 * g + 1)
 
 
 @pytest.mark.parametrize("grid", [_ODD_GRID, [(d, g) for d in range(1, 16, 2) for g in range(7)]],
@@ -265,10 +302,10 @@ def test_node_coefficient_is_a_signed_power_of_d():
 def test_odd_total_is_the_product_of_its_factors(grid):
     for d, g in grid:
         a = odd_assembly(d, g)
-        want = _scaled(_times(_times(a.edge, a.vertex), a.node),
-                       a.automorphisms * a.cover_integral)
-        assert a.total == want
-        assert type(a.total.coeff) is Fraction and type(a.total.s_exp) is int
+        want = _times(_times(_times(_fraction(a.edge), _fraction(a.vertex)), _fraction(a.node)),
+                      _times(_fraction(a.automorphisms), _fraction(a.cover_integral)))
+        assert _fraction(a.total) == want
+        assert all(type(f) is int for f in (a.total.num, a.total.den, a.total.s_exp))
 
 
 def test_odd_assembly_oracles():
@@ -286,30 +323,30 @@ def test_odd_assembly_structure():
         for g in (0, 1, 2):
             report = odd_assembly(d, g)
             assert report.edge.s_exp == -1
-            assert report.edge.coeff == (-1) ** ((d + 1) // 2)
+            assert (report.edge.num, report.edge.den) == ((-1) ** ((d + 1) // 2), 1)
             assert report.vertex.s_exp == 2 * g
             assert report.node.s_exp == 1 - 2 * g
             assert report.total.s_exp == 0
             # every factor's power of s is an int, and so is their sum
             for m in (report.edge, report.vertex, report.node, report.total):
                 assert type(m.s_exp) is int
-            assert report.automorphisms == Fraction(1, d)
-            assert report.cover_integral == COVER_INTEGRAL
+            assert report.automorphisms == SMonomial(1, d, 0)
+            assert report.cover_integral == COVER_INTEGRAL == SMonomial(1, 2, 0)
     with pytest.raises(ValueError):
         odd_assembly(3, -1)
 
 
 def test_edge_from_integer_products_equals_the_factor_by_factor_product():
-    one_s = SMonomial(Fraction(1), Fraction(1))
+    one_s = (Fraction(1), 1)
     for d in range(1, 22, 2):
         half, one, tangent = odd_weight_families(d)
-        edge = SMonomial(Fraction(1), Fraction(0))
+        edge = (Fraction(1), 0)
         for w in half + one:
             edge = _times(edge, _scaled(one_s, w))
         for w in tangent:
             edge = _over(edge, _scaled(one_s, w))
-        assert _odd_edge(d) == edge
-        assert odd_assembly(d, 2).edge == edge
+        assert _fraction(_odd_edge(d)) == edge
+        assert _fraction(odd_assembly(d, 2).edge) == edge
 
 
 @pytest.mark.parametrize("grid, shift", [(_ODD_GRID, 1), (_EVEN_GRID, 2)], ids=["odd", "even"])
@@ -466,14 +503,11 @@ def test_resummed_at_even_degree():
 
 
 def test_assemble_even_oracles():
-    assert assemble_even(2, -1) == Fraction(-1, 4)
-    assert assemble_even(2, 0) == Fraction(1, 4)
-    assert assemble_even(4, -1) == Fraction(1, 32)
-    assert assemble_even(4, 0) == Fraction(-1, 8)
-    with pytest.raises(ValueError):
-        assemble_even(2, -2)
-    with pytest.raises(ValueError):
-        assemble_even(3, 0)
+    # n! times the z2^n coefficient of the resummed series, n = 2g + 2
+    for d, g, want in ((2, -1, Fraction(-1, 4)), (2, 0, Fraction(1, 4)),
+                       (4, -1, Fraction(1, 32)), (4, 0, Fraction(-1, 8))):
+        n = 2 * g + 2
+        assert math.factorial(n) * resummed(d, n).coeff((n,)) == want
 
 
 def test_even_literal_bookkeeping():
@@ -501,13 +535,13 @@ def test_even_literal_bookkeeping():
 
 
 def test_smonomial_arithmetic():
-    a = SMonomial(Fraction(3), Fraction(1, 2))
-    b = SMonomial(Fraction(2), Fraction(-1, 2))
-    assert _times(a, b) == SMonomial(Fraction(6), Fraction(0))
-    assert _times(a, b).value() == 6
-    assert _over(a, b).s_exp == 1
+    a, b = (Fraction(3), Fraction(1, 2)), (Fraction(2), Fraction(-1, 2))
+    assert _times(a, b) == (6, 0)
+    assert _over(a, b)[1] == 1
+    assert SMonomial(6, 1, 0).value() == 6 and type(SMonomial(6, 1, 0).value()) is Fraction
+    assert SMonomial(-1, 4, 0).value() == Fraction(-1, 4)
     with pytest.raises(AssemblyInconsistencyError):
-        a.value()
+        SMonomial(3, 1, 1).value()
 
 
 def test_suites_pass():
@@ -568,11 +602,12 @@ def _odd_assembly_by_fractions(closed_form):
     for d, g in _WIDE_ODD:
         n = 2 * g + 1
         total = odd_assembly(d, g).total
+        coeff = Fraction(total.num, total.den)
         want = closed_form(d, n)
-        ok = total.is_constant and total.coeff == want
+        ok = total.is_constant and coeff == want
         cases.append(case("odd d=%d g=%d" % (d, g), ok,
-                          {"s_exponent": str(total.s_exp), "value": str(total.coeff)},
-                          total.coeff, want, (n,)))
+                          {"s_exponent": str(total.s_exp), "value": str(coeff)},
+                          coeff, want, (n,)))
     return cases
 
 
@@ -607,8 +642,12 @@ def test_pair_routes_make_the_cases_of_the_fraction_routes(monkeypatch, shift, n
     monkeypatch.setattr(loc, "invariant_pair", pair)
     if node == "off by s":
         true_node = loc.node_coefficient
-        monkeypatch.setattr(loc, "node_coefficient", lambda d, k, stacky: SMonomial(
-            true_node(d, k, stacky).coeff, 1 - k if d == 5 else -k))
+
+        def off_by_s(d, k, stacky):
+            node = true_node(d, k, stacky)
+            return SMonomial(node.num, node.den, 1 - k if d == 5 else -k)
+
+        monkeypatch.setattr(loc, "node_coefficient", off_by_s)
     resummation = _resummation_by_fractions(closed_form)
     assert resummation_suite().cases == resummation
     odd = _odd_assembly_by_fractions(closed_form)

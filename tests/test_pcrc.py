@@ -23,7 +23,6 @@ from localp12.pcrc import (
     corollary_suite,
     invert,
     phase_exponent,
-    principal_angle,
     verify_bracket_identity,
     verify_residual_thirdderiv,
 )
@@ -39,11 +38,11 @@ def test_sqrt3_constants():
 
 
 def test_principal_angle():
-    assert principal_angle(ONE) == 0
-    assert principal_angle(I) == Fraction(1, 2)
-    assert principal_angle(-ONE) == 1
-    assert principal_angle(zeta_pow(9)) == Fraction(-1, 2)
-    assert principal_angle(zeta_pow(10)) == Fraction(-1, 3)
+    # the angle over pi of a branch-0 line is its phase's, in (-1, 1]
+    angles = [AngleLine(c, 0, LinearForm.of({})).constant_in_pi()
+              for c in (ONE, I, -ONE, zeta_pow(9), zeta_pow(10))]
+    assert angles == [0, Fraction(1, 2), 1, Fraction(-1, 2), Fraction(-1, 3)]
+    assert all(type(a) is Fraction for a in angles)
     assert phase_exponent(OMEGA) == 4
     with pytest.raises(ValueError):
         phase_exponent(Cyclo(2))
@@ -73,8 +72,7 @@ def test_printed_map_entries():
     cor = build_corollary()
     uline = cor.line("u")
     assert uline.phase == zeta_pow(10)
-    assert principal_angle(uline.phase) == Fraction(-1, 3)
-    assert uline.constant_in_pi() == Fraction(-1, 3)
+    assert uline.branch == 0 and uline.constant_in_pi() == Fraction(-1, 3)
     assert cor.line("q").phase == -I * OMEGA == zeta_pow(1)
     # the z1 coefficients collapse in the field
     assert cor.line("z1").coeff("x1") == (ONE - zeta_pow(2)) * Fraction(1, 2)

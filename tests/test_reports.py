@@ -24,7 +24,7 @@ from localp12.localization import (
 from localp12.pcrc import AngleLine, CovMap, ExpLine, LinearForm, LogLine, ScalarLine
 from localp12.potentials import TORUS_WEIGHTS, TorusWeights
 from localp12.ratfun import RF_T1, RF_T2
-from localp12.reports import SuiteReport, case, pair_text
+from localp12.reports import SuiteReport, case, pair_text, reduced
 
 
 def _form():
@@ -32,16 +32,16 @@ def _form():
 
 
 def _mono(a=1):
-    return SMonomial(Fraction(a, 2), Fraction(-1))
+    return SMonomial(a, 2, -1)
 
 
 #: class name -> a factory building an equal record, from fresh field values, on each call
 FROZEN = {
-    "SMonomial": lambda: SMonomial(Fraction(2, 4), Fraction(-1)),
+    "SMonomial": lambda: SMonomial(1, 2, -1),
     "WeightTable": lambda: WeightTable((Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(0)),
                                        (Fraction(1, 3), Fraction(0))),
     "OddAssembly": lambda: OddAssembly(3, 1, _mono(), _mono(3), _mono(5),
-                                       Fraction(1, 3), Fraction(1, 2)),
+                                       SMonomial(1, 3, 0), SMonomial(1, 2, 0)),
     "EvenLiteralAssembly": lambda: EvenLiteralAssembly(
         2, 0, Fraction(1, 8), Fraction(-1, 2), Fraction(1, 2), Fraction(0), Fraction(-1, 2)),
     "TorusWeights": lambda: TorusWeights(
@@ -110,7 +110,7 @@ def test_frozen_records_take_their_slots_as_init_parameters(name):
 
 
 def test_a_changed_field_makes_a_different_record():
-    assert SMonomial(Fraction(1), Fraction(0)) != SMonomial(Fraction(1), Fraction(1))
+    assert SMonomial(1, 1, 0) != SMonomial(1, 1, 1)
     assert LogLine(-I, -ONE, "q1", 0) != LogLine(-I, -ONE, "q1", 1)
     assert SuiteReport("s", [case("k", True)]) != SuiteReport("s", [case("k", True, {})])
 
@@ -143,8 +143,7 @@ def test_case_keeps_a_passing_info_and_names_both_sides_of_a_failing_one():
 
 
 def test_repr_names_every_field():
-    assert repr(SMonomial(Fraction(1, 2), Fraction(0))) == (
-        "SMonomial(coeff=Fraction(1, 2), s_exp=Fraction(0, 1))")
+    assert repr(SMonomial(1, 2, 0)) == "SMonomial(num=1, den=2, s_exp=0)"
     assert repr(SuiteReport("s", [case("k", True)])) == (
         "SuiteReport(suite='s', cases=[{'key': 'k', 'pass': True, 'first_mismatch': None}])")
 
@@ -190,8 +189,17 @@ def test_every_suite_makes_its_cases_as_the_json_objects_the_cli_writes(monkeypa
 _BIG = 10**30 + 1
 
 
+#: the corollary's twelve branch angles over pi, a/6 with a = -2 + 12 b
+_BRANCH_ANGLES = [(-2 + 12 * b, 6) for b in range(12)]
+
+
 @pytest.mark.parametrize("n, m", [(0, 1), (1, 1), (-1, 1), (7, 1), (-7, 1), (1, 2), (-1, 2),
                                   (-5, 4), (5, 12), (_BIG, 1), (-_BIG, 1), (1, _BIG),
-                                  (-1, _BIG), (_BIG, _BIG + 1), (-_BIG, _BIG - 1)])
+                                  (-1, _BIG), (_BIG, _BIG + 1), (-_BIG, _BIG - 1),
+                                  (0, 7), (6, 4), (-6, 4), (-2, 8), (3 * _BIG, 3),
+                                  (-2 * _BIG, 4 * _BIG), (_BIG**2, _BIG)] + _BRANCH_ANGLES)
 def test_pair_text_is_the_text_of_the_fraction(n, m):
-    assert pair_text((n, m)) == str(Fraction(n, m))
+    value = Fraction(n, m)
+    assert reduced(n, m) == value.as_integer_ratio()
+    assert pair_text(reduced(n, m)) == str(value)
+    assert pair_text(value.as_integer_ratio()) == str(value)
