@@ -35,12 +35,12 @@ sin(z2/2) or cos(z2/2) made once per order, each dilated coefficient one
 Fraction; the `resummation` suite reads every genus of a degree from one
 such series.
 
-The `resummation` and odd `assembly` cases compare integer pairs in lowest
-terms, n! times a resummed coefficient reduced by `reports.reduced`, or that
-total, against `potentials.invariant_pair`, and write every side's text with
-`reports.pair_text`, in a failing case too.  Each call builds its series,
-records and fixed-point sums afresh; only the `degree0` suite's frozen
-targets and their texts are built once, on its first run.
+The `resummation` and `assembly` cases compare integer pairs reduced by
+`reports.reduced` (n! times a resummed coefficient, the odd total, the even
+s-exponent) with `potentials.invariant_pair` or -1/2, and write every side's
+text with `reports.pair_text`, in a failing case too.  Each call builds its
+series, records and fixed-point sums afresh; only the `degree0` suite's
+frozen targets and their texts are built once, on its first run.
 """
 
 import functools
@@ -48,7 +48,7 @@ import math
 from fractions import Fraction
 
 from .mpseries import Series, VarSet, cos, sin
-from .potentials import degree0_fixed_point_sum, invariant_pair, local_invariant, quantum_sign
+from .potentials import degree0_fixed_point_sum, invariant_pair, quantum_sign
 from .ratfun import P_ONE, P_T1, P_T2, RF_T1, RF_T2, RF_ZERO, RatFun, rf
 from .reports import FrozenRecord, SuiteReport, case, pair_text, reduced
 
@@ -168,9 +168,10 @@ class OddAssembly(FrozenRecord):
     @property
     def total(self):
         """The product of the five factors, reduced with one gcd."""
-        factors = (self.edge, self.vertex, self.node, self.automorphisms, self.cover_integral)
-        num, den = reduced(math.prod([f.num for f in factors]), math.prod([f.den for f in factors]))
-        return SMonomial(num, den, sum([f.s_exp for f in factors]))
+        e, v, n, a, c = self.edge, self.vertex, self.node, self.automorphisms, self.cover_integral
+        num, den = reduced(e.num * v.num * n.num * a.num * c.num,
+                           e.den * v.den * n.den * a.den * c.den)
+        return SMonomial(num, den, e.s_exp + v.s_exp + n.s_exp + a.s_exp + c.s_exp)
 
     @property
     def value(self):
@@ -209,9 +210,11 @@ class EvenLiteralAssembly(FrozenRecord):
     """Exact bookkeeping of the literal even-degree fixed-locus product.
 
     The product is rational * s^s_exponent * (2d)^root2d_exponent
-    * d^rootd_exponent.  It is recorded, not asserted: the net s-exponent
+    * d^rootd_exponent; it and the closed form are integer pairs reduced by
+    `reports.reduced`.  It is recorded, not asserted: the net s-exponent
     is -1/2 for every even d, so the product is not a number and `matches`
-    is decided against the closed form only when all exponents vanish.
+    is decided, in integers, against the closed form only when all
+    exponents vanish.
     """
 
     __slots__ = ("d", "g", "rational", "s_exponent", "root2d_exponent", "rootd_exponent",
@@ -219,16 +222,15 @@ class EvenLiteralAssembly(FrozenRecord):
 
     @property
     def matches(self):
-        if self.s_exponent != 0:
+        (s, _), (a, a_den), (b, b_den) = self.s_exponent, self.root2d_exponent, self.rootd_exponent
+        if s != 0 or a_den != 1 or b_den != 1:
             return False
-        if self.root2d_exponent.denominator != 1 or self.rootd_exponent.denominator != 1:
-            return False
-        value = (
-            self.rational
-            * Fraction(2 * self.d) ** self.root2d_exponent.numerator
-            * Fraction(self.d) ** self.rootd_exponent.numerator
-        )
-        return value == self.closed_form
+        (num, den), (want_num, want_den) = self.rational, self.closed_form
+        # num/den * (2d)^a * d^b == want_num/want_den, each negative power moved across
+        left, right = num * want_den, want_num * den
+        for base, e in ((2 * self.d, a), (self.d, b)):
+            left, right = (left * base**e, right) if e >= 0 else (left, right * base**-e)
+        return left == right
 
 
 def even_literal_assembly(d, g):
@@ -271,8 +273,8 @@ def even_literal_assembly(d, g):
     den *= COVER_INTEGRAL.den
 
     return EvenLiteralAssembly(
-        d, g, Fraction(num, den), Fraction(s2, 2), Fraction(e2d2, 2), Fraction(ed2, 2),
-        local_invariant(d, 2 * g + 2),
+        d, g, reduced(num, den), reduced(s2, 2), reduced(e2d2, 2), reduced(ed2, 2),
+        invariant_pair(d, 2 * g + 2),
     )
 
 
@@ -336,7 +338,7 @@ def degree0_suite():
 _ODD_GRID = [(d, g) for d in range(1, 10, 2) for g in range(0, 5)]
 _EVEN_GRID = [(d, g) for d in range(2, 9, 2) for g in range(-1, 5)]
 #: the net s-exponent of every even-degree literal product
-_EVEN_IMBALANCE = Fraction(-1, 2)
+_EVEN_IMBALANCE = (-1, 2)
 
 
 def _pair_case(key, passed, info, got, want, n):
@@ -392,17 +394,15 @@ def assembly_suite():
         report = even_literal_assembly(d, g)
         matches = report.matches
         info = {
-            "rational": str(report.rational),
-            "s_exponent": str(report.s_exponent),
-            "root2d_exponent": str(report.root2d_exponent),
-            "rootd_exponent": str(report.rootd_exponent),
-            "closed_form": str(report.closed_form),
+            "rational": pair_text(report.rational),
+            "s_exponent": pair_text(report.s_exponent),
+            "root2d_exponent": pair_text(report.root2d_exponent),
+            "rootd_exponent": pair_text(report.rootd_exponent),
+            "closed_form": pair_text(report.closed_form),
             "matches": matches,
         }
         # what is compared is the net s-exponent, which must stay -1/2
-        cases.append(
-            case("even-literal d=%d g=%d" % (d, g),
-                 report.s_exponent == _EVEN_IMBALANCE and not matches, info,
-                 report.s_exponent, _EVEN_IMBALANCE, (2 * g + 2,))
-        )
+        cases.append(_pair_case("even-literal d=%d g=%d" % (d, g),
+                                report.s_exponent == _EVEN_IMBALANCE and not matches, info,
+                                report.s_exponent, _EVEN_IMBALANCE, 2 * g + 2))
     return SuiteReport("assembly", cases)

@@ -36,6 +36,7 @@ from localp12.potentials import (
     potential,
 )
 from localp12.ratfun import RF_T1, RF_T2, RF_ZERO, rf
+from localp12.reports import pair_text
 
 _TOL = 1e-10
 
@@ -160,9 +161,9 @@ def test_criterion_4_even_oracle_and_literal_report():
                     print(
                         "[criterion 4] literal d=%d g=%d: %s * s^%s *"
                         " (2d)^%s * d^%s, closed form %s" % (
-                            d, g, rec.rational, rec.s_exponent,
-                            rec.root2d_exponent, rec.rootd_exponent,
-                            rec.closed_form))
+                            d, g, pair_text(rec.rational), pair_text(rec.s_exponent),
+                            pair_text(rec.root2d_exponent), pair_text(rec.rootd_exponent),
+                            pair_text(rec.closed_form)))
 
 
 def test_criterion_5_classical_cubics_and_divisor():
@@ -256,9 +257,9 @@ def test_criterion_9_numeric_cross_check():
                 lit /= 2.0
                 lit *= 0.25**g_
                 lit *= -(float(d) ** (2 * g_))
-                want = (float(rec.rational)
-                        * (2.0 * d) ** float(rec.root2d_exponent)
-                        * float(d) ** float(rec.rootd_exponent))
+                (num, den), (a, a_den), (b, b_den) = (
+                    rec.rational, rec.root2d_exponent, rec.rootd_exponent)
+                want = num / den * (2.0 * d) ** (a / a_den) * float(d) ** (b / b_den)
                 _agree(want, lit)
 
         # classical cubics and quantum invariants at sample points

@@ -515,23 +515,105 @@ def test_even_literal_bookkeeping():
     assert rep == EvenLiteralAssembly(
         d=2,
         g=-1,
-        rational=Fraction(-1, 16),
-        s_exponent=Fraction(-1, 2),
-        root2d_exponent=Fraction(1, 2),
-        rootd_exponent=Fraction(1),
-        closed_form=Fraction(-1, 4),
+        rational=(-1, 16),
+        s_exponent=(-1, 2),
+        root2d_exponent=(1, 2),
+        rootd_exponent=(1, 1),
+        closed_form=(-1, 4),
     )
     assert not rep.matches
     for d in (2, 4, 6, 8, 10):
         for g in (-1, 0, 1, 2):
             r = even_literal_assembly(d, g)
-            assert r.s_exponent == Fraction(-1, 2)
-            assert r.root2d_exponent == Fraction(1, 2)
-            assert r.rootd_exponent == 1
+            assert r.s_exponent == (-1, 2)
+            assert r.root2d_exponent == (1, 2)
+            assert r.rootd_exponent == (1, 1)
             assert not r.matches
-            assert r.closed_form == local_invariant(d, 2 * g + 2)
+            assert r.closed_form == local_invariant(d, 2 * g + 2).as_integer_ratio()
     with pytest.raises(ValueError):
         even_literal_assembly(3, 0)
+
+
+def _even_literal_by_fractions(d, g):
+    """The even literal product as the Fraction route recorded it, built here
+    factor by factor: (rational, s-exponent, root2d and rootd exponents,
+    closed form), each a Fraction.  Each factor is (coefficient, powers of
+    s, of 2d and of d)."""
+    half = Fraction(1, 2)
+    factors = [
+        # first edge bundle: (d-1)!! s^((d-1)/2) / (2d)^((d-1)/2)
+        (math.prod(range(d - 1, 0, -2)), half * (d - 1), -half * (d - 1), 0),
+        # second edge bundle: (d-1)! (s/d)^(d-1)
+        (math.factorial(d - 1), d - 1, 0, 1 - d),
+        # over the tangent factor 2 d! d!! s^(3d/2) / ((2d)^(d/2) d^d)
+        (Fraction(1, 2 * math.factorial(d) * math.prod(range(d, 0, -2))), -3 * half * d,
+         half * d, d),
+        # flag factor s/2, vertex (s/2)^(2g)
+        (half, 1, 0, 0),
+        (Fraction(1, 4) ** g, 2 * g, 0, 0),
+        # untwisted node smoothing, psi^(2g) coefficient -(d/s)^(2g)
+        (-Fraction(d) ** (2 * g), -2 * g, 0, 0),
+        # gluing factor 2 and the cover integral 1/2
+        (2 * Fraction(COVER_INTEGRAL.num, COVER_INTEGRAL.den), 0, 0, 0),
+    ]
+    rational = math.prod([Fraction(f[0]) for f in factors])
+    s_exp, root2d, rootd = (sum([Fraction(f[i]) for f in factors]) for i in (1, 2, 3))
+    return rational, s_exp, root2d, rootd, local_invariant(d, 2 * g + 2)
+
+
+def _matches_by_fractions(d, rational, s_exponent, root2d_exponent, rootd_exponent, closed_form):
+    """`EvenLiteralAssembly.matches` as the Fraction route decided it."""
+    if s_exponent != 0:
+        return False
+    if root2d_exponent.denominator != 1 or rootd_exponent.denominator != 1:
+        return False
+    value = (rational * Fraction(2 * d) ** root2d_exponent.numerator
+             * Fraction(d) ** rootd_exponent.numerator)
+    return value == closed_form
+
+
+@pytest.mark.parametrize("d", range(2, 21, 2))
+def test_even_literal_record_is_the_fraction_route_in_reduced_pairs(d):
+    for g in range(-1, 9):
+        record = even_literal_assembly(d, g)
+        want = _even_literal_by_fractions(d, g)
+        pairs = (record.rational, record.s_exponent, record.root2d_exponent,
+                 record.rootd_exponent, record.closed_form)
+        for pair, value in zip(pairs, want):
+            assert type(pair) is tuple and all(type(x) is int for x in pair)
+            assert pair[1] > 0 and math.gcd(*pair) == 1
+            assert pair == value.as_integer_ratio()
+        assert record.matches is _matches_by_fractions(d, *want) is False
+
+
+def test_a_warm_assembly_suite_makes_no_fraction(monkeypatch):
+    assert assembly_suite().passed  # fills the odd edge factors' cache
+    true_new = Fraction.__new__
+    made = [0]
+
+    def counting(*args, **kwargs):
+        made[0] += 1
+        return true_new(*args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    report = assembly_suite()
+    monkeypatch.undo()
+    assert report.passed and len(report.cases) == len(_ODD_GRID) + len(_EVEN_GRID)
+    assert made == [0]
+
+
+def test_a_failing_even_case_names_both_exponents_as_text(monkeypatch):
+    import localp12.localization as loc
+
+    monkeypatch.setattr(loc, "_EVEN_IMBALANCE", (1, 2))
+    cases = assembly_suite().cases
+    failed = [c for c in cases if not c["pass"]]
+    assert [c["key"] for c in failed] == ["even-literal d=%d g=%d" % c for c in _EVEN_GRID]
+    for c, (d, g) in zip(failed, _EVEN_GRID):
+        assert c["first_mismatch"] == [2 * g + 2]
+        assert (c["info"]["got"], c["info"]["want"]) == ("-1/2", "1/2") == (
+            str(Fraction(-1, 2)), str(Fraction(1, 2)))
+        assert c["info"]["s_exponent"] == "-1/2" and c["info"]["matches"] is False
 
 
 def test_smonomial_arithmetic():
@@ -672,19 +754,40 @@ def test_failing_degree0_case_names_both_sides(monkeypatch):
     assert failed[0]["info"] == {"value": "1/3", "got": "1/3", "want": "-2/3"}
 
 
-def _record(rational, s_exponent, root2d_exponent, rootd_exponent, closed_form):
-    return EvenLiteralAssembly(d=2, g=0, rational=rational, s_exponent=s_exponent,
+def _record(rational, s_exponent, root2d_exponent, rootd_exponent, closed_form, d=2):
+    return EvenLiteralAssembly(d=d, g=0, rational=rational, s_exponent=s_exponent,
                                root2d_exponent=root2d_exponent, rootd_exponent=rootd_exponent,
                                closed_form=closed_form)
 
 
 def test_a_product_that_closes_up_is_matched_on_its_value():
     # at d = 2: 1/16 * 4^1 * 2^-1 = 1/8
-    assert _record(Fraction(1, 16), Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 8)).matches
-    assert not _record(Fraction(1, 16), Fraction(0), Fraction(1), Fraction(-1),
-                       Fraction(1, 4)).matches
+    assert _record((1, 16), (0, 1), (1, 1), (-1, 1), (1, 8)).matches
+    assert not _record((1, 16), (0, 1), (1, 1), (-1, 1), (1, 4)).matches
     # a half-integer root exponent is no rational value, whatever the rest
-    assert not _record(Fraction(1, 16), Fraction(0), Fraction(1, 2), Fraction(-1),
-                       Fraction(1, 8)).matches
-    assert not _record(Fraction(1, 16), Fraction(0), Fraction(1), Fraction(-1, 2),
-                       Fraction(1, 8)).matches
+    assert not _record((1, 16), (0, 1), (1, 2), (-1, 1), (1, 8)).matches
+    assert not _record((1, 16), (0, 1), (1, 1), (-1, 2), (1, 8)).matches
+
+
+def test_matches_on_pairs_is_the_fraction_rule_where_the_exponents_vanish():
+    """Synthetic records, every s-exponent and root exponent drawn from
+    -5/2..5/2 at even d, the rational chosen to close up on the closed form
+    or to miss it by a factor: the integer rule agrees with the Fraction rule
+    on each, and matches exactly where s^0 and both roots are whole."""
+    halves = [Fraction(k, 2) for k in range(-5, 6)]
+    closed = 0
+    for d in (2, 4, 6):
+        for g in (-1, 0, 3):
+            want = local_invariant(d, 2 * g + 2)
+            for s_exp, a, b in itertools.product((Fraction(0), Fraction(-1, 2), Fraction(1)),
+                                                 halves, halves):
+                whole = (Fraction(2 * d) ** a.numerator * Fraction(d) ** b.numerator
+                         if a.denominator == b.denominator == 1 else Fraction(1))
+                for miss in (1, 2, Fraction(-1, 3)):
+                    fields = (want / whole * miss, s_exp, a, b, want)
+                    record = _record(*[f.as_integer_ratio() for f in fields], d=d)
+                    assert record.matches is _matches_by_fractions(d, *fields)
+                    closes = s_exp == 0 and a.denominator == b.denominator == 1 and miss == 1
+                    assert record.matches is closes
+                    closed += closes
+    assert closed == 3 * 3 * 5 * 5  # d, g, and the whole exponents -2..2 of each root

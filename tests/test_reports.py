@@ -43,7 +43,7 @@ FROZEN = {
     "OddAssembly": lambda: OddAssembly(3, 1, _mono(), _mono(3), _mono(5),
                                        SMonomial(1, 3, 0), SMonomial(1, 2, 0)),
     "EvenLiteralAssembly": lambda: EvenLiteralAssembly(
-        2, 0, Fraction(1, 8), Fraction(-1, 2), Fraction(1, 2), Fraction(0), Fraction(-1, 2)),
+        2, 0, (1, 8), (-1, 2), (1, 2), (0, 1), (-1, 2)),
     "TorusWeights": lambda: TorusWeights(
         RF_T2 - RF_T1, RF_T1 * 3, Fraction(1, 2), RF_T1, RF_T2 * 3, Fraction(1),
         RF_T1, RF_T2 * 2, -RF_T1, Fraction(1, 2)),

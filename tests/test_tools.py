@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from localp12 import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -106,10 +108,29 @@ def test_the_tracer_counts_a_suite_the_cli_imported_before_it_was_installed():
 
 
 def test_verify_layers_times_each_suite_the_writer_and_the_parser():
-    warm, cold = _tool("verify_layers").layer_times(repeat=1, number=1)
+    warm, cold, fractions = _tool("verify_layers").layer_times(repeat=1, number=1)
     parts = set(cli.SUITE_NAMES) | {"report_json", "parser"}
-    assert set(warm) == set(cold) == parts
+    assert set(warm) == set(cold) == set(fractions) == parts
     assert all(type(t) is float and t > 0 for t in [*warm.values(), *cold.values()])
+    assert all(type(n) is int and n >= 0 for n in fractions.values())
+    # the parser, the writer and the integer suites make none; the bracket's Taylor series do
+    assert fractions["parser"] == fractions["report_json"] == fractions["assembly"] == 0
+    assert fractions["bracket"] > 0
+
+
+def test_verify_layers_counts_the_fractions_of_each_call_and_restores_the_class():
+    from fractions import Fraction
+
+    tool = _tool("verify_layers")
+    true_new = Fraction.__dict__["__new__"]
+    made = tool.fractions_made({"none": lambda: 3 * 4,
+                                "two": lambda: (Fraction(1, 3), Fraction(2)),
+                                "one": lambda: [Fraction(6, 4)]})
+    assert made == {"none": 0, "two": 2, "one": 1}
+    assert Fraction.__dict__["__new__"] is true_new
+    with pytest.raises(ZeroDivisionError):
+        tool.fractions_made({"raises": lambda: Fraction(1, 0)})
+    assert Fraction.__dict__["__new__"] is true_new and Fraction(6, 4) == Fraction(3, 2)
 
 
 def test_verify_layers_prints_warm_and_cold_times_on_one_line(monkeypatch, capsys):
@@ -121,6 +142,8 @@ def test_verify_layers_prints_warm_and_cold_times_on_one_line(monkeypatch, capsy
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     record = json.loads(out)
-    assert set(record) == {"ms", "cold_ms", "best_of"} and record["best_of"] == [1, 2]
-    assert set(record["ms"]) == set(record["cold_ms"]) == set(cli.SUITE_NAMES) | {
-        "report_json", "parser"}
+    assert set(record) == {"ms", "cold_ms", "fractions", "best_of"}
+    assert record["best_of"] == [1, 2]
+    assert set(record["ms"]) == set(record["cold_ms"]) == set(record["fractions"]) == set(
+        cli.SUITE_NAMES) | {"report_json", "parser"}
+    assert record["fractions"]["assembly"] == 0

@@ -15,11 +15,13 @@ Each part's first call in the process is timed alone, in the order a
 request runs them (the parser, the suites, the writer), with what it fills
 for the life of the process: that is the part's cold time, which the first
 request of a process pays.  Each part is then timed warm, as the best of
-REPEAT `timeit` runs of NUMBER calls.  The output is one JSON line: `ms`, the
-best warm time per call of each part in milliseconds, `cold_ms`, the time
-of its first call, and `best_of`, [REPEAT, NUMBER].  A benchmark trace
-counts the three `localization` suites as one span; this gives each suite
-its own number.
+REPEAT `timeit` runs of NUMBER calls.  Last, one more warm call of each part
+counts the `Fraction`s it makes, as calls to `Fraction.__new__`.  The output
+is one JSON line: `ms`, the best warm time per call of each part in
+milliseconds, `cold_ms`, the time of its first call, `fractions`, the
+`Fraction`s of one warm call, and `best_of`, [REPEAT, NUMBER].  A benchmark
+trace counts the three `localization` suites as one span; this gives each
+suite its own number.
 """
 
 import json
@@ -27,15 +29,39 @@ import os
 import sys
 import time
 import timeit
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ARGV = ["verify", "--suite", "all"]
 REPEAT, NUMBER = 7, 50
 
 
+def fractions_made(parts):
+    """{part: the `Fraction`s one call of it makes}, counted by wrapping
+    `Fraction.__new__` for the length of the calls."""
+    true_new = Fraction.__dict__["__new__"]
+    made = [0]
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return true_new.__func__(cls, *args, **kwargs)
+
+    counts = {}
+    Fraction.__new__ = counting
+    try:
+        for name, part in parts.items():
+            made[0] = 0
+            part()
+            counts[name] = made[0]
+    finally:
+        Fraction.__new__ = true_new
+    return counts
+
+
 def layer_times(repeat=REPEAT, number=NUMBER):
-    """({part: best warm ms per call}, {part: ms of its first call}) for the
-    parts of one `verify --suite all`."""
+    """({part: best warm ms per call}, {part: ms of its first call},
+    {part: `Fraction`s of one warm call}) for the parts of one
+    `verify --suite all`."""
     from localp12 import cli
 
     cold = {}
@@ -59,14 +85,15 @@ def layer_times(repeat=REPEAT, number=NUMBER):
     for name, part in parts.items():
         best = min(timeit.repeat(part, repeat=repeat, number=number))
         warm[name] = round(best / number * 1000, 4)
-    return warm, cold
+    return warm, cold, fractions_made(parts)
 
 
 def main(argv):
     root = os.path.abspath(argv[0] if argv else os.path.dirname(HERE))
     sys.path.insert(0, os.path.join(root, "src"))
-    warm, cold = layer_times(REPEAT, NUMBER)
-    print(json.dumps({"ms": warm, "cold_ms": cold, "best_of": [REPEAT, NUMBER]}, sort_keys=True))
+    warm, cold, fractions = layer_times(REPEAT, NUMBER)
+    print(json.dumps({"ms": warm, "cold_ms": cold, "fractions": fractions,
+                      "best_of": [REPEAT, NUMBER]}, sort_keys=True))
 
 
 if __name__ == "__main__":
