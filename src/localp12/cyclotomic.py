@@ -19,11 +19,12 @@ gcd(n0, n1, n2, n3, d) = 1, with zero stored as (0, 0, 0, 0) / 1: the
 layout FLINT uses for fmpq_poly.  Every operation returns that reduced
 representative, so field equality is plain equality of representatives,
 and the field arithmetic is integer products plus one gcd per result.
-An int or Fraction operand of `*` or `/`, and a rational `Cyclo` times an
+An int or Fraction operand of `*`, and a rational `Cyclo` times an
 irrational one, take the scaling route, `Cyclo._scaled`: four numerator
 products and one denominator product, with no field product and no
-inverse.  A sum or product of two rational elements takes the rational
-route, `_rational`: one numerator, one denominator and one gcd of the two.
+inverse; `/` multiplies by the inverse of its coerced divisor.  A sum or
+product of two rational elements takes the rational route, `_rational`:
+one numerator, one denominator and one gcd of the two.
 `coords` gives the four coordinates as reduced Fractions; the constructor
 takes ints and Fractions and raises TypeError for anything else, a float
 included.
@@ -150,11 +151,8 @@ class Cyclo:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division by zero in Q(zeta12)")
-            return self._scaled(other.denominator, other.numerator)
-        if not isinstance(other, Cyclo):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self * other.inv()
 

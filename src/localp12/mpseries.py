@@ -15,11 +15,10 @@ terms)` is the one public constructor and checks every exponent, and it and
 package's own results, whose dicts are already within the caps and free of
 zeros, are wrapped by the internal `Series._of` without a second check.
 
-Sums, substitution and the Taylor sums of exp, sin, cos and tan add their
-terms into one dict through `cyclotomic._accumulate`, as `Poly2` sums do; a
-Taylor sum of a one-term argument runs as a scalar recurrence, and a product
-keeps its own inline loop.  `inverse` is no Taylor sum but the graded
-recurrence of f * g = 1, one product per pair of a result term and a term of f.
+Sums, substitution and the Taylor sums of exp, sin, cos, tan and inverse
+add their terms into one dict through `cyclotomic._accumulate`, as `Poly2`
+sums do; a Taylor sum of a one-term argument runs as a scalar recurrence, and
+a product keeps its own inline loop.
 
 Caps are per variable rather than total degree: the curve-degree variable
 q wants its own bound independent of the analytic orders in the z and u
@@ -308,8 +307,8 @@ class Series:
 
 # -- analytic functions of a series -------------------------------------
 #
-# Each but `inverse` is a finite Taylor sum: the argument has zero constant
-# term, so its powers climb in total degree and die at the caps.
+# Each is a finite Taylor sum: the step has zero constant term, so its
+# powers climb in total degree and die at the caps.
 
 
 def _require_no_constant(f, what):
@@ -380,34 +379,14 @@ def tan(f):
 
 
 def inverse(f):
-    """Multiplicative inverse; the constant term must be invertible.
+    """Multiplicative inverse; the constant term c must be invertible.
 
-    The graded recurrence g_0 = 1/f_0, g_e = sum of (-f_s/f_0) g_(e-s) over
-    the other terms f_s of f, run in order of total degree, visits only the
-    exponents reachable from f's support: one product per term of the result
-    and term of f.
+    1/f = (1/c) * sum over k of (1 - f/c)^k, a Taylor sum like the others:
+    1 - f/c has zero constant term.
     """
     c = f.constant_term()
     if not c:
         raise ZeroDivisionError("series with zero constant term has no inverse")
     ci = Fraction(1) / c
-    nci = -ci
-    vs = f.vs
-    caps = vs.caps
-    zero = (0,) * len(caps)
-    steps = [(s, sum(s), v * nci) for s, v in f._t.items() if s != zero]
-    # by_degree[k]: the sums reached so far at the exponents of total degree k
-    by_degree = [{} for _ in range(sum(caps) + 1)]
-    by_degree[0][zero] = ci
-    out = {}
-    for k, level in enumerate(by_degree):
-        for e, g in level.items():
-            if not g:
-                continue
-            out[e] = g
-            for s, ds, a in steps:
-                exp = tuple(map(add, e, s))
-                if all(map(le, exp, caps)):
-                    pending = by_degree[k + ds]
-                    pending[exp] = pending[exp] + a * g if exp in pending else a * g
-    return Series._of(vs, out)
+    first = Series.constant(f.vs, ci)
+    return _taylor(first, first, Series.constant(f.vs, 1) - f.scale(ci), lambda k: 1)

@@ -51,14 +51,6 @@ def _cyclo(x):
 _PHASE_EXPONENTS = {zeta_pow(k): k for k in range(12)}
 
 
-def phase_exponent(c):
-    """The k in 0..11 with c = zeta^k; ValueError if there is none."""
-    k = _PHASE_EXPONENTS.get(c)
-    if k is None:
-        raise ValueError("not a 12th root of unity: %s" % (c,))
-    return k
-
-
 def _principal_sixths(k):
     """The principal angle of zeta^k in units of pi/6, in (-6, 6]."""
     return k if k <= 6 else k - 12
@@ -128,7 +120,10 @@ class AngleLine(FrozenRecord):
     __slots__ = ("phase", "branch", "form")
 
     def constant_in_pi(self):
-        return Fraction(_principal_sixths(phase_exponent(self.phase)) + 12 * self.branch, 6)
+        k = _PHASE_EXPONENTS.get(self.phase)
+        if k is None:
+            raise ValueError("not a 12th root of unity: %s" % (self.phase,))
+        return Fraction(_principal_sixths(k) + 12 * self.branch, 6)
 
 
 class CovMap(FrozenRecord):
@@ -261,7 +256,8 @@ def _invert_matrix(rows):
 
 
 def compose(a, b):
-    """The chain 'a then b'; sources of b must be the targets of a."""
+    """The chain 'a then b'; sources of b must be the targets of a.  An
+    exponential line of a is not pushed: ValueError."""
     if a.target != b.source:
         raise ValueError(
             "maps do not chain: %r versus %r" % (a.target, b.source)
@@ -287,8 +283,6 @@ def _push(ln, b):
         if isinstance(img, ExpLine):
             return ExpLine(ln.scalar * img.phase, img.form)
         raise ValueError("cannot rescale the line of %r" % (ln.var,))
-    if isinstance(ln, ExpLine):
-        return ExpLine(ln.phase, _push(ln.form, b))
     if isinstance(ln, LogLine):
         img = b.line(ln.param)
         if isinstance(img, ScalarLine):

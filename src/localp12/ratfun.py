@@ -16,8 +16,7 @@ That contract makes the gcd univariate. A homogeneous polynomial of degree
 k is t2^k F(s) with s = t1/t2, and every divisor of a homogeneous q is
 homogeneous, so gcd(p, q) is the monic Euclid in K[s] of q and each
 homogeneous component of p, times the least power of t2 they share.
-A sum with a zero summand is the other summand, and a zero numerator over
-any valid denominator is 0/1, each with no gcd.
+A zero numerator over any valid denominator is 0/1, with no gcd.
 """
 
 import operator
@@ -309,11 +308,6 @@ class RatFun:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        # a zero summand leaves the other canonical pair as it is
-        if not other._n:
-            return self
-        if not self._n:
-            return other
         if self._d == other._d:
             return RatFun(self._n + other._n, self._d)
         return RatFun(
@@ -374,12 +368,7 @@ class RatFun:
         return repeated_squaring(self, n, RF_ONE)
 
     def inv(self):
-        # a canonical pair is coprime already: only the new denominator's
-        # leading coefficient needs normalizing
-        ilc = _homogeneous(self._n)[1][-1].inv()
-        r = RatFun.__new__(RatFun)
-        r._n, r._d = self._d.scale(ilc), self._n.scale(ilc)
-        return r
+        return RatFun(self._d, self._n)
 
     def eval(self, a1, a2):
         """Value at exact rational (t1, t2); ZeroDivisionError on a pole."""

@@ -496,26 +496,12 @@ def test_inverse_of_a_zero_constant_term_raises(constant):
         mp.inverse(f)
 
 
-def test_inverse_is_quadratic_in_the_cap(monkeypatch):
-    # the residual suite's 1 + e^{i theta} at cap 13: the graded recurrence
-    # makes one product per pair of a term of f and a term of the result,
-    # at most 13 * 14 / 2 of them; a Taylor sum of the geometric series
-    # makes several hundred
+def test_inverse_of_the_residual_input_is_two_sided():
+    # the residual suite's 1 + e^{i theta} at cap 13, on Cyclo coefficients
     vs = VarSet(("theta",), (13,))
     f = Series.constant(vs, 1) + mp.exp(Series.variable(vs, "theta").scale(I))
-    calls = [0]
-    mul = Cyclo.__mul__
-
-    def counting(self, other):
-        calls[0] += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(Cyclo, "__mul__", counting)
-    monkeypatch.setattr(Cyclo, "__rmul__", counting)
     g = mp.inverse(f)
-    assert 0 < calls[0] <= 13 * 14 // 2
-    monkeypatch.undo()
-    assert f * g == Series.constant(vs, 1)
+    assert f * g == g * f == Series.constant(vs, 1)
 
 
 def test_json_round_trip_sorted():

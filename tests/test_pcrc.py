@@ -22,7 +22,6 @@ from localp12.pcrc import (
     compose,
     corollary_suite,
     invert,
-    phase_exponent,
     verify_bracket_identity,
     verify_residual_thirdderiv,
 )
@@ -43,18 +42,19 @@ def test_principal_angle():
               for c in (ONE, I, -ONE, zeta_pow(9), zeta_pow(10))]
     assert angles == [0, Fraction(1, 2), 1, Fraction(-1, 2), Fraction(-1, 3)]
     assert all(type(a) is Fraction for a in angles)
-    assert phase_exponent(OMEGA) == 4
-    with pytest.raises(ValueError):
-        phase_exponent(Cyclo(2))
 
 
-def test_phase_exponent_reads_every_power_of_zeta():
+def test_constant_in_pi_reads_every_power_of_zeta():
+    # zeta^k has angle k pi/6, taken in (-pi, pi]; branch b adds 2 pi b
     for k in range(-12, 24):
-        assert phase_exponent(zeta_pow(k)) == k % 12
-    assert phase_exponent(1) == 0 and phase_exponent(-1) == 6
+        sixths = (k + 5) % 12 - 5
+        for b in (-1, 0, 2):
+            got = AngleLine(zeta_pow(k), b, LinearForm.of({})).constant_in_pi()
+            assert got == Fraction(sixths, 6) + 2 * b
+    assert [AngleLine(c, 0, LinearForm.of({})).constant_in_pi() for c in (1, -1)] == [0, 1]
     for c in (ZERO, 2, SQRT3, ONE + I):
-        with pytest.raises(ValueError):
-            phase_exponent(c)
+        with pytest.raises(ValueError, match="not a 12th root of unity"):
+            AngleLine(c, 0, LinearForm.of({})).constant_in_pi()
 
 
 def test_printed_map_entries():
@@ -258,6 +258,17 @@ def test_corollary_suite_composes_once(monkeypatch):
 def test_compose_requires_chaining():
     with pytest.raises(ValueError):
         compose(build_cov(), build_cov())
+
+
+def test_compose_refuses_to_push_an_exponential_line():
+    # every map the package composes has its exponential lines on the far
+    # side; one on the near side is refused however plain its image
+    a = CovMap(("q",), ("x",), (("q", ExpLine(I, LinearForm.of({"x": 1}))),))
+    b = CovMap(("x",), ("y",), (("x", LinearForm.of({"y": 2})),))
+    with pytest.raises(ValueError, match="cannot push"):
+        compose(a, b)
+    with pytest.raises(ValueError, match="cannot push"):
+        compose(build_cov(), build_corollary())
 
 
 def test_bracket_identity_passes():

@@ -147,3 +147,59 @@ def test_verify_layers_prints_warm_and_cold_times_on_one_line(monkeypatch, capsy
     assert set(record["ms"]) == set(record["cold_ms"]) == set(record["fractions"]) == set(
         cli.SUITE_NAMES) | {"report_json", "parser"}
     assert record["fractions"]["assembly"] == 0
+
+
+def _body_lines(code):
+    return {line for _, _, line in code.co_lines() if line is not None} - {code.co_firstlineno}
+
+
+def test_unrun_lines_lists_the_functions_no_request_ran(monkeypatch, capsys):
+    from localp12 import mpseries, pcrc
+
+    tool = _tool("unrun_lines")
+    argvs = [["verify", "--suite", "residual"], ["invariants", "--d", "1", "--n2", "1"]]
+    monkeypatch.setattr(tool.cli_digests, "requests", lambda root: argvs)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool.main([ROOT])
+    out = capsys.readouterr().out.splitlines()
+    found = {}  # (path, first line, qualified name) -> unrun lines
+    for line in out[:-1]:
+        where, lines = line.split(": ")
+        path, name = where.split(" ")
+        path, first = path.split(":")
+        found[path, int(first), name] = {int(n) for n in lines.split()}
+    assert out[-1] == "%d lines in %d functions" % (
+        sum(map(len, found.values())), len(found))
+    src = os.path.join("src", "localp12")
+    assert {path for path, _, _ in found} <= {
+        os.path.join(src, name) for name in os.listdir(os.path.join(ROOT, src))}
+    # a passing residual case takes no inverse; the residual check and main ran
+    for fn, ran in ((mpseries.inverse, False), (pcrc.verify_residual_thirdderiv, True),
+                    (cli.main, True)):
+        code = fn.__code__
+        key = (os.path.relpath(code.co_filename, ROOT), code.co_firstlineno, fn.__name__)
+        assert (_body_lines(code) <= found.get(key, set())) is not ran
+
+
+def test_unrun_lines_restores_the_previous_tracer():
+    tool = _tool("unrun_lines")
+    pkg = os.path.join(ROOT, "src", "localp12")
+
+    def mine(frame, event, arg):
+        return None
+
+    def boom():
+        raise RuntimeError("boom")
+
+    previous = sys.gettrace()
+    sys.settrace(mine)
+    try:
+        ran = tool.ran_lines(pkg, lambda: cli.main(["invariants", "--d", "1", "--n2", "1"]))
+        assert sys.gettrace() is mine
+        with pytest.raises(RuntimeError):
+            tool.ran_lines(pkg, boom)
+        assert sys.gettrace() is mine
+    finally:
+        sys.settrace(previous)
+    assert set(ran) <= {os.path.join(pkg, name) for name in os.listdir(pkg)}
+    assert cli.main.__code__.co_firstlineno in ran[os.path.join(pkg, "cli.py")]
