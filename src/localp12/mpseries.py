@@ -30,7 +30,7 @@ import operator
 from fractions import Fraction
 from operator import add, le
 
-from .cyclotomic import _accumulate, repeated_squaring
+from .cyclotomic import Cyclo, _accumulate, repeated_squaring
 
 
 class VarSet:
@@ -317,10 +317,10 @@ def _require_no_constant(f, what):
 
 
 def _taylor(out, term, step, ratio):
-    """out + term * step * ratio(1) + term * step^2 * ratio(1) * ratio(2) + ...,
-    until the caps kill a term: the k-th added term is the one before it
-    times step, scaled by ratio(k).  A one-term term c x^e and step a x^s take
-    the same products as c <- c * a * ratio(k) at e <- e + s, and no series."""
+    """out + term * step * r(1) + term * step^2 * r(1) * r(2) + ..., until the
+    caps kill a term, r(k) = n/d for the int pair ratio(k) = (n, d).  A one-term
+    term c x^e and step a x^s take the same products as c <- c * a * r(k) at
+    e <- e + s, and no series: a `Cyclo` c * a is scaled by (n, d) itself."""
     total = dict(out._t)
     if len(term._t) == len(step._t) == 1:
         ((e, c),), ((s, a),) = term._t.items(), step._t.items()
@@ -330,32 +330,33 @@ def _taylor(out, term, step, ratio):
             if not all(map(le, e, caps)):
                 _accumulate(total, terms)
                 return Series._of(out.vs, total)
-            c = terms[e] = c * a * ratio(k)
+            c = c * a
+            c = terms[e] = c._scaled(*ratio(k)) if type(c) is Cyclo else c * Fraction(*ratio(k))
     k = 0
     while True:
         k += 1
         term = term * step
         if not term:
             return Series._of(out.vs, total)
-        term = term.scale(ratio(k))
+        term = term.scale(Fraction(*ratio(k)))
         _accumulate(total, term._t)
 
 
 def exp(f):
     _require_no_constant(f, "exp")
     one = Series.constant(f.vs, 1)
-    return _taylor(one, one, f, lambda k: Fraction(1, k))
+    return _taylor(one, one, f, lambda k: (1, k))
 
 
 def sin(f):
     _require_no_constant(f, "sin")
-    return _taylor(f, f, f * f, lambda k: Fraction(-1, 2 * k * (2 * k + 1)))
+    return _taylor(f, f, f * f, lambda k: (-1, 2 * k * (2 * k + 1)))
 
 
 def cos(f):
     _require_no_constant(f, "cos")
     one = Series.constant(f.vs, 1)
-    return _taylor(one, one, f * f, lambda k: Fraction(-1, (2 * k - 1) * 2 * k))
+    return _taylor(one, one, f * f, lambda k: (-1, (2 * k - 1) * 2 * k))
 
 
 _TAN = {1: Fraction(1)}
@@ -375,7 +376,8 @@ def _tan_coeff(m):
 
 def tan(f):
     _require_no_constant(f, "tan")
-    return _taylor(f, f, f * f, lambda k: _tan_coeff(2 * k + 1) / _tan_coeff(2 * k - 1))
+    return _taylor(f, f, f * f,
+                   lambda k: (_tan_coeff(2 * k + 1) / _tan_coeff(2 * k - 1)).as_integer_ratio())
 
 
 def inverse(f):
@@ -389,4 +391,4 @@ def inverse(f):
         raise ZeroDivisionError("series with zero constant term has no inverse")
     ci = Fraction(1) / c
     first = Series.constant(f.vs, ci)
-    return _taylor(first, first, Series.constant(f.vs, 1) - f.scale(ci), lambda k: 1)
+    return _taylor(first, first, Series.constant(f.vs, 1) - f.scale(ci), lambda k: (1, 1))

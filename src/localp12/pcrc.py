@@ -16,18 +16,18 @@ produced by chaining the two printed maps carries phase zeta^10 (that is,
 e^{-i pi/3}) for every b.
 
 `verify_bracket_identity` and `verify_residual_thirdderiv` check the two
-series identities that drive the specialization argument.  Both run in the
-one angle theta = z2 + u and decide each case by one exact `==`.  The
-residual identity reads G''' off the potential's own degree-zero tail,
-`potentials.g_series`, against an independent exp right side.  The bracket
-identity is stated on (z1, z2, q, u) with the carrier (q e^{z1})^d / d^3,
-but the carrier's z1^0 q^d coefficient is nonzero and z2^a u^b picks up
-C(a+b, a) times the theta^{a+b} coefficient, so checking bracket - wave to
-theta-degree 2 * order is the same check.  The corollary suite makes one
-composition, the first map inverted on branch 0 and chained with the
-second, checks it against the third entry by entry in the coefficient
-field, and reads the twelve branch cases off its u-line.  The module takes
-`g_series` and `quantum_sign` from `potentials` and imports no `localization`.
+series identities that drive the specialization argument.  Both run in
+Q(zeta12) in the one angle theta = z2 + u and decide each case by one exact
+`==`.  The residual identity reads G''' off the potential's own degree-zero
+tail, `potentials.g_series`, lifted to `Cyclo`, against an independent exp
+right side.  The bracket identity is stated on (z1, z2, q, u) with the
+carrier (q e^{z1})^d / d^3, but the carrier's z1^0 q^d coefficient is
+nonzero and z2^a u^b picks up C(a+b, a) times the theta^{a+b} coefficient,
+so checking bracket - wave to theta-degree 2 * order is the same check.  The
+corollary suite makes one composition, the first map inverted on branch 0
+and chained with the second, checks it against the third entry by entry, and
+reads the twelve branch cases off its u-line.  The module takes `g_series`
+and `quantum_sign` from `potentials` and imports no `localization`.
 """
 
 from fractions import Fraction
@@ -42,6 +42,8 @@ from .reports import FrozenRecord, SuiteReport, case, pair_text, reduced
 I_OVER_SQRT3 = Cyclo(Fraction(-1, 3), 0, Fraction(2, 3), 0)
 #: 1 / sqrt(3)
 INV_SQRT3 = I_OVER_SQRT3 * -I
+#: 1/2, rational, so a product with it is a scaling
+HALF = Cyclo(Fraction(1, 2))
 
 
 def _cyclo(x):
@@ -325,17 +327,17 @@ def verify_bracket_identity(qmax, order):
     reached with a, b <= order.  So the carried difference vanishes to the
     caps exactly when D does to theta-degree 2 * order.
 
-    One `exp`, one `sin` and one `cos` per call, none at qmax = 0: degree
-    d's sides are the dilations theta -> d theta of e^{i theta/2}, sin(theta/2)
-    and cos(theta/2), which multiply the theta^k coefficient by d^k.
-    e^{-i theta/2} is `_conjugate` of e^{i theta/2}, as theta has a rational
-    coefficient and conjugation is a field automorphism.  The bracket
-    depends on d only through i^d and (-1)^d, so one undilated pair, a
-    parity base e^{-i theta/2} +- e^{i theta/2} times i^d/2 and the wave or
-    its negation by sign(d) = +-1, serves every d with the same d mod 4 and
-    sign(d): dilation by d != 0 keeps equality and the lowest exponent of D.
-    The wave keeps its own sin/cos Taylor route, so the two sides stay
-    independent.
+    One `exp`, one `sin` and one `cos` per call, none at qmax = 0, each of theta
+    times `HALF`, so both sides hold `Cyclo`s: degree d's sides are the
+    dilations theta -> d theta of e^{i theta/2}, sin(theta/2) and cos(theta/2),
+    which multiply the theta^k coefficient by d^k.  e^{-i theta/2} is
+    `_conjugate` of e^{i theta/2}, as conjugation is a field automorphism that
+    fixes theta/2.  The bracket depends on d only through i^d and (-1)^d, so
+    one undilated pair, a parity base e^{-i theta/2} +- e^{i theta/2} times
+    i^d/2 = zeta^{3d} HALF and the wave or its negation by sign(d) = +-1,
+    serves every d with the same d mod 4 and sign(d): dilation by d != 0
+    keeps equality and the lowest exponent of D.  The wave keeps its own
+    sin/cos Taylor route, so the two sides stay independent.
 
     Only a failing pair builds D: with k its lowest theta-degree and
     a = max(0, k - order), the carried record's first exponent is
@@ -345,7 +347,7 @@ def verify_bracket_identity(qmax, order):
     if not qmax:
         return SuiteReport("bracket", [])
     vs = VarSet(("theta",), (2 * order,))
-    half = Series.variable(vs, "theta").scale(Fraction(1, 2))
+    half = Series.variable(vs, "theta").scale(HALF)
     plus = exp(half.scale(I))
     minus = _conjugate(plus)
     bases = (minus + plus, minus + -plus)
@@ -356,7 +358,7 @@ def verify_bracket_identity(qmax, order):
         key = "d=%d" % d
         sign = quantum_sign(d)
         if (d % 4, sign) not in sides:
-            bracket = bases[d % 2].scale(I**d * Fraction(1, 2))
+            bracket = bases[d % 2].scale(zeta_pow(3 * d) * HALF)
             wave = waves[d % 2] if sign == 1 else -waves[d % 2]
             sides[d % 4, sign] = (bracket, wave, bracket == wave)
         bracket, wave, same = sides[d % 4, sign]
@@ -374,16 +376,17 @@ def verify_bracket_identity(qmax, order):
 def verify_residual_thirdderiv(order):
     """The angle-variable identity -G'''(theta) + i/2 = i e^{i theta}/(1 + e^{i theta}).
 
-    The right side is what the degree sum collapses to after three
-    derivatives, which is why no analytic continuation is needed at the
-    derivative level; theta stands for z2 + u.  G is the potential's own
-    `g_series(order + 3)`, written in z2, so both sides run in z2 to
-    z2^order.  With e = e^{i theta}, 1 + e is a unit (constant term 2), so
-    lhs * (1 + e) == i e decides; only a failing case inverts 1 + e to report.
+    The right side is what the degree sum collapses to after three derivatives,
+    which is why no analytic continuation is needed at the derivative level;
+    theta stands for z2 + u.  G is the potential's own `g_series(order + 3)` in
+    z2, lifted to `Cyclo`, so both sides run in Q(zeta12) to z2^order.  With
+    e = e^{i theta}, 1 + e is a unit (constant term 2), so lhs * (1 + e) == i e
+    decides; only a failing case inverts 1 + e to report.
     """
-    third = g_series(order + 3).differentiate("z2").differentiate("z2").differentiate("z2")
+    g = g_series(order + 3).scale(ONE)
+    third = g.differentiate("z2").differentiate("z2").differentiate("z2")
     vs = third.vs
-    lhs = Series.constant(vs, I * Fraction(1, 2)) - third
+    lhs = Series.constant(vs, I * HALF) - third
     e = exp(Series.variable(vs, "z2").scale(I))
     unit = Series.constant(vs, 1) + e
     key = "theta-order=%d" % order

@@ -239,8 +239,9 @@ def _terms_with_types(f):
 
 
 @pytest.mark.parametrize("name", sorted(_TAYLOR_SUMS))
-@pytest.mark.parametrize("c", [1, Fraction(-2, 3), I, I * Fraction(1, 2), Cyclo(1, -2, 3, Fraction(1, 5))],
-                         ids=["int", "fraction", "i", "i/2", "cyclo"])
+@pytest.mark.parametrize("c", [1, Fraction(-2, 3), I, I * Fraction(1, 2), Cyclo(1, -2, 3, Fraction(1, 5)),
+                               Cyclo(Fraction(1, 2)), RF_T1],
+                         ids=["int", "fraction", "i", "i/2", "cyclo", "rational-cyclo", "ratfun"])
 @pytest.mark.parametrize("caps", _MONOMIAL_CAPS, ids=str)
 def test_taylor_of_a_monomial_equals_the_series_route(monkeypatch, name, c, caps):
     # c x^e takes the one-term recurrence: the same dict, the same coefficient
@@ -283,6 +284,22 @@ def test_taylor_of_a_monomial_reaches_the_caps():
     assert got == {(k, 0): Fraction(1, 2**k * math.factorial(k)) for k in range(31)}
     # sin y^2 at cap 5 stops at y^2: y^6 lies past it
     assert dict(mp.sin(Series(VarSet(("y",), (5,)), {(2,): 1})).terms()) == {(2,): 1}
+
+
+@pytest.mark.parametrize("name", ["exp", "sin", "cos"])
+@pytest.mark.parametrize("terms", [{(1, 0): Fraction(1, 2)}, {(0, 1): Fraction(-3, 7)},
+                                   {(1, 0): Fraction(1, 2), (1, 1): Fraction(5, 3), (0, 2): 2}],
+                         ids=["theta/2", "one-term", "three-term"])
+def test_taylor_of_a_rational_cyclo_series_equals_the_fraction_one(name, terms):
+    # a rational Cyclo coefficient gives the values of its Fraction, held in
+    # Cyclo: every coefficient but exp's and cos's constant 1, which is the int 1
+    vs = VarSet(("x", "y"), (12, 5))
+    want = getattr(mp, name)(Series(vs, terms))
+    got = getattr(mp, name)(Series(vs, {e: Cyclo(c) for e, c in terms.items()}))
+    assert {e: c.rational() for e, c in got.terms() if any(e)} == {
+        e: c for e, c in want.terms() if any(e)}
+    assert got.constant_term() == want.constant_term()
+    assert {type(c) for e, c in got.terms() if any(e)} == {Cyclo}
 
 
 def test_ring_laws_random():

@@ -108,14 +108,19 @@ def test_the_tracer_counts_a_suite_the_cli_imported_before_it_was_installed():
 
 
 def test_verify_layers_times_each_suite_the_writer_and_the_parser():
-    warm, cold, fractions = _tool("verify_layers").layer_times(repeat=1, number=1)
+    warm, cold, fractions, muls = _tool("verify_layers").layer_times(repeat=1, number=1)
     parts = set(cli.SUITE_NAMES) | {"report_json", "parser"}
-    assert set(warm) == set(cold) == set(fractions) == parts
+    assert set(warm) == set(cold) == set(fractions) == set(muls) == parts
     assert all(type(t) is float and t > 0 for t in [*warm.values(), *cold.values()])
-    assert all(type(n) is int and n >= 0 for n in fractions.values())
-    # the parser, the writer and the integer suites make none; the bracket's Taylor series do
+    assert all(type(n) is int and n >= 0 for n in [*fractions.values(), *muls.values()])
+    # the parser, the writer and the integer suites make none; the bracket and
+    # residual series run in Q(zeta12), so only resummation's Fraction waves make many
     assert fractions["parser"] == fractions["report_json"] == fractions["assembly"] == 0
-    assert fractions["bracket"] > 0
+    assert fractions["bracket"] <= 10 and fractions["residual"] <= 10
+    assert fractions["resummation"] > 0
+    # the field checks multiply in Q(zeta12); the parser and the writer do not
+    assert muls["parser"] == muls["report_json"] == 0
+    assert muls["bracket"] > 0 and muls["residual"] > 0
 
 
 def test_verify_layers_counts_the_fractions_of_each_call_and_restores_the_class():
@@ -133,6 +138,26 @@ def test_verify_layers_counts_the_fractions_of_each_call_and_restores_the_class(
     assert Fraction.__dict__["__new__"] is true_new and Fraction(6, 4) == Fraction(3, 2)
 
 
+def test_verify_layers_counts_the_cyclo_products_of_each_call_and_restores_the_class():
+    from fractions import Fraction
+
+    from localp12.cyclotomic import I, ONE, Cyclo
+
+    tool = _tool("verify_layers")
+    true_mul, true_rmul = Cyclo.__dict__["__mul__"], Cyclo.__dict__["__rmul__"]
+    made = tool.cyclo_muls({"none": lambda: (I + ONE, Fraction(1, 3) * 3),
+                            "two": lambda: (I * I, 2 * I),
+                            "one": lambda: [ONE * Fraction(1, 2)],
+                            "power": lambda: I**4})
+    # I**4 squares twice and multiplies the unit once
+    assert made == {"none": 0, "two": 2, "one": 1, "power": 3}
+    assert Cyclo.__dict__["__mul__"] is true_mul and Cyclo.__dict__["__rmul__"] is true_rmul
+    with pytest.raises(TypeError):
+        tool.cyclo_muls({"raises": lambda: I * "x"})
+    assert Cyclo.__dict__["__mul__"] is true_mul and Cyclo.__dict__["__rmul__"] is true_rmul
+    assert I * I == -ONE and 2 * I == I + I
+
+
 def test_verify_layers_prints_warm_and_cold_times_on_one_line(monkeypatch, capsys):
     tool = _tool("verify_layers")
     monkeypatch.setattr(tool, "REPEAT", 1)
@@ -142,10 +167,10 @@ def test_verify_layers_prints_warm_and_cold_times_on_one_line(monkeypatch, capsy
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     record = json.loads(out)
-    assert set(record) == {"ms", "cold_ms", "fractions", "best_of"}
+    assert set(record) == {"ms", "cold_ms", "fractions", "cyclo_muls", "best_of"}
     assert record["best_of"] == [1, 2]
     assert set(record["ms"]) == set(record["cold_ms"]) == set(record["fractions"]) == set(
-        cli.SUITE_NAMES) | {"report_json", "parser"}
+        record["cyclo_muls"]) == set(cli.SUITE_NAMES) | {"report_json", "parser"}
     assert record["fractions"]["assembly"] == 0
 
 
