@@ -19,9 +19,11 @@ p^k q^(cap-k) per variable turns every monomial into an integer product, the
 coefficients are brought to the lcm of their denominators, and the sum is
 divided once.  The tail's pairs go through that sum as they are, the cubic
 once its coefficients are evaluated at (t1, t2); only the exact total is
-turned into a float.  `eval` keeps the
-potential of its last caps, so a run of evals at the same caps builds it
-once; `potential` builds every table afresh.  Every JSON document goes
+turned into a float.  A process keeps, for `eval`,
+the potential of its last caps, so a run of evals at the same caps builds it
+once, and a bounded set of point records, so a repeated eval writes its bytes
+without summing again; a failure is never kept, and a one-shot CLI call sees
+no change.  `potential` builds every table afresh.  Every JSON document goes
 through `_token`, which writes the stdlib's indented, key-sorted layout
 itself: `_dump` is `_token` and a newline, and `verify` fills one fixed
 template per case with `_token`'s texts.
@@ -284,6 +286,42 @@ def _the_potential(extended, qmax, zorder, uorder):
 #: caps build it once, and it holds one potential at most
 _eval_potential = functools.lru_cache(maxsize=1)(_the_potential)
 
+#: how many `eval` records a process keeps, the least recently used going first
+_EVAL_RECORDS = 64
+
+
+@functools.lru_cache(maxsize=_EVAL_RECORDS)
+def _eval_record(extended, qmax, zorder, uorder, at):
+    """`eval`'s record text at the point whose (name, value) pairs, sorted by
+    name, are at, a coordinate at omits being 0.  Kept per caps and point,
+    so a repeated eval writes it without summing again; a pole
+    (ZeroDivisionError) or a value too large for a float (OverflowError)
+    raises and is not kept."""
+    pot = _eval_potential(extended, qmax, zorder, uorder)
+    given = dict(at)
+    point = {name: given.get(name, Fraction(0)) for name in ("t1", "t2") + pot.vs.names}
+    t1, t2 = point["t1"], point["t2"]
+    values = [point[name] for name in pot.vs.names]
+    # every cubic coefficient is rational at rational (t1, t2); a pole raises
+    cubic = [(e, (r.numerator, r.denominator))
+             for e, c in pot.cubic.terms() for r in (c.eval(t1, t2).rational(),)]
+    exact = (_rational_sum(cubic, values, pot.vs.caps)
+             + (t1 + t2) * _rational_sum(pot.pairs.items(), values, pot.vs.caps))
+    try:
+        value = float(exact)
+    except OverflowError:
+        raise OverflowError("the value at this point is too large for a float")
+    record = {
+        "at": {k: str(v) for k, v in sorted(point.items())},
+        "extended": extended,
+        "qmax": qmax,
+        "zorder": zorder,
+        "value": {"re": format(value, ".15g"), "im": "0"},
+    }
+    if extended:
+        record["uorder"] = uorder
+    return _dump(record)
+
 
 _STR = json.encoder.encode_basestring_ascii
 
@@ -481,31 +519,9 @@ def cmd_eval(cfg):
         raise UsageError("--at sets u, which only the --extended potential has")
     if "t1" not in cfg.at or "t2" not in cfg.at:
         raise UsageError("--at must set t1 and t2")
-    t1, t2 = cfg.at["t1"], cfg.at["t2"]
-    pot = _eval_potential(cfg.extended, cfg.qmax, cfg.zorder, cfg.uorder)
-    point = {"t1": t1, "t2": t2}
-    for name in pot.vs.names:
-        point[name] = cfg.at.get(name, Fraction(0))
-    values = [point[name] for name in pot.vs.names]
-    # every cubic coefficient is rational at rational (t1, t2); a pole raises
-    cubic = [(e, (r.numerator, r.denominator))
-             for e, c in pot.cubic.terms() for r in (c.eval(t1, t2).rational(),)]
-    exact = (_rational_sum(cubic, values, pot.vs.caps)
-             + (t1 + t2) * _rational_sum(pot.pairs.items(), values, pot.vs.caps))
-    try:
-        value = float(exact)
-    except OverflowError:
-        raise OverflowError("the value at this point is too large for a float")
-    record = {
-        "at": {k: str(v) for k, v in sorted(point.items())},
-        "extended": cfg.extended,
-        "qmax": cfg.qmax,
-        "zorder": cfg.zorder,
-        "value": {"re": format(value, ".15g"), "im": "0"},
-    }
-    if cfg.extended:
-        record["uorder"] = cfg.uorder
-    return _dump(record), 0
+    # a zero coordinate is the omitted one, so both are one entry
+    at = tuple(sorted((k, v) for k, v in cfg.at.items() if v))
+    return _eval_record(cfg.extended, cfg.qmax, cfg.zorder, cfg.uorder, at), 0
 
 
 def _dump(obj):

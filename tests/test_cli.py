@@ -791,6 +791,8 @@ def test_integer_tail_sum_equals_the_fraction_sum(caps):
 def test_warm_eval_makes_no_embed_call(monkeypatch, capsys):
     argv = ("eval", "--at", "t1=3/2,t2=5,z0=1/3,z1=-1/5,z2=2/7,q=1/2")
     assert _run(capsys, *argv)[0] == 0
+    # a miss at warm caps: the potential is kept, the record summed again
+    cli._eval_record.cache_clear()
     counts = _count_calls(monkeypatch, Cyclo, ("embed",))
     code, out, _ = _run(capsys, *argv)
     assert (code, counts) == (0, {"embed": 0})
@@ -850,6 +852,7 @@ def test_eval_makes_as_many_fraction_products_at_any_cap(monkeypatch, capsys):
         pot = potential(*caps)
         monkeypatch.setattr(cli, "potential", lambda qmax, zorder, pot=pot: pot)
         counts = _count_calls(monkeypatch, Fraction, ("__pow__", "__mul__"))
+        cli._eval_record.cache_clear()
         code, _, _ = _run(capsys, "eval", "--at", "t1=3/2,t2=5,z0=1/3,z1=-1/5,z2=2/7,q=1/2",
                           *_cap_argv(caps))
         monkeypatch.undo()
@@ -862,22 +865,79 @@ def test_eval_makes_as_many_fraction_products_at_any_cap(monkeypatch, capsys):
 
 
 def test_eval_builds_the_potential_once_per_run_of_caps(monkeypatch, capsys):
-    """`eval` keeps only the potential of its last caps; a table is built on
-    every request."""
+    """`eval` keeps only the potential of its last caps, and a point's record
+    at caps it has seen is built from nothing; a table is built on every
+    request."""
     built = []
     monkeypatch.setattr(cli, "potential", lambda *caps: built.append(caps) or potential(*caps))
     monkeypatch.setattr(cli, "extended_potential",
                         lambda *caps: built.append(caps) or extended_potential(*caps))
     cli._eval_potential.cache_clear()
-    for caps in ((2, 4), (2, 4), (3, 5), (2, 4), (1, 2, 3), (1, 2, 3), (1, 2, 2)):
-        code, out, _ = _run(capsys, "eval", "--at", "t1=1,t2=2,z2=1/3", *_cap_argv(caps))
+    cli._eval_record.cache_clear()
+    runs = ((2, 4), (2, 4), (3, 5), (2, 4), (1, 2, 3), (1, 2, 3), (1, 2, 2))
+    # a distinct point per request, so that each one misses the records
+    for k, caps in enumerate(runs):
+        code, out, _ = _run(capsys, "eval", "--at", "t1=1,t2=2,z2=1/%d" % (k + 3),
+                            *_cap_argv(caps))
         assert code == 0 and json.loads(out)["qmax"] == caps[0]
     assert built == [(2, 4), (3, 5), (2, 4), (1, 2, 3), (1, 2, 2)]
     built.clear()
+    # the first request's point again, at caps the potential no longer holds
+    assert _run(capsys, "eval", "--at", "t1=1,t2=2,z2=1/3", *_cap_argv(runs[0]))[0] == 0
+    assert built == []
     for _ in range(2):
         assert _run(capsys, "potential", *_cap_argv((2, 4)))[0] == 0
     assert built == [(2, 4), (2, 4)]
     cli._eval_potential.cache_clear()
+
+
+_EVAL_AT = "t1=3/2,t2=5,z0=1/3,z1=-1/5,z2=2/7,q=1/2"
+
+
+def test_repeated_eval_writes_the_same_bytes_without_summing(monkeypatch, capsys):
+    cli._eval_record.cache_clear()
+    first = _run(capsys, "eval", "--at", _EVAL_AT)
+    assert first[0] == 0
+    sums = []
+    monkeypatch.setattr(cli, "_rational_sum", lambda *args: sums.append(args))
+    for _ in range(2):
+        assert _run(capsys, "eval", "--at", _EVAL_AT) == first
+    assert sums == []
+    assert cli._eval_record.cache_info().currsize == 1
+
+
+def test_one_point_given_two_ways_is_one_record(tmp_path, capsys):
+    """An omitted coordinate and a zero one, or a config's `at` object and
+    the same point by --at, print the same bytes from one kept record."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"at": {"t1": "3/2", "t2": 5, "z1": "-0.2", "q": "2/4"}}))
+    cli._eval_record.cache_clear()
+    first = _run(capsys, "eval", "--at", "t1=3/2,t2=5,z1=-1/5,q=1/2")
+    assert first[0] == 0
+    for argv in (["--at", "t1=3/2,t2=5,z0=0,z1=-1/5,q=1/2,z2=0/7"], ["--config", str(cfg)],
+                 ["--at", "q=1/2,z1=-1/5,t2=5,t1=3/2", "--qmax", "3"]):
+        assert _run(capsys, "eval", *argv) == first
+    assert cli._eval_record.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("spec, line", [
+    ("t1=0,t2=1,z2=1/3", "error: pole at (t1, t2) = (0, 1)\n"),
+    ("t1=1,t2=1,z2=1e100", "error: the value at this point is too large for a float\n"),
+])
+def test_a_failing_eval_is_not_kept(capsys, spec, line):
+    cli._eval_record.cache_clear()
+    for _ in range(2):
+        assert _run(capsys, "eval", "--at", spec) == (1, "", line)
+        assert cli._eval_record.cache_info().currsize == 0
+
+
+def test_the_eval_records_are_bounded(capsys):
+    assert cli._eval_record.cache_info().maxsize == cli._EVAL_RECORDS == 64
+    cli._eval_record.cache_clear()
+    for k in range(cli._EVAL_RECORDS + 1):
+        spec = "t1=1,t2=%d" % (k + 1)
+        assert _run(capsys, "eval", "--qmax", "1", "--zorder", "1", "--at", spec)[0] == 0
+    assert cli._eval_record.cache_info().currsize == cli._EVAL_RECORDS
 
 
 def test_importing_the_cli_loads_no_introspection_machinery():

@@ -52,9 +52,28 @@ def test_cli_digests_cover_every_command_suite_and_format_and_repeat():
         assert argv in argvs
     assert {"deep.json", "deep-at.json", "nul-out.json", "empty-out.json",
             "at-decimal.json"} <= set(tool.CONFIGS)
-    first = tool.digest_lines(argvs[:20])
-    assert len(first) == 20
-    assert tool.digest_lines(argvs[:20]) == first
+    # each lookup round repeats its eval points, so a record is kept and hit
+    evals = [a for a in argvs if a[:1] == ["eval"]]
+    assert len(set(map(tuple, evals))) < len(evals)
+
+
+def test_cli_digests_print_the_same_lines_warm_as_cold():
+    """The whole request list twice in one fresh process: every in-process
+    cache (eval's records and potential, the cubic, the waves, the odd edges,
+    the degree-0 targets) is cold on the first pass and warm on the second,
+    and the CLI's bytes are the same."""
+    code = """if True:
+        import json, sys
+        import cli_digests as tool
+        argvs = tool.requests(sys.argv[1])
+        print(json.dumps([tool.digest_lines(argvs) for _ in range(2)]))
+    """
+    path = os.pathsep.join([os.path.join(ROOT, "src"), os.path.join(ROOT, "tools")])
+    done = subprocess.run([sys.executable, "-c", code, ROOT], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"), check=True)
+    cold, warm = json.loads(done.stdout)
+    assert len(cold) == len(_tool("cli_digests").requests(ROOT)) > 800
+    assert warm == cold
 
 
 def test_cli_digests_hash_a_written_table_as_the_request_output(capsys):
