@@ -6,20 +6,21 @@ the verification suites, and `eval` embeds the truncated potential at a
 numeric point.  Output is deterministic: identical configuration yields
 byte-identical bytes, with terms sorted and rationals in canonical form.
 
-A table is written in one ordered pass: the rational tail's pairs come in
+A table is written in one ordered pass: the rational tail's rows come in
 table order, by total degree and then by exponent, and only the classical
 cubic's few terms (disjoint from the tail's) are sorted in among them.  A
-cubic term is written from the cubic's `Series.to_json`, a tail term n/m
-from the text of its integer pair alone (`str(n)` when m is 1, else "n/m",
-as `str(Fraction(n, m))` writes it), between the fixed pieces of one JSON
-term or of one of two CSV rows by its sign, cut once per table, so `%` fills
-only the exponents (a row of n/m = 1 or -1 is one of two fixed templates).
+cubic term is written from the cubic's `Series.to_json` with `%`, a tail
+row (a, k, n, m) with no `%`: it joins the fixed pieces of one JSON term or
+of one of two CSV rows by its sign, the text of n/m (`str(n)` when m is 1,
+else "n/m", as `str(Fraction(n, m))` writes it) and its exponent's texts, a
+head "0,a," made once per a and a tail "b,d[,c]" once per part k, found by
+list index (a CSV row of n/m = 1 or -1 is one of two fixed templates).
 `eval` sums exactly in integers: with x = p/q at each variable, a table of
 p^k q^(cap-k) per variable turns every monomial into an integer product, the
 coefficients are brought to the lcm of their denominators, and the sum is
-divided once.  The tail's pairs go through that sum as they are, the cubic
-once its coefficients are evaluated at (t1, t2); only the exact total is
-turned into a float.  A process keeps, for `eval`,
+divided once.  The tail's rows go through that sum as they are, with one
+product per part, the cubic once its coefficients are evaluated at (t1, t2);
+only the exact total is turned into a float.  A process keeps, for `eval`,
 the potential of its last caps, so a run of evals at the same caps builds it
 once, and a bounded set of point records, so a repeated eval writes its bytes
 without summing again; a failure is never kept, and a one-shot CLI call sees
@@ -35,6 +36,7 @@ verification failure, an evaluation pole or a value too large for a float,
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -301,12 +303,12 @@ def _eval_record(extended, qmax, zorder, uorder, at):
     given = dict(at)
     point = {name: given.get(name, Fraction(0)) for name in ("t1", "t2") + pot.vs.names}
     t1, t2 = point["t1"], point["t2"]
-    values = [point[name] for name in pot.vs.names]
+    tables, den = _power_tables([point[name] for name in pot.vs.names], pot.vs.caps)
     # every cubic coefficient is rational at rational (t1, t2); a pole raises
-    cubic = [(e, (r.numerator, r.denominator))
+    cubic = [(*e, r.numerator, r.denominator)
              for e, c in pot.cubic.terms() for r in (c.eval(t1, t2).rational(),)]
-    exact = (_rational_sum(cubic, values, pot.vs.caps)
-             + (t1 + t2) * _rational_sum(pot.pairs.items(), values, pot.vs.caps))
+    exact = (_rational_sum(cubic, tables, den)
+             + (t1 + t2) * _rational_sum(pot.rows, _tail_tables(tables, pot.parts), den))
     try:
         value = float(exact)
     except OverflowError:
@@ -355,12 +357,16 @@ def _token(v, pad):
     raise TypeError("cannot write %r as JSON" % (v,))
 
 
-#: `_token` of the `RatFun.to_json` of (t1+t2)*r at the coefficient of a
-#: table term, with %s for str(r)
-_LEVEL_JSON = _token({
+#: one term of `Series.to_json` as `_dump` lays it out in a table, with %s
+#: for the coefficient's text and for the exponent's
+_TERM = '    {\n      "coeff": %s,\n      "exp": [\n        %s\n      ]\n    }'
+
+#: a tail term of `_TERM`, its coefficient `_token` of the `RatFun.to_json` of
+#: (t1+t2)*r, cut at the two places of str(r) and at the exponent
+_LEVEL_TERM = _TERM.replace("%s", _token({
     "num": [[1, 0, ["%s", "0", "0", "0"]], [0, 1, ["%s", "0", "0", "0"]]],
     "den": [[0, 0, ["1", "0", "0", "0"]]],
-}, "      ")
+}, "      "), 1).split("%s")
 
 #: the CSV cell of the polynomial r*t1 + r*t2, by r < 0 and then by |r| == 1,
 #: with %s for the text of |r| where |r| != 1
@@ -370,57 +376,53 @@ _LEVEL_CELLS = tuple((_signed_sum([(sign + "%s", "t1"), (sign + "%s", "t2")]),
 
 
 def cmd_potential(cfg):
-    """The table in one ordered pass: the tail's pairs come in table order,
+    """The table in one ordered pass: the tail's rows come in table order,
     and the cubic's terms (all of total degree 3, none at a tail exponent)
-    are merged in among the tail's first ones; each term is written from its
-    part, a tail term's text between template pieces cut once per call."""
+    are merged in among the tail's first ones.  A tail term's text joins
+    fixed pieces, its coefficient's text and its exponent's head and tail."""
     pot = _the_potential(cfg.extended, cfg.qmax, cfg.zorder, cfg.uorder)
-    exps = ",".join(["%d"] * len(pot.vs.names))
-    # a cubic term is (exponent, (its CSV cells or JSON coefficient, None)),
-    # a tail term (exponent, (n, m))
-    if cfg.format == "csv":
-        cubic = [(e, ("%s,%s" % (c.num, c.den), None)) for e, c in pot.cubic.terms()]
-    else:
-        cubic = [(tuple(t["exp"]), (_token(t["coeff"], "      "), None))
-                 for t in pot.cubic.to_json()["terms"]]
-    terms = list(pot.pairs.items())
-    hi = 0
-    while hi < len(terms) and sum(terms[hi][0]) <= 3:
-        hi += 1
-    terms[:hi] = sorted(terms[:hi] + cubic, key=lambda t: (sum(t[0]), t[0]))
+    parts, rows = pot.parts, pot.rows
+    # a tail exponent's text, its integers one per line in JSON: a head per z1
+    # power a (z0's is 0 throughout the tail) and a tail per part
+    sep = "," if cfg.format == "csv" else ",\n        "
+    heads = ["0%s%d%s" % (sep, a, sep) for a in range(pot.vs.caps[1] + 1)]
+    tails = [sep.join(map(str, part)) for part in parts]
     if cfg.format == "csv":
         # rows as the csv module writes them: no cell holds a comma, a quote
         # or a line break, so none is quoted
-        cells = [[exps + "," + cell + ",1\n" for cell in pair] for pair in _LEVEL_CELLS]
-        # a row of |r| != 1 cut at its two %s: (exponents and sign, middle, end)
-        cut = [pair[0].split("%s") for pair in cells]
-        rows = [",".join(pot.vs.names) + ",num,den\n"]
-        for e, (n, m) in terms:
-            if m is None:
-                rows.append(exps % e + "," + n + "\n")
-            elif m == 1 and (n == 1 or n == -1):
-                rows.append(cells[n < 0][1] % e)
+        cubic = [(e, "%s,%s,%s\n" % (sep.join(map(str, e)), c.num, c.den))
+                 for e, c in pot.cubic.terms()]
+        # after the exponents, by r < 0: the rest of a row of r = 1 or -1, and
+        # one of |r| != 1 cut at its two %s (sign, middle, end)
+        ones = ["," + pair[1] + ",1\n" for pair in _LEVEL_CELLS]
+        cut = [("," + pair[0] + ",1\n").split("%s") for pair in _LEVEL_CELLS]
+        texts = []
+        for a, k, n, m in rows:
+            if m == 1 and (n == 1 or n == -1):
+                texts.append(f"{heads[a]}{tails[k]}{ones[n < 0]}")
             else:
-                head, mid, end = cut[n < 0]
+                sign, mid, end = cut[n < 0]
                 s = str(abs(n)) if m == 1 else f"{abs(n)}/{m}"
-                rows.append(f"{head % e}{s}{mid}{s}{end}")
-        return "".join(rows), 0
-    # one term of `Series.to_json` as `_dump` lays it out in a table: %s for the
-    # coefficient's text, %d for each exponent
-    term = '    {\n      "coeff": %%s,\n      "exp": [\n        %s\n      ]\n    }' % (
-        exps.replace(",", ",\n        "),)
-    # a tail term cut at the two places of the text of r: the end keeps the %d
-    a, b, c = term.replace("%s", _LEVEL_JSON).split("%s")
-    out = [term % (n, *e) if m is None
-           else f"{a}{(s := str(n) if m == 1 else f'{n}/{m}')}{b}{s}{c % e}"
-           for e, (n, m) in terms]
+                texts.append(f"{heads[a]}{tails[k]}{sign}{s}{mid}{s}{end}")
+    else:
+        cubic = [(e, _TERM % (_token(t["coeff"], "      "), sep.join(map(str, e))))
+                 for t in pot.cubic.to_json()["terms"] for e in (tuple(t["exp"]),)]
+        a0, a1, a2, a3 = _LEVEL_TERM
+        texts = [f"{a0}{(s := str(n) if m == 1 else f'{n}/{m}')}{a1}{s}{a2}{heads[a]}{tails[k]}{a3}"
+                 for a, k, n, m in rows]
+    # the tail's terms up to total degree 3 come first: sort the cubic's in
+    lead = list(itertools.takewhile(lambda t: sum(t[0]) <= 3, (
+        ((0, a) + parts[k], t) for (a, k, _, _), t in zip(rows, texts))))
+    texts[:len(lead)] = [t for _, t in sorted(lead + cubic, key=lambda t: (sum(t[0]), t[0]))]
+    if cfg.format == "csv":
+        return ",".join(pot.vs.names) + ",num,den\n" + "".join(texts), 0
     # the table as `_dump` writes it, joined once with the terms in place
     table = _dump({"caps": list(pot.vs.caps), "terms": [], "vars": list(pot.vs.names)})
-    if out:
+    if texts:
         head, _, foot = table.partition('"terms": []')
-        out[0] = head + '"terms": [\n' + out[0]
-        out[-1] += "\n  ]" + foot
-        table = ",\n".join(out)
+        texts[0] = head + '"terms": [\n' + texts[0]
+        texts[-1] += "\n  ]" + foot
+        table = ",\n".join(texts)
     return table, 0
 
 
@@ -489,21 +491,31 @@ def cmd_verify(cfg):
     return text + "\n", 0 if ok else 1
 
 
-def _rational_sum(terms, values, caps):
-    """The sum of (n/d) * prod(x_i^e_i) over (e, (n, d)) terms, d > 0, exact,
-    in integers.
+def _power_tables(values, caps):
+    """With x_i = p_i/q_i, the tables A_i[k] = p_i^k q_i^(cap_i - k), k <= cap_i,
+    and their denominator Q = prod q_i^cap_i: each monomial prod x_i^e_i
+    below the caps is prod A_i[e_i] / Q."""
+    return ([[x.numerator**k * x.denominator**(cap - k) for k in range(cap + 1)]
+             for x, cap in zip(values, caps)],
+            math.prod(x.denominator**cap for x, cap in zip(values, caps)))
 
-    With x_i = p_i/q_i, the table A_i[k] = p_i^k q_i^(cap_i - k) turns each
-    monomial into prod A_i[e_i] / prod q_i^cap_i; with L the lcm of the
-    denominators d, the sum is sum(n (L/d) prod A_i[e_i]) / (L prod q_i^cap_i),
-    one division in all.
-    """
-    tables = [[x.numerator**k * x.denominator**(cap - k) for k in range(cap + 1)]
-              for x, cap in zip(values, caps)]
-    lcm = math.lcm(*(d for _, (n, d) in terms))
-    total = sum(math.prod(map(list.__getitem__, tables, e), start=n * (lcm // d))
-                for e, (n, d) in terms)
-    return Fraction(total, lcm * math.prod(x.denominator**cap for x, cap in zip(values, caps)))
+
+def _tail_tables(tables, parts):
+    """The two tables a tail row (a, k, n, m) indexes: z1's, and the product
+    of z0's at 0 and the rest's at parts[k], made once per part."""
+    return [tables[1], [math.prod(map(list.__getitem__, tables[2:], p), start=tables[0][0])
+                        for p in parts]]
+
+
+def _rational_sum(rows, tables, den):
+    """The sum of (n/d) prod_i tables[i][e_i] / den over rows (*e, n, d),
+    d > 0, exact, in integers: with L the lcm of the denominators d, it is
+    sum(n (L/d) prod tables[i][e_i]) / (L den), one division in all.  A row's
+    first len(tables) entries index the tables."""
+    lcm = math.lcm(*(row[-1] for row in rows))
+    total = sum(math.prod(map(list.__getitem__, tables, row), start=row[-2] * (lcm // row[-1]))
+                for row in rows)
+    return Fraction(total, lcm * den)
 
 
 def cmd_eval(cfg):

@@ -23,12 +23,15 @@ The potential splits by curve degree into three layers:
 Outside the classical cubic every coefficient is (t1+t2) times a rational
 number, so the stacky and quantum layers are built together, the rational
 tail.  Each of its coefficients is a ratio of two integer products, held as
-the integer pair (n, m) in lowest terms, m > 0, with no `Fraction` per
-term.  The pairs are built in table order, by total degree and then by
+the integer pair (n, m) in lowest terms, m > 0, with no `Fraction` (G's
+q^0 row is read off tan's coefficients, not off `g_series`).  A term is the
+row (a, k, n, m) at the exponent (0, a) + parts[k], each part (b, d[, c])
+made once, and the rows come in table order, by total degree and then by
 exponent as `Series.sorted_terms` orders them, so a writer sorts none of
-them.  `potential` and `extended_potential` return a `Potential`: the cubic
-as a `RatFun` series and the tail's pairs, on shared per-variable caps; its
-`tail` is the same tail as a `Series` over Q.  The two never share an
+them and writes each part's exponent text once.  `potential` and
+`extended_potential` return a `Potential`: the cubic as a `RatFun` series
+and the tail's parts and rows, on shared per-variable caps; its `tail` is
+the same tail as a `Series` over Q.  The two never share an
 exponent: the cubic has q-degree 0 and total degree 3, the tail q-degree at
 least 1 or z2/u-degree at least 4.  A writer can therefore print each term
 from exactly one part, merging the cubic's few terms into the tail's, and
@@ -222,18 +225,20 @@ def g_series(order):
         for n in range(4, order + 1, 2)})
 
 
-def _tail_pairs(vs):
+def _tail_rows(vs):
     """The potential minus its classical cubic, divided by (t1+t2), as
-    {exponent: (n, m)}: each coefficient n/m of Q in lowest terms, m > 0, in
-    table order, by total degree and then by exponent as `Series.sorted_terms`
-    orders them.
+    (parts, rows): parts[k] is an exponent's part (b, d[, c]), and each row
+    (a, k, n, m) the term at (0, a) + parts[k], with coefficient n/m of Q in
+    lowest terms, m > 0, in table order, by total degree and then by
+    exponent as `Series.sorted_terms` orders them.
 
     Built on vs, caps for (z0, z1, z2, q) or, extended, (z0, z1, z2, q, u),
     where u enters only through theta = z2 + u and theta^n/n! is the sum of
-    z2^b u^c/(b! c!) over b + c = n.  The q^0 row is -G_n n!/(b! c!); at d >= 1
-    the coefficient of z1^a z2^b u^c q^d is <H^a S^n>_d/(a! b! c!) without its
-    (t1+t2), d^a/a! times local_invariant(d, n), read as `invariant_pair(d, n)`,
-    over b! c! when n = d (mod 2).
+    z2^b u^c/(b! c!) over b + c = n.  The q^0 row is -G_n n!/(b! c!), with
+    n! G_n = T_(n-3) (n-3)!/2^(n-2) an unreduced integer pair from tan's
+    coefficient; at d >= 1 the coefficient of z1^a z2^b u^c q^d is
+    <H^a S^n>_d/(a! b! c!) without its (t1+t2), d^a/a! times
+    `invariant_pair(d, n)` over b! c! when n = d (mod 2).
     """
     z1_cap, z2_cap, qmax = vs.caps[1:4]
     u_cap = sum(vs.caps[4:])  # 0 on the plain caps
@@ -242,56 +247,57 @@ def _tail_pairs(vs):
     # weight[d][n]: n! times the coefficient of theta^n q^d at z1 = 0, as
     # numerator and denominator, or None where there is no term
     weight = [[None] * (top + 1) for _ in range(qmax + 1)]
-    for (n,), c in g_series(top).terms():
-        weight[0][n] = (-c.numerator * fact[n], c.denominator)
+    for n in range(4, top + 1, 2):
+        t = _tan_coeff(n - 3)
+        weight[0][n] = (-t.numerator * fact[n - 3], t.denominator << (n - 2))
     for d in range(1, qmax + 1):
         for n in range(d % 2, top + 1, 2):
             weight[d][n] = invariant_pair(d, n)
-    # parts[t]: the terms z2^b q^d u^c of total t as (exponent, d, numerator,
-    # denominator), appended in lexicographic order; n = b + c has the parity
-    # of d, so t is even
-    parts = [[] for _ in range(top + qmax + 1)]
+    # parts in lexicographic order; by_total[t]: the parts of total t as
+    # (k, d, numerator, denominator); n = b + c has the parity of d, so t is even
+    parts, by_total = [], [[] for _ in range(top + qmax + 1)]
     for b, fb in enumerate(fact[:z2_cap + 1]):
         for d, row in enumerate(weight):
             for c in range((b + d) % 2, u_cap + 1, 2):
                 if w := row[b + c]:
-                    parts[b + d + c].append(((b, d, c)[:arity], d, w[0], w[1] * fb * fact[c]))
-    # per a: the exponent's head, the divisor factor d^a/a! and the parts by
-    # total degree a + t, those with d = 0 only at a = 0
-    positive = [[p for p in part if p[1]] for part in parts]
-    factors = [((0, a), [d**a for d in range(qmax + 1)], fact[a],
-                [[]] * a + (positive if a else parts) + [[]] * (z1_cap - a))
+                    by_total[b + d + c].append((len(parts), d, w[0], w[1] * fb * fact[c]))
+                    parts.append((b, d, c)[:arity])
+    # per a: the divisor factor d^a/a! and the parts by total degree a + t,
+    # those with d = 0 only at a = 0
+    positive = [[p for p in part if p[1]] for part in by_total]
+    factors = [(a, [d**a for d in range(qmax + 1)], fact[a],
+                [[]] * a + (positive if a else by_total) + [[]] * (z1_cap - a))
                for a in range(z1_cap + 1)]
-    out = {}
+    rows = []
     # by total degree s, then a (of the parity of s), then part: each
     # coefficient is a ratio of two integer products, reduced by one gcd
-    for s in range(z1_cap + len(parts)):
-        for head, p, f, part in factors[s % 2:s + 1:2]:
-            for e, d, n, m in part[s]:
+    for s in range(z1_cap + len(by_total)):
+        for a, p, f, part in factors[s % 2:s + 1:2]:
+            for k, d, n, m in part[s]:
                 n, m = p[d] * n, f * m
                 g = math.gcd(n, m)
-                out[head + e] = (n // g, m // g)
-    return out
+                rows.append((a, k, n // g, m // g))
+    return parts, rows
 
 
 class Potential:
     """The potential on `vs` as cubic + (t1+t2) * tail, supports disjoint.
 
-    `cubic` is the classical cubic as a `RatFun` series on `vs`.  `pairs`
-    holds the rest divided by (t1+t2) as {exponent: (n, m)}, each
-    coefficient n/m in lowest terms with m > 0, in table order (by total
-    degree, then by exponent); `tail` is the same as a `Series` over Q, made
-    from the pairs on each read.
+    `cubic` is the classical cubic as a `RatFun` series on `vs`.  `parts` and
+    `rows` hold the rest divided by (t1+t2) as `_tail_rows` makes them, each
+    row (a, k, n, m) the term n/m at (0, a) + parts[k], in table order;
+    `tail` is the same as a `Series` over Q, made from the rows on each read.
     """
 
-    __slots__ = ("vs", "cubic", "pairs")
+    __slots__ = ("vs", "cubic", "parts", "rows")
 
-    def __init__(self, vs, cubic, pairs):
-        self.vs, self.cubic, self.pairs = vs, cubic, pairs
+    def __init__(self, vs, cubic, parts, rows):
+        self.vs, self.cubic, self.parts, self.rows = vs, cubic, parts, rows
 
     @property
     def tail(self):
-        return Series._of(self.vs, {e: Fraction(n, m) for e, (n, m) in self.pairs.items()})
+        return Series._of(self.vs, {(0, a) + self.parts[k]: Fraction(n, m)
+                                    for a, k, n, m in self.rows})
 
     def series(self):
         """The potential as one `RatFun` series."""
@@ -301,7 +307,7 @@ class Potential:
 def potential(qmax, zorder):
     """Full potential in (z0, z1, z2, q) with per-variable caps, as a `Potential`."""
     vs = VarSet(("z0", "z1", "z2", "q"), (zorder, zorder, zorder, qmax))
-    return Potential(vs, classical_part().into(vs), _tail_pairs(vs))
+    return Potential(vs, classical_part().into(vs), *_tail_rows(vs))
 
 
 def extended_potential(qmax, zorder, uorder):
@@ -315,7 +321,7 @@ def extended_potential(qmax, zorder, uorder):
     )
     shift = {"z2": Series.variable(target, "z2") + Series.variable(target, "u")}
     cubic = classical_part().substitute(shift, target)
-    return Potential(target, cubic, _tail_pairs(target))
+    return Potential(target, cubic, *_tail_rows(target))
 
 
 def gw_invariant(n1, n2, d):

@@ -1,5 +1,4 @@
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -14,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from localp12 import cli, localization, pcrc, potentials
+from localp12 import cli, localization, pcrc
 from localp12.cli import main
 from localp12.cyclotomic import ZERO, Cyclo
 from localp12.mpseries import Series
@@ -636,9 +635,14 @@ def _generic_table(series, fmt):
     return buf.getvalue()
 
 
+#: the 13 caps of the benchmark's tables: (16, 12) reaches q^16 and 75-bit
+#: numerators, (5, 8, 4) all five variables
+_BENCHMARK_CAPS = [(16, 12), (5, 8, 4), (8, 17), (9, 16), (12, 14), (13, 13), (14, 13), (18, 11),
+                   (5, 7, 5), (6, 7, 4), (6, 8, 3), (6, 6, 5), (4, 7, 6)]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-# benchmark caps: (16, 12) reaches q^16 and 75-bit numerators, (5, 8, 4) all five variables
-@pytest.mark.parametrize("caps", _PLAIN_CAPS + _EXTENDED_CAPS + [(16, 12), (5, 8, 4)])
+@pytest.mark.parametrize("caps", _PLAIN_CAPS + _EXTENDED_CAPS + _BENCHMARK_CAPS)
 def test_table_bytes_equal_the_generic_rendering(capsys, caps, fmt):
     code, out, err = _run(capsys, "potential", *_cap_argv(caps), "--format", fmt)
     assert (code, err) == (0, "")
@@ -783,9 +787,13 @@ def _eval_points(arity, seed):
 def test_integer_tail_sum_equals_the_fraction_sum(caps):
     pot = _record(caps)
     for values in _eval_points(len(pot.vs.names), sum(caps)):
-        got = cli._rational_sum(pot.pairs.items(), values, pot.vs.caps)
+        tables, den = cli._power_tables(values, pot.vs.caps)
+        got = cli._rational_sum(pot.rows, cli._tail_tables(tables, pot.parts), den)
         assert type(got) is Fraction
         assert got == _fraction_tail_sum(pot.tail, values)
+        # the same sum over the full exponents, one table per variable
+        rows = [(0, a) + pot.parts[k] + (n, m) for a, k, n, m in pot.rows]
+        assert cli._rational_sum(rows, tables, den) == got
 
 
 def test_warm_eval_makes_no_embed_call(monkeypatch, capsys):
@@ -983,24 +991,21 @@ def test_the_checks_sit_on_top_of_the_builder():
 
 @pytest.mark.parametrize("fmt, to_json", [("json", 1), ("csv", 0)])
 def test_table_writes_the_tail_from_text_alone(monkeypatch, capsys, fmt, to_json):
-    """A tail term costs no `Fraction`, not even a sign test: with the weights
-    invariant_pair(d, n) and G_n held fixed, a table makes as many Fractions
-    at any cap.  Only a JSON table's cubic goes through `Series.to_json`."""
-    # the weights are made once per (d, n) and not per term
-    for name in ("invariant_pair", "g_series"):
-        monkeypatch.setattr(potentials, name, functools.cache(getattr(potentials, name)))
+    """A tail term costs no `Fraction`, not even a sign test, and neither do
+    the weights invariant_pair(d, n) and G_n: once tan's coefficients are
+    held, a table makes no Fraction at any cap.  Only a JSON table's cubic
+    goes through `Series.to_json`."""
     fractions = _count_calls(monkeypatch, Fraction, ("__new__", "__abs__", "__lt__"))
     series = _count_calls(monkeypatch, Series, ("to_json",))
     seen = []
     for qmax, zorder in ((5, 6), (16, 12)):
         argv = ("potential", "--qmax", str(qmax), "--zorder", str(zorder), "--format", fmt)
-        assert _run(capsys, *argv)[0] == 0  # fills the weights' caches
+        assert _run(capsys, *argv)[0] == 0  # fills tan's coefficients
         before = {**fractions, **series}
         assert _run(capsys, *argv)[0] == 0
         seen.append({k: v - before[k] for k, v in {**fractions, **series}.items()})
-    assert len(potential(16, 12).pairs) > 10 * len(potential(5, 6).pairs)
-    assert seen[0] == seen[1]
-    assert (seen[0]["__abs__"], seen[0]["__lt__"], seen[0]["to_json"]) == (0, 0, to_json)
+    assert len(potential(16, 12).rows) > 10 * len(potential(5, 6).rows)
+    assert seen[0] == seen[1] == {"__new__": 0, "__abs__": 0, "__lt__": 0, "to_json": to_json}
 
 
 @pytest.mark.parametrize("argv", [

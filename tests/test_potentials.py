@@ -343,9 +343,10 @@ def _table_vs(caps):
 @pytest.mark.parametrize("caps", _TABLE_CAPS)
 def test_tail_from_integer_products_equals_the_fraction_products(caps):
     vs = _table_vs(caps)
-    got = potentials._tail_pairs(vs)
+    parts, rows = potentials._tail_rows(vs)
     want = dict(_divisor_times_weight_tail(vs).terms())
-    assert got.keys() == want.keys()
+    got = {(0, a) + parts[k]: (n, m) for a, k, n, m in rows}
+    assert len(got) == len(rows) and got.keys() == want.keys()
     for e, (n, m) in got.items():
         assert type(n) is int and type(m) is int
         assert n and m > 0 and math.gcd(n, m) == 1
@@ -354,17 +355,20 @@ def test_tail_from_integer_products_equals_the_fraction_products(caps):
 
 @pytest.mark.parametrize("caps", _TABLE_CAPS + [(0, 0), (0, 4), (1, 1), (4, 0), (0, 0, 2)])
 def test_tail_pairs_come_in_table_order(caps):
-    """The table writer sorts no tail term: the pairs are built by total
-    degree and then by exponent, as `Series.sorted_terms` orders them."""
-    pairs = potentials._tail_pairs(_table_vs(caps))
-    assert list(pairs) == sorted(pairs, key=lambda e: (sum(e), e))
+    """The table writer sorts no tail term: the rows are built by total
+    degree and then by exponent, as `Series.sorted_terms` orders them, each
+    part made once."""
+    parts, rows = potentials._tail_rows(_table_vs(caps))
+    exps = [(0, a) + parts[k] for a, k, _, _ in rows]
+    assert exps == sorted(exps, key=lambda e: (sum(e), e))
+    assert len(set(parts)) == len(parts) == len({k for _, k, _, _ in rows})
 
 
 def test_extended_potential_shifts_only_the_cubic(monkeypatch):
     """The tail is written on the target caps; `substitute` sees the cubic alone."""
     tails, shifted = [], []
-    build, substitute = potentials._tail_pairs, Series.substitute
-    monkeypatch.setattr(potentials, "_tail_pairs", lambda vs: tails.append(vs) or build(vs))
+    build, substitute = potentials._tail_rows, Series.substitute
+    monkeypatch.setattr(potentials, "_tail_rows", lambda vs: tails.append(vs) or build(vs))
     monkeypatch.setattr(
         Series, "substitute", lambda self, *a: shifted.append(self.vs) or substitute(self, *a)
     )

@@ -193,6 +193,34 @@ def test_verify_layers_prints_warm_and_cold_times_on_one_line(monkeypatch, capsy
     assert record["fractions"]["assembly"] == 0
 
 
+def test_table_layers_times_the_build_and_the_write_of_each_table():
+    tool = _tool("table_layers")
+    true = cli._the_potential
+    times = tool.layer_times([(2, 3), (1, 2, 1)], repeat=1, number=1)
+    assert set(times) == {"2,3 json", "2,3 csv", "1,2,1 json", "1,2,1 csv"}
+    assert all(set(t) == {"build", "write"} for t in times.values())
+    assert all(type(ms) is float and ms > 0 for t in times.values() for ms in t.values())
+    # one build per caps, shared by both formats
+    assert times["2,3 json"]["build"] == times["2,3 csv"]["build"]
+    assert cli._the_potential is true
+
+
+def test_table_layers_prints_every_benchmark_table_on_one_line(monkeypatch, capsys):
+    tool = _tool("table_layers")
+    monkeypatch.setattr(tool, "REPEAT", 1)
+    monkeypatch.setattr(tool, "NUMBER", 1)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool.main([ROOT])
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    record = json.loads(out)
+    assert set(record) == {"ms", "best_of"} and record["best_of"] == [1, 1]
+    workloads = importlib.import_module("workloads")  # on sys.path once main has run
+    assert set(record["ms"]) == {"%s %s" % (",".join(map(str, caps)), fmt)
+                                 for caps in workloads.PLAIN_CAPS + workloads.EXTENDED_CAPS
+                                 for fmt in ("json", "csv")}
+
+
 def _body_lines(code):
     return {line for _, _, line in code.co_lines() if line is not None} - {code.co_firstlineno}
 
